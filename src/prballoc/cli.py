@@ -53,10 +53,22 @@ class ExperimentSpec:
 
 
 def write_text_atomic(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write `text` to `path` through a uniquely named temporary file beside it.
+
+    Readers see the old file or the whole new one, concurrent writers never
+    share a temporary file, and a failed write leaves no temporary file behind.
+    Exclusive creation ("x"), unlike tempfile.mkstemp's 0600 file, gives the
+    output the same mode as a plain open().
+    """
+    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_scenario(spec):

@@ -7,7 +7,7 @@ Variable names: X_k_n_b (binary assignment), T_k_n_b (per-slot SINR),
 PHI_m_n_k_w_b (linearization product), S_k (per-user SINR), L_k (log SINR).
 """
 
-import math
+import io
 from dataclasses import dataclass
 
 from .allocator_exact import (
@@ -41,12 +41,11 @@ def _phi_indices(K, N, B):
                         yield m, n, k, w, b
 
 
-def export_milp(scenario, power_map, config, lam=None, bayes_block=None):
+def export_milp(scenario, power_map, config, lam=None):
     """Complete LP-format model text; byte-identical across runs.
 
-    `bayes_block` may hold (records, states) keyed by OP id to additionally
-    emit the binary AND encoding of the day-level feature/class indicators.
-    The user weights themselves always enter as precomputed constants.
+    The user weights enter as precomputed constants.  Rows are streamed into
+    one text buffer, so no per-row string outlives its own write.
     """
     cfg = scenario.config
     K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
@@ -59,6 +58,7 @@ def export_milp(scenario, power_map, config, lam=None, bayes_block=None):
     if pf and config.pwl is None:
         raise UsageError("PF export requires a PwlSpec")
     noise = power_map.noise_w
+    lam_s, neg_lam_s = _num(lam), _num(-lam)
 
     def log_users():
         if not pf:
@@ -67,35 +67,36 @@ def export_milp(scenario, power_map, config, lam=None, bayes_block=None):
             return [k for k in cfg.user_ids if not scenario.is_outpatient(k)]
         return list(cfg.user_ids)
 
-    lines = ["\\ prballoc MILP export", "Maximize"]
+    out = io.StringIO()
+    write = out.write
+    write("\\ prballoc MILP export\nMaximize\n")
     if not pf:
         terms = []
         for k in cfg.user_ids:
             for n in range(1, N + 1):
                 for b in range(1, B + 1):
                     terms.append(f"+ {_num(weights[k])} T_{k}_{n}_{b}")
-        lines.append(" obj: " + " ".join(terms))
     else:
         terms = [f"+ L_{k}" for k in log_users()]
         if config.prioritization:
             for k in cfg.user_ids:
                 if scenario.is_outpatient(k):
                     terms.append(f"+ {_num(weights[k])} S_{k}")
-        lines.append(" obj: " + " ".join(terms))
+    write(" obj: " + " ".join(terms) + "\n")
 
-    lines.append("Subject To")
+    write("Subject To\n")
     for m, n, k, w, b in _phi_indices(K, N, B):
-        phi = f"PHI_{m}_{n}_{k}_{w}_{b}"
-        lines.append(f" c13_{m}_{n}_{k}_{w}_{b}: {phi} - {_num(lam)} X_{m}_{n}_{w} <= 0")
-        lines.append(f" c14_{m}_{n}_{k}_{w}_{b}: {phi} - T_{k}_{n}_{b} <= 0")
-        lines.append(
-            f" c15_{m}_{n}_{k}_{w}_{b}: {phi} - {_num(lam)} X_{m}_{n}_{w} - T_{k}_{n}_{b}"
-            f" >= {_num(-lam)}"
+        idx = f"{m}_{n}_{k}_{w}_{b}"
+        write(f" c13_{idx}: PHI_{idx} - {lam_s} X_{m}_{n}_{w} <= 0\n")
+        write(f" c14_{idx}: PHI_{idx} - T_{k}_{n}_{b} <= 0\n")
+        write(
+            f" c15_{idx}: PHI_{idx} - {lam_s} X_{m}_{n}_{w} - T_{k}_{n}_{b}"
+            f" >= {neg_lam_s}\n"
         )
     for k in cfg.user_ids:
         for n in range(1, N + 1):
             for b in range(1, B + 1):
-                terms = []
+                write(f" c16_{k}_{n}_{b}:")
                 for m in cfg.user_ids:
                     if m == k:
                         continue
@@ -103,67 +104,44 @@ def export_milp(scenario, power_map, config, lam=None, bayes_block=None):
                         if w == b:
                             continue
                         qm = power_map.power(m, n, b)
-                        terms.append(f"+ {_num(qm)} PHI_{m}_{n}_{k}_{w}_{b}")
-                terms.append(f"+ {_num(noise)} T_{k}_{n}_{b}")
-                terms.append(f"- {_num(power_map.power(k, n, b))} X_{k}_{n}_{b}")
-                lines.append(f" c16_{k}_{n}_{b}: " + " ".join(terms) + " = 0")
+                        write(f" + {_num(qm)} PHI_{m}_{n}_{k}_{w}_{b}")
+                write(f" + {_num(noise)} T_{k}_{n}_{b}")
+                write(f" - {_num(power_map.power(k, n, b))} X_{k}_{n}_{b} = 0\n")
     p_w = dbm_to_mw(cfg.tx_power_per_prb_dbm) / 1000.0
     pm_w = dbm_to_mw(cfg.max_power_per_connection_dbm) / 1000.0
     for k in cfg.user_ids:
         for b in range(1, B + 1):
             terms = [f"+ {_num(p_w)} X_{k}_{n}_{b}" for n in range(1, N + 1)]
-            lines.append(f" c17_{k}_{b}: " + " ".join(terms) + f" <= {_num(pm_w)}")
+            write(f" c17_{k}_{b}: " + " ".join(terms) + f" <= {_num(pm_w)}\n")
     for n in range(1, N + 1):
         for b in range(1, B + 1):
             terms = [f"+ X_{k}_{n}_{b}" for k in cfg.user_ids]
-            lines.append(f" c18_{n}_{b}: " + " ".join(terms) + " <= 1")
+            write(f" c18_{n}_{b}: " + " ".join(terms) + " <= 1\n")
     for k in cfg.user_ids:
         terms = [
             f"+ X_{k}_{n}_{b}" for b in range(1, B + 1) for n in range(1, N + 1)
         ]
-        lines.append(f" c19_{k}: " + " ".join(terms) + " >= 1")
+        write(f" c19_{k}: " + " ".join(terms) + " >= 1\n")
     if pf:
         for k in cfg.user_ids:
             terms = [
                 f"- T_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)
             ]
-            lines.append(f" c21_{k}: S_{k} " + " ".join(terms) + " = 0")
+            write(f" c21_{k}: S_{k} " + " ".join(terms) + " = 0\n")
         for k in log_users():
             for y, (m_y, h_y) in enumerate(config.pwl.segments, start=1):
-                lines.append(f" c24_{k}_{y}: L_{k} - {_num(m_y)} S_{k} <= {_num(h_y)}")
-    if bayes_block:
-        lines.extend(_bayes_block_rows(bayes_block))
+                write(f" c24_{k}_{y}: L_{k} - {_num(m_y)} S_{k} <= {_num(h_y)}\n")
 
-    lines.append("Bounds")
+    write("Bounds\n")
     for k in log_users():
-        lines.append(f" L_{k} free")
-    lines.append("Binary")
+        write(f" L_{k} free\n")
+    write("Binary\n")
     for k in cfg.user_ids:
         for n in range(1, N + 1):
             for b in range(1, B + 1):
-                lines.append(f" X_{k}_{n}_{b}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _bayes_block_rows(bayes_block):
-    """Binary AND rows tying day-level indicators: SB <= E, SB <= G,
-    SB >= E + G - 1, with E and G folded in as data constants."""
-    from .medrecords import FEATURES
-
-    records, states = bayes_block
-    rows = ["\\ optional Bayes indicator block (E, G folded as constants)"]
-    for z in sorted(records):
-        record, state = records[z], states[z]
-        for d, entry in enumerate(record.days, start=1):
-            g = 1 if entry.stroke else 0
-            for i, feat in enumerate(FEATURES, start=1):
-                e = 1 if entry.levels[feat] == state.level(feat) else 0
-                sb = f"SB_{z}_{i}_{d}"
-                rows.append(f" cband1_{z}_{i}_{d}: {sb} <= {e}")
-                rows.append(f" cband2_{z}_{i}_{d}: {sb} <= {g}")
-                rows.append(f" cband3_{z}_{i}_{d}: {sb} >= {e + g - 1}")
-    return rows
+                write(f" X_{k}_{n}_{b}\n")
+    write("End\n")
+    return out.getvalue()
 
 
 def variable_counts(K, N, B):

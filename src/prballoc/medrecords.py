@@ -7,8 +7,12 @@ to three severity levels each).
 """
 
 import csv
+import itertools
 import logging
+import math
+import sys
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import DataError
 
@@ -32,10 +36,18 @@ LEVEL_TABLES = {
 
 LEVEL_NAMES = {f: tuple(name for _, name in tbl) for f, tbl in LEVEL_TABLES.items()}
 
+# One read-only {feature: level} mapping per combination of the four levels
+# (3**4 of them), keyed by the (f1, f2, f3, f4) tokens.  Every DayEntry shares
+# one of these instead of holding its own dict.
+_LEVEL_MAPPINGS = {
+    tokens: MappingProxyType(dict(zip(FEATURES, tokens)))
+    for tokens in itertools.product(*(LEVEL_NAMES[f] for f in FEATURES))
+}
+
 DEFAULT_OBSERVATION_DAYS = 30
 
 
-@dataclass
+@dataclass(slots=True)
 class RawRecordRow:
     patient_id: str
     day: int | None
@@ -46,14 +58,14 @@ class RawRecordRow:
     stroke: int | None
 
 
-@dataclass
+@dataclass(slots=True)
 class DayEntry:
     day: int
-    levels: dict  # feature name -> level token
+    levels: MappingProxyType  # feature name -> level token; shared, read-only
     stroke: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class MedicalRecord:
     patient_id: str
     days: list  # of DayEntry, ascending by day
@@ -71,13 +83,24 @@ def level_of(feature, value):
     raise AssertionError("level table not total")
 
 
+def _shared_levels(tokens):
+    """The shared read-only mapping for the (f1, f2, f3, f4) level tokens."""
+    try:
+        return _LEVEL_MAPPINGS[tokens]
+    except KeyError:
+        for feat, token in zip(FEATURES, tokens):
+            if token not in LEVEL_NAMES[feat]:
+                raise ValueError(f"unknown level {token!r} for {feat}") from None
+        raise
+
+
 def _parse_cell(text, line_no, column, cast):
     text = text.strip()
     if text == "":
         return None
     try:
         return cast(text)
-    except ValueError:
+    except (ValueError, OverflowError):  # int(float("inf")) overflows
         raise DataError(
             f"line {line_no}: non-numeric value {text!r} in column {column!r}"
         ) from None
@@ -108,7 +131,7 @@ def load_raw_records(path):
                 raise DataError(f"line {line_no}: expected {len(header)} cells")
             rows.append(
                 RawRecordRow(
-                    patient_id=cells[idx["patient_id"]].strip(),
+                    patient_id=sys.intern(cells[idx["patient_id"]].strip()),
                     day=_parse_cell(cells[idx["day"]], line_no, "day", lambda s: int(float(s))),
                     sysbp=_parse_cell(cells[idx["sysbp"]], line_no, "sysbp", float),
                     diabp=_parse_cell(cells[idx["diabp"]], line_no, "diabp", float),
@@ -126,7 +149,8 @@ def _is_complete(row):
         return False
     if any(v is None for v in clinical):
         return False
-    if any(v < 0 for v in (row.sysbp, row.diabp, row.totchol, row.cigpday)):
+    readings = (row.sysbp, row.diabp, row.totchol, row.cigpday)
+    if any(not math.isfinite(v) or v < 0 for v in readings):
         return False
     if row.stroke not in (0, 1):
         return False
@@ -136,9 +160,9 @@ def _is_complete(row):
 def cleanse(rows):
     """Drop incomplete, erroneous and inconsistent rows; order is preserved.
 
-    A row survives only if all five clinical fields are present, numeric and
-    non-negative, the stroke flag is 0/1, and its (patient, day) pair has not
-    been seen before.
+    A row survives only if all five clinical fields are present, the four
+    readings are finite and non-negative, the stroke flag is 0/1, and its
+    (patient, day) pair has not been seen before.
     """
     kept = []
     seen = set()
@@ -158,12 +182,12 @@ def cleanse(rows):
 
 def generalize(row):
     """Discretize one cleansed row into a DayEntry of severity levels."""
-    levels = {
-        "f1": level_of("f1", row.sysbp),
-        "f2": level_of("f2", row.diabp),
-        "f3": level_of("f3", row.totchol),
-        "f4": level_of("f4", row.cigpday),
-    }
+    levels = _shared_levels((
+        level_of("f1", row.sysbp),
+        level_of("f2", row.diabp),
+        level_of("f3", row.totchol),
+        level_of("f4", row.cigpday),
+    ))
     return DayEntry(day=row.day, levels=levels, stroke=bool(row.stroke))
 
 
@@ -219,16 +243,20 @@ def read_records_csv(path):
         for line_no, cells in enumerate(reader, start=2):
             if not cells:
                 continue
+            if len(cells) != len(RECORD_COLUMNS):
+                raise DataError(
+                    f"line {line_no}: expected {len(RECORD_COLUMNS)} cells, found {len(cells)}"
+                )
             pid, day, f1, f2, f3, f4, stroke = [c.strip() for c in cells]
-            for feat, token in zip(FEATURES, (f1, f2, f3, f4)):
-                if token not in LEVEL_NAMES[feat]:
-                    raise DataError(f"line {line_no}: unknown level {token!r} for {feat}")
-            entry = DayEntry(
-                day=int(day),
-                levels={"f1": f1, "f2": f2, "f3": f3, "f4": f4},
-                stroke=stroke == "1",
-            )
-            by_patient.setdefault(pid, []).append(entry)
+            try:
+                entry = DayEntry(
+                    day=int(day),
+                    levels=_shared_levels((f1, f2, f3, f4)),
+                    stroke=stroke == "1",
+                )
+            except ValueError as exc:
+                raise DataError(f"line {line_no}: {exc}") from None
+            by_patient.setdefault(sys.intern(pid), []).append(entry)
     records = []
     for pid, entries in by_patient.items():
         entries.sort(key=lambda e: e.day)

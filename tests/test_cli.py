@@ -22,6 +22,23 @@ def scenario_dir(tmp_path):
     return out
 
 
+class TestWriteTextAtomic:
+    def test_replaces_and_leaves_only_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        cli.write_text_atomic(str(path), "old\n")
+        cli.write_text_atomic(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failed_write_leaves_no_stray_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        cli.write_text_atomic(str(path), "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_text_atomic(str(path), "lone surrogate \ud800")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+
 class TestGenerate:
     def test_writes_scenario_and_maps(self, scenario_dir):
         assert (scenario_dir / "scenario.json").exists()

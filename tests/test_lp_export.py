@@ -53,6 +53,19 @@ class TestExport:
         with open(os.path.join(DATA_DIR, "hand_instance.lp"), encoding="utf-8") as fh:
             assert text == fh.read()
 
+    def test_golden_hand_instance_pf(self):
+        # pins the c21 and c24 rows and the Bounds section of the PF model
+        sc, pm = hand_instance()
+        cfg = ex.SolverConfig(
+            objective="pf",
+            prioritization=True,
+            pf_log_mode="piecewise",
+            pwl=ex.PwlSpec.default(),
+        )
+        text = lp_export.export_milp(sc, pm, cfg, lam=100.0)
+        with open(os.path.join(DATA_DIR, "hand_instance_pf.lp"), encoding="utf-8") as fh:
+            assert text == fh.read()
+
     def test_pf_rows(self):
         sc, pm = baseline()
         cfg = ex.SolverConfig(
@@ -77,21 +90,6 @@ class TestExport:
         cfg = ex.SolverConfig(objective="pf")
         with pytest.raises(Exception):
             lp_export.export_milp(sc, pm, cfg)
-
-    def test_bayes_block_rows(self):
-        from prballoc.medrecords import DayEntry, MedicalRecord
-        from prballoc.risk import CurrentState
-
-        levels = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
-        rec = MedicalRecord(patient_id="p", days=[DayEntry(1, dict(levels), True)])
-        state = CurrentState(**levels)
-        sc, pm = hand_instance()
-        text = lp_export.export_milp(
-            sc, pm, ex.SolverConfig(), bayes_block=({2: rec}, {2: state})
-        )
-        for i in range(1, 5):
-            assert f"cband1_2_{i}_1: SB_2_{i}_1 <= 1" in text
-            assert f"cband3_2_{i}_1: SB_2_{i}_1 >= 1" in text
 
 
 class TestValidation:

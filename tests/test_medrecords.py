@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prballoc import medrecords as med
+from prballoc.risk import CurrentState
 from prballoc.errors import DataError
 
 
@@ -73,6 +74,31 @@ class TestCleanse:
     def test_bad_stroke_flag_dropped(self):
         assert med.cleanse([_row(stroke=2)]) == []
 
+    def test_non_finite_readings_dropped(self):
+        bad = [float("nan"), float("inf"), float("-inf")]
+        rows = [_row(day=1, **{field: v}) for field in ("sysbp", "diabp", "totchol", "cigpday")
+                for v in bad]
+        assert med.cleanse(rows + [_row(day=2)]) == [_row(day=2)]
+
+    def test_non_finite_cells_from_csv_dropped(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(
+            "patient_id,day,sysbp,diabp,totchol,cigpday,stroke\n"
+            "p1,1,nan,85,210,3,0\n"
+            "p1,2,130,inf,210,3,0\n"
+            "p1,3,130,85,210,3,0\n"
+        )
+        kept = med.cleanse(med.load_raw_records(path))
+        assert [r.day for r in kept] == [3]
+
+    def test_infinite_day_is_data_error(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(
+            "patient_id,day,sysbp,diabp,totchol,cigpday,stroke\np1,inf,130,85,210,3,0\n"
+        )
+        with pytest.raises(DataError, match="line 2"):
+            med.load_raw_records(path)
+
     def test_idempotent(self):
         rows = [_row(), _row(day=2), _row(day=2, sysbp=1.0), _row(diabp=None, day=3)]
         once = med.cleanse(rows)
@@ -89,6 +115,15 @@ class TestGeneralize:
             "f4": "Moderate",
         }
         assert entry.stroke is True
+
+    def test_levels_shared_and_read_only(self):
+        a = med.generalize(_row(day=1))
+        b = med.generalize(_row(day=2))
+        assert a.levels is b.levels
+        with pytest.raises(TypeError):
+            a.levels["f1"] = "High-Hypertension"
+        assert dict(a.levels) == a.levels
+        assert CurrentState(**a.levels).level("f3") == a.levels["f3"]
 
 
 class TestSegment:
@@ -151,3 +186,39 @@ class TestCsvRoundTrip:
         back = {r.patient_id: r for r in med.read_records_csv(path)}
         for rec in records:
             assert back[rec.patient_id] == rec
+
+    def test_read_levels_shared_and_read_only(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "patient_id,day,f1,f2,f3,f4,stroke\n"
+            "p1,1,Normal,Normal,High,Heavy,1\n"
+            "p1,2,Normal,Normal,High,Heavy,0\n"
+        )
+        (record,) = med.read_records_csv(path)
+        first, second = record.days
+        assert first.levels is second.levels
+        assert first.levels == {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
+        with pytest.raises(TypeError):
+            first.levels["f4"] = "Light"
+        assert first.levels["f3"] is med.LEVEL_NAMES["f3"][2]
+
+    @pytest.mark.parametrize(
+        "row", ["p1,2,Normal,Normal,High,Heavy", "p1,2,Normal,Normal,High,Heavy,1,x"]
+    )
+    def test_records_wrong_row_width(self, tmp_path, row):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "patient_id,day,f1,f2,f3,f4,stroke\np1,1,Normal,Normal,High,Heavy,1\n" + row + "\n"
+        )
+        with pytest.raises(DataError, match="line 3"):
+            med.read_records_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("p1,1,Normal,Normal,Huge,Heavy,1", "line 2: unknown level 'Huge' for f3"),
+        ("p1,x,Normal,Normal,High,Heavy,1", "line 2: invalid literal"),
+    ])
+    def test_records_bad_cell_names_line(self, tmp_path, row, message):
+        path = tmp_path / "records.csv"
+        path.write_text("patient_id,day,f1,f2,f3,f4,stroke\n" + row + "\n")
+        with pytest.raises(DataError, match=message):
+            med.read_records_csv(path)

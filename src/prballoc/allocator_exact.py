@@ -2,10 +2,8 @@
 
 A user occupies exactly one (base station, PRB) slot and is interfered only by
 co-channel users at other base stations.  Because interference never crosses
-PRB indices, the objective decomposes per PRB, which the default search
-exploits: a dynamic program over subsets of already-served users, processing
-PRBs in order.  An exhaustive permutation scan is kept as an independent
-search mode for small instances.
+PRB indices, the objective decomposes per PRB, and the search is a dynamic
+program over subsets of already-served users, processing PRBs in order.
 """
 
 import itertools
@@ -13,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, UsageError
+from .risk import priority
 
 DEFAULT_ALPHA = 500.0
 
@@ -64,7 +63,6 @@ class SolverConfig:
     alpha: float = DEFAULT_ALPHA
     pf_log_mode: str = "exact_log"  # "exact_log" | "piecewise"
     pwl: PwlSpec | None = None
-    search: str = "subset_dp"  # "subset_dp" | "exhaustive"
 
     def __post_init__(self):
         if self.objective not in ("wsrmax", "pf"):
@@ -73,8 +71,6 @@ class SolverConfig:
             raise UsageError(f"unknown pf_log_mode {self.pf_log_mode!r}")
         if self.pf_log_mode == "piecewise" and self.pwl is None:
             raise UsageError("piecewise mode requires a PwlSpec")
-        if self.search not in ("subset_dp", "exhaustive"):
-            raise UsageError(f"unknown search mode {self.search!r}")
 
     def log_value(self, s):
         if s <= 0:
@@ -90,9 +86,6 @@ class Assignment:
 
     slots: dict  # user_id -> (bs, prb)
 
-    def users_on_prb(self, prb):
-        return [(k, bn[0]) for k, bn in self.slots.items() if bn[1] == prb]
-
 
 @dataclass
 class SinrReport:
@@ -103,14 +96,14 @@ class SinrReport:
 
 
 def priorities_for(scenario, config):
-    """UP weight per user under the solver config (all 1 when off)."""
-    weights = {}
-    for k in scenario.config.user_ids:
-        if config.prioritization and scenario.is_outpatient(k):
-            weights[k] = 1.0 + config.alpha * scenario.ps_of(k)
-        else:
-            weights[k] = 1.0
-    return weights
+    """UP weight per user (`risk.priority`) under a solver or heuristic config;
+    all 1 when prioritization is off."""
+    return {
+        k: priority(
+            scenario.ps_of(k), config, config.prioritization and scenario.is_outpatient(k)
+        )
+        for k in scenario.config.user_ids
+    }
 
 
 def sinr_of(assignment, power_map, user_id):
@@ -125,49 +118,33 @@ def sinr_of(assignment, power_map, user_id):
     return power_map.power(user_id, n, b) / (interference + power_map.noise_w)
 
 
-def objective_wsrmax(sinrs, priorities):
-    """Weighted sum of SINRs."""
-    return sum(sinrs[k] * priorities[k] for k in sinrs)
+def user_terms(scenario, config, weights):
+    """Each user's objective term as a function of its SINR; the objective is their sum.
 
-
-def objective_pf(sinrs, priorities, op_flags, config):
-    """Sum of log SINRs; after prioritization OPs contribute weighted linear terms."""
-    total = 0.0
-    for k, s in sinrs.items():
-        if config.prioritization and op_flags.get(k, False):
-            total += s * priorities[k]
+    WSRMax weighs every SINR.  PF takes its log, except that after
+    prioritization an outpatient contributes its weighted SINR.  A PF log of
+    a zero SINR raises PfUndefinedError.
+    """
+    terms = {}
+    for k, w in weights.items():
+        if config.objective == "pf" and not (config.prioritization and scenario.is_outpatient(k)):
+            terms[k] = config.log_value
         else:
-            total += config.log_value(s)
-    return total
+            terms[k] = lambda s, w=w: w * s
+    return terms
 
 
 def evaluate_assignment(assignment, power_map, scenario, config, priorities=None):
     """Recompute SINRs and the configured objective for a feasible assignment."""
     if priorities is None:
         priorities = priorities_for(scenario, config)
+    terms = user_terms(scenario, config, priorities)
     sinrs = {k: sinr_of(assignment, power_map, k) for k in assignment.slots}
-    if config.objective == "wsrmax":
-        value = objective_wsrmax(sinrs, priorities)
-    else:
-        op_flags = {k: scenario.is_outpatient(k) for k in sinrs}
-        value = objective_pf(sinrs, priorities, op_flags, config)
+    value = sum(terms[k](s) for k, s in sinrs.items())
     log_sinr = {k: (math.log(s) if s > 0 else None) for k, s in sinrs.items()}
     return SinrReport(
         sinr=sinrs, log_sinr=log_sinr, priorities=dict(priorities), objective_value=value
     )
-
-
-def _user_terms(config, weights, op_flags):
-    """Per-user contribution term(SINR) for the configured objective."""
-    if config.objective == "wsrmax":
-        return {k: (lambda s, w=weights[k]: w * s) for k in weights}
-    terms = {}
-    for k in weights:
-        if config.prioritization and op_flags[k]:
-            terms[k] = lambda s, w=weights[k]: w * s
-        else:
-            terms[k] = config.log_value
-    return terms
 
 
 def _prb_contribution(chosen, n, q, noise, terms, user_ids):
@@ -202,44 +179,16 @@ def solve_exact(scenario, power_map, config):
     if cfg.tx_power_per_prb_dbm > cfg.max_power_per_connection_dbm:
         raise InfeasibleError("per-PRB power exceeds the per-connection cap")
     weights = priorities_for(scenario, config)
-    if config.search == "exhaustive":
-        assignment = _search_exhaustive(scenario, power_map, config, weights)
-    else:
-        assignment = _search_subset_dp(scenario, power_map, config, weights)
+    assignment = _search_subset_dp(scenario, power_map, config, weights)
     report = evaluate_assignment(assignment, power_map, scenario, config, weights)
     return assignment, report
-
-
-def _search_exhaustive(scenario, power_map, config, weights):
-    cfg = scenario.config
-    user_ids = list(cfg.user_ids)
-    slots = [(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)]
-    slots.sort()
-    op_flags = {k: scenario.is_outpatient(k) for k in user_ids}
-    best = None  # (value, slot tuple)
-    for perm in itertools.permutations(slots, len(user_ids)):
-        assignment = Assignment(slots=dict(zip(user_ids, perm)))
-        sinrs = {k: sinr_of(assignment, power_map, k) for k in user_ids}
-        try:
-            if config.objective == "wsrmax":
-                value = objective_wsrmax(sinrs, weights)
-            else:
-                value = objective_pf(sinrs, weights, op_flags, config)
-        except PfUndefinedError:
-            continue
-        if best is None or value > best[0] or (value == best[0] and perm < best[1]):
-            best = (value, perm)
-    if best is None:
-        raise InfeasibleError("no feasible assignment")
-    return Assignment(slots=dict(zip(user_ids, best[1])))
 
 
 def _search_subset_dp(scenario, power_map, config, weights):
     cfg = scenario.config
     K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
     user_ids = list(cfg.user_ids)
-    op_flags = {k: scenario.is_outpatient(k) for k in user_ids}
-    terms = _user_terms(config, weights, op_flags)
+    terms = user_terms(scenario, config, weights)
     q = power_map.q.tolist()
     noise = power_map.noise_w
     full = (1 << K) - 1

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator_exact import Assignment, sinr_of
+from .allocator_exact import Assignment, priorities_for, sinr_of
 from .channel import derive_seed
-from .errors import InfeasibleError
+from .errors import InfeasibleError, UsageError
 from .metrics import summarize
 
 SWAP_RTOL = 1e-12  # a swap must gain more than this share of the objective
@@ -32,13 +32,10 @@ class HeuristicConfig:
     prioritization: bool = False
     alpha: float = 500.0
     seed: int = 0
-    pool_selection: str = "uniform"
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.pool_selection != "uniform":
-            raise ValueError(f"unknown pool selection {self.pool_selection!r}")
+            raise UsageError("iterations must be >= 1")
 
 
 @dataclass
@@ -58,17 +55,6 @@ class IterationTrace:
     swaps: int = 0  # improving swaps applied after the construction
 
 
-def user_weights(scenario, config):
-    """UP weights matching the heuristic's prioritization switch."""
-    weights = {}
-    for k in scenario.config.user_ids:
-        if config.prioritization and scenario.is_outpatient(k):
-            weights[k] = 1.0 + config.alpha * scenario.ps_of(k)
-        else:
-            weights[k] = 1.0
-    return weights
-
-
 def serve_order(scenario, config, rng):
     """OPs first by descending priority when prioritization is on.
 
@@ -78,7 +64,7 @@ def serve_order(scenario, config, rng):
     user_ids = list(scenario.config.user_ids)
     if not config.prioritization:
         return [user_ids[i] for i in rng.permutation(len(user_ids))]
-    weights = user_weights(scenario, config)
+    weights = priorities_for(scenario, config)
     ops = [k for k in user_ids if scenario.is_outpatient(k)]
     ops.sort(key=lambda k: (-weights[k], k))
     normals = [k for k in user_ids if not scenario.is_outpatient(k)]
@@ -274,13 +260,15 @@ class SwapSearch:
         return {k: slot_of[k] for k in slots}, swaps
 
 
-def run_iteration(scenario, power_map, config, rng, search=None):
+def run_iteration(scenario, power_map, config, rng, improver=None):
     """Serve every user once, then improve by swaps; returns the trace.
 
+    With prioritization on, the construction puts each outpatient on a PRB
+    index that holds no other outpatient while such a PRB has a free slot.
     `at_assignment_sinr` holds each user's SINR when the construction placed
     it; `slots` is the assignment after the improvement phase, and
     `final_sinr` is recomputed on it, since later admissions and swaps change
-    the interference.  `search` is a SwapSearch built for this scenario,
+    the interference.  `improver` is a SwapSearch built for this scenario,
     power map and config; passing one to every iteration on a map lets it
     reuse column gains, and None builds a fresh one.
     """
@@ -292,14 +280,21 @@ def run_iteration(scenario, power_map, config, rng, search=None):
     slots = {}
     at_sinr = {}
     pool_sizes = []
+    op_prbs = set()  # PRB indices holding an outpatient
     for user in order:
         if user in slots:
             continue  # already placed as someone's interferer
         unserved = [m for m in order if m not in slots and m != user]
-        pool = best_sinr_pool(user, free, unserved, power_map, scenario, config.prioritization)
+        is_op = config.prioritization and scenario.is_outpatient(user)
+        allowed = free
+        if is_op:
+            allowed = {slot for slot in free if slot[1] not in op_prbs} or free
+        pool = best_sinr_pool(user, allowed, unserved, power_map, scenario, config.prioritization)
         pool_sizes.append(len(pool))
         entry = semi_greedy_pick(pool, rng)
         b, n = entry.slot
+        if is_op:
+            op_prbs.add(n)
         slots[user] = entry.slot
         free.discard(entry.slot)
         at_sinr[user] = entry.sinr
@@ -312,10 +307,10 @@ def run_iteration(scenario, power_map, config, rng, search=None):
                 power_map.power(user, n, co) + power_map.noise_w
             )
     assert len(slots) == cfg.num_users
-    if search is None:
-        weights = user_weights(scenario, config)
-        search = SwapSearch(scenario, power_map, weights, config.prioritization)
-    slots, swaps = search.improve(slots)
+    if improver is None:
+        weights = priorities_for(scenario, config)
+        improver = SwapSearch(scenario, power_map, weights, config.prioritization)
+    slots, swaps = improver.improve(slots)
     assignment = Assignment(slots=slots)
     final = {k: sinr_of(assignment, power_map, k) for k in slots}
     return IterationTrace(
@@ -332,7 +327,7 @@ def run_file(scenario, power_map, config, file_index=0):
     """All iterations on one power map: per-user mean final SINRs and the
     per-iteration weighted objectives."""
     cfg = scenario.config
-    weights = user_weights(scenario, config)
+    weights = priorities_for(scenario, config)
     sums = {k: 0.0 for k in cfg.user_ids}
     objectives = []
     search = SwapSearch(scenario, power_map, weights, config.prioritization)

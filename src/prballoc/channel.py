@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DataError, InfeasibleError
+from .errors import DataError, InfeasibleError, UsageError
 
 TABLE_DEFAULTS = dict(
     num_bs=2,
@@ -42,10 +42,10 @@ def derive_seed(master_seed, *parts):
 
 
 def path_loss_db(distance_m):
-    """Urban path loss in dB: 128 + 37.6*log10(distance/1km)."""
-    if distance_m <= 0:
+    """Urban path loss in dB: 128 + 37.6*log10(distance/1km), elementwise."""
+    if not np.all(np.asarray(distance_m) > 0):
         raise ValueError("distance must be positive")
-    return 128.0 + 37.6 * math.log10(distance_m / 1000.0)
+    return 128.0 + 37.6 * np.log10(distance_m / 1000.0)
 
 
 def dbm_to_mw(x_dbm):
@@ -100,9 +100,9 @@ class ScenarioConfig:
                 f"{self.num_users} users exceed {self.num_bs * self.prbs_per_bs} slots"
             )
         if not self.num_normal < self.num_users:
-            raise ValueError("num_normal must be smaller than num_users")
-        if self.distance_min_m > self.distance_max_m:
-            raise ValueError("distance_min_m exceeds distance_max_m")
+            raise UsageError("num_normal must be smaller than num_users")
+        if not 0 < self.distance_min_m <= self.distance_max_m:
+            raise UsageError("distances must satisfy 0 < distance_min_m <= distance_max_m")
 
     @property
     def user_ids(self):
@@ -171,7 +171,7 @@ def generate_power_map(scenario, realization=0):
     shape = (cfg.num_users, cfg.prbs_per_bs, cfg.num_bs)
     fading = draw_fading(rng, size=shape)
     tx_mw = dbm_to_mw(cfg.tx_power_per_prb_dbm)
-    loss_db = 128.0 + 37.6 * np.log10(distances / 1000.0)  # (K, B)
+    loss_db = path_loss_db(distances)  # (K, B)
     atten = 10.0 ** (-loss_db / 10.0)
     q = tx_mw * fading * atten[:, None, :] / 1000.0
     return PowerMap(q=q, noise_w=cfg.noise_w, fading=fading, distances=distances)
@@ -192,18 +192,24 @@ def scenario_to_json(scenario):
 def scenario_from_json(text):
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        cfg_kwargs = {k: payload[k] for k in TABLE_DEFAULTS if k in payload}
+        cfg_kwargs["seed"] = payload.get("seed", 0)
+        config = ScenarioConfig(**cfg_kwargs)
+        op_ps = {int(k): float(v) for k, v in payload.get("op_ps", {}).items()}
+        states = {int(k): v for k, v in payload.get("current_states", {}).items()}
+        distances = None
+        if "distances" in payload:
+            distances = np.array([[float(d) for d in row] for row in payload["distances"]])
+    except (ValueError, TypeError, AttributeError, UsageError) as exc:
         raise DataError(f"bad scenario JSON: {exc}") from exc
-    cfg_kwargs = {k: payload[k] for k in TABLE_DEFAULTS if k in payload}
-    cfg_kwargs["seed"] = payload.get("seed", 0)
-    config = ScenarioConfig(**cfg_kwargs)
-    op_ps = {int(k): float(v) for k, v in payload.get("op_ps", {}).items()}
-    states = {int(k): v for k, v in payload.get("current_states", {}).items()}
-    distances = None
-    if "distances" in payload:
-        distances = np.array([[float(d) for d in row] for row in payload["distances"]])
+    if distances is not None:
         if distances.shape != (config.num_users, config.num_bs):
             raise DataError("distances shape does not match config")
+        if not (distances > 0).all():
+            raise DataError("distances must be positive")
+    for k, ps in op_ps.items():
+        if not 0.0 <= ps <= 1.0:
+            raise DataError(f"op_ps of user {k} is {ps!r}, outside [0, 1]")
     return Scenario(config=config, distances=distances, op_ps=op_ps, current_states=states)
 
 
@@ -229,7 +235,20 @@ def read_power_map_csv(path, noise_w):
         header = next(reader, None)
         if header != ["user", "prb", "bs", "power_watts"]:
             raise DataError(f"{path}: bad power map header")
-        entries = [(int(u), int(n), int(b), float(p)) for u, n, b, p in reader]
+        entries = []
+        for row in reader:
+            try:
+                u, n, b, p = row
+                entry = (int(u), int(n), int(b), float(p))
+                ok = min(entry[:3]) >= 1 and 0.0 <= entry[3] < math.inf
+            except ValueError:
+                ok = False
+            if not ok:
+                raise DataError(
+                    f"{path}: line {reader.line_num}: want user, prb, bs >= 1 and a finite"
+                    f" power >= 0, got {row}"
+                )
+            entries.append(entry)
     if not entries:
         raise DataError(f"{path}: empty power map")
     K = max(e[0] for e in entries)

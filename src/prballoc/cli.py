@@ -34,17 +34,15 @@ SCALABILITY_CASES = ((1.4, 6), (3.0, 15), (5.0, 25), (10.0, 50), (15.0, 75), (20
 
 @dataclass
 class ExperimentSpec:
-    kind: str  # single_solve | alpha_sweep | before_after | scalability
+    kind: str  # alpha_sweep | before_after | scalability
     output_dir: str
     scenario_path: str | None = None
-    records_path: str | None = None
     objective: str = "wsrmax"
     alphas: tuple = DEFAULT_ALPHAS
     alpha: float = 500.0
     realizations: int = 100
     iterations: int = 1000
     seed: int = 0
-    export_lp: bool = False
     runs: int = 3
 
     def __post_init__(self):
@@ -71,10 +69,14 @@ def write_text_atomic(path, text):
         raise
 
 
+def _read_scenario(path):
+    with open(path, encoding="utf-8") as fh:
+        return channel.scenario_from_json(fh.read())
+
+
 def _load_scenario(spec):
     if spec.scenario_path:
-        with open(spec.scenario_path, encoding="utf-8") as fh:
-            return channel.scenario_from_json(fh.read())
+        return _read_scenario(spec.scenario_path)
     config = channel.ScenarioConfig(seed=spec.seed)
     scenario, _ = channel.generate_scenario(config, op_ps=REFERENCE_OP_PS)
     return scenario
@@ -114,39 +116,6 @@ def _mean(values):
     return sum(values) / len(values)
 
 
-def run_single_solve(spec):
-    os.makedirs(spec.output_dir, exist_ok=True)
-    scenario = _load_scenario(spec)
-    pm = channel.generate_power_map(scenario, realization=0)
-    for prioritization, tag in ((False, "before"), (True, "after")):
-        config = exact.SolverConfig(
-            objective=spec.objective,
-            prioritization=prioritization,
-            alpha=spec.alpha,
-            pf_log_mode="exact_log",
-        )
-        assignment, report = exact.solve_exact(scenario, pm, config)
-        exact.write_result_csv(
-            assignment, report, os.path.join(spec.output_dir, f"solve_{tag}.csv")
-        )
-        if spec.export_lp and prioritization:
-            lp_config = config
-            if spec.objective == "pf":
-                lp_config = exact.SolverConfig(
-                    objective="pf",
-                    prioritization=True,
-                    alpha=spec.alpha,
-                    pf_log_mode="piecewise",
-                    pwl=exact.PwlSpec.default(),
-                )
-            write_text_atomic(
-                os.path.join(spec.output_dir, "model.lp"),
-                lp_export.export_milp(scenario, pm, lp_config),
-            )
-    _echo_config(spec, spec.output_dir)
-    return spec.output_dir
-
-
 @dataclass
 class BeforeAfterResult:
     exact_before: list  # per realization: dict user -> SINR
@@ -169,6 +138,13 @@ class BeforeAfterResult:
 
 def run_before_after(spec, scenario=None, power_maps=None):
     """Paired before/after prioritization runs on identical realizations."""
+    # built first, so that bad settings fail before any work
+    heuristic_configs = [
+        heur.HeuristicConfig(
+            iterations=spec.iterations, prioritization=p, alpha=spec.alpha, seed=spec.seed
+        )
+        for p in (False, True)
+    ]
     os.makedirs(spec.output_dir, exist_ok=True)
     if scenario is None:
         scenario = _load_scenario(spec)
@@ -193,16 +169,11 @@ def run_before_after(spec, scenario=None, power_maps=None):
         for pm in power_maps:
             _, report = exact.solve_exact(scenario, pm, config)
             bucket.append(report.sinr)
-    for prioritization, bucket, tag in (
-        (False, result.heuristic_before, "before"),
-        (True, result.heuristic_after, "after"),
+    for config, bucket, tag in zip(
+        heuristic_configs,
+        (result.heuristic_before, result.heuristic_after),
+        ("before", "after"),
     ):
-        config = heur.HeuristicConfig(
-            iterations=spec.iterations,
-            prioritization=prioritization,
-            alpha=spec.alpha,
-            seed=spec.seed,
-        )
         report = heur.run_heuristic(scenario, power_maps, config)
         bucket.extend(report.per_file_means)
         heur.write_heuristic_csv(
@@ -321,8 +292,7 @@ def _cmd_ingest(args):
 
 def _cmd_risk(args):
     records = {r.patient_id: r for r in medrecords.read_records_csv(args.records)}
-    with open(args.scenario, encoding="utf-8") as fh:
-        scenario = channel.scenario_from_json(fh.read())
+    scenario = _read_scenario(args.scenario)
     if not scenario.current_states:
         raise DataError("scenario has no current_states for the outpatients")
     config = risk.RiskConfig(alpha=args.alpha, smoothing=args.smoothing)
@@ -365,11 +335,20 @@ def _cmd_generate(args):
     print(f"wrote scenario and {args.realizations} power maps to {args.output}")
 
 
+def _read_power_map(path, scenario):
+    cfg = scenario.config
+    pm = channel.read_power_map_csv(path, cfg.noise_w)
+    want = (cfg.num_users, cfg.prbs_per_bs, cfg.num_bs)
+    if pm.q.shape != want:
+        raise DataError(
+            f"{path}: (users, PRBs, BSs) {pm.q.shape} do not match the scenario's {want}"
+        )
+    return pm
+
+
 def _read_scenario_and_map(args):
-    with open(args.scenario, encoding="utf-8") as fh:
-        scenario = channel.scenario_from_json(fh.read())
-    pm = channel.read_power_map_csv(args.power_map, scenario.config.noise_w)
-    return scenario, pm
+    scenario = _read_scenario(args.scenario)
+    return scenario, _read_power_map(args.power_map, scenario)
 
 
 def _solver_config(args, piecewise=False):
@@ -395,11 +374,8 @@ def _cmd_solve(args):
 
 
 def _cmd_heuristic(args):
-    with open(args.scenario, encoding="utf-8") as fh:
-        scenario = channel.scenario_from_json(fh.read())
-    power_maps = [
-        channel.read_power_map_csv(p, scenario.config.noise_w) for p in args.power_map
-    ]
+    scenario = _read_scenario(args.scenario)
+    power_maps = [_read_power_map(p, scenario) for p in args.power_map]
     config = heur.HeuristicConfig(
         iterations=args.iterations,
         prioritization=args.prioritize,

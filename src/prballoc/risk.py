@@ -99,7 +99,7 @@ def posterior_stroke(record, state, smoothing="off"):
 
 
 def priority(ps, config, is_outpatient):
-    """User weight: 1 for normal users, 1 + alpha * PS for outpatients."""
+    """User weight: 1 for normal users, 1 + config.alpha * PS for outpatients."""
     if not 0.0 <= ps <= 1.0:
         raise ValueError(f"posterior {ps} outside [0, 1]")
     if not is_outpatient:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prballoc import channel
-from prballoc.errors import InfeasibleError
+from prballoc.errors import InfeasibleError, UsageError
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 
@@ -79,7 +79,7 @@ class TestScenarioConfig:
             channel.ScenarioConfig(num_users=11)
 
     def test_bad_split_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             channel.ScenarioConfig(num_normal=10)
 
 

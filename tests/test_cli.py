@@ -7,6 +7,8 @@ import pytest
 from prballoc import channel, cli, medrecords
 from prballoc.errors import UsageError
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "before_after_seed3.json")
+
 
 def run(argv):
     return cli.main(argv)
@@ -193,3 +195,101 @@ class TestExperiments:
         assert all(r[2] == 2 * r[1] for r in rows)
         lines = (tmp_path / "scale" / "scalability.csv").read_text().splitlines()
         assert lines[0] == "bandwidth_mhz,prbs,users,seconds"
+
+
+class TestBeforeAfterGolden:
+    """Exact SINRs and heuristic means recorded from an earlier version.
+
+    Compared with a relative tolerance, not bytes: numpy's SIMD reductions
+    may round differently on other CPUs.
+    """
+
+    @pytest.mark.parametrize("objective", ["wsrmax", "pf"])
+    def test_matches_recorded_run(self, tmp_path, objective):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = json.load(fh)[objective]
+        spec = cli.ExperimentSpec(
+            kind="before_after", output_dir=str(tmp_path), objective=objective,
+            realizations=3, iterations=20, seed=3,
+        )
+        result = cli.run_before_after(spec)
+        for name, want in golden.items():
+            got = getattr(result, name)
+            assert len(got) == len(want)
+            for got_run, want_run in zip(got, want):
+                assert {str(k) for k in got_run} == set(want_run)
+                for k, value in got_run.items():
+                    assert value == pytest.approx(want_run[str(k)], rel=1e-9), (name, k)
+
+
+def _set_power_cell(text):
+    """Replace the power in the power map's line 3 (its second triple)."""
+
+    def edit(scn):
+        path = scn / "power_map_000.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + text
+        path.write_text("\n".join(lines) + "\n")
+
+    return edit
+
+
+def _drop_last_user(scn):
+    path = scn / "power_map_000.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith("10,")) + "\n")
+
+
+def _set_scenario(**fields):
+    def edit(scn):
+        path = scn / "scenario.json"
+        payload = json.loads(path.read_text())
+        payload.update(fields)
+        path.write_text(json.dumps(payload))
+
+    return edit
+
+
+SOLVE = ["solve", "--scenario", "{scn}/scenario.json", "--power-map",
+         "{scn}/power_map_000.csv", "--output", "{tmp}/out.csv"]
+HEURISTIC = ["heuristic", "--scenario", "{scn}/scenario.json", "--power-map",
+             "{scn}/power_map_000.csv", "--output", "{tmp}/out.csv"]
+BEFORE_AFTER = ["before-after", "--scenario", "{scn}/scenario.json", "--output", "{tmp}/ba",
+                "--realizations", "1", "--iterations", "1"]
+
+# id, edit of the generated scenario directory, argv, exit code, text in stderr
+MALFORMED = [
+    ("heuristic-zero-iterations", None, HEURISTIC + ["--iterations", "0"], 2, "iterations"),
+    ("before-after-zero-iterations", None, BEFORE_AFTER + ["--iterations", "0"], 2, "iterations"),
+    ("generate-all-normal", None,
+     ["generate", "--output", "{tmp}/g", "--users", "10", "--normal", "10"], 2, "num_normal"),
+    ("power-non-numeric", _set_power_cell("abc"), SOLVE, 4, "line 3"),
+    ("power-nan", _set_power_cell("nan"), SOLVE, 4, "line 3"),
+    ("power-negative", _set_power_cell("-1e-13"), SOLVE, 4, "line 3"),
+    ("power-extra-cell", _set_power_cell("1e-13,7"), HEURISTIC, 4, "line 3"),
+    ("power-map-shape", _drop_last_user, HEURISTIC, 4, "do not match"),
+    ("scenario-op-ps-above-one", _set_scenario(op_ps={"8": 1.5}), SOLVE, 4, "op_ps"),
+    ("scenario-op-ps-negative", _set_scenario(op_ps={"9": -0.1}), SOLVE, 4, "op_ps"),
+    ("scenario-distance-zero",
+     _set_scenario(distances=[[400.0, 400.0]] * 9 + [[0.0, 400.0]]), BEFORE_AFTER, 4, "distances"),
+    ("scenario-min-distance-negative", _set_scenario(distance_min_m=-1.0), BEFORE_AFTER, 4,
+     "distance_min_m"),
+    ("scenario-all-normal", _set_scenario(num_normal=10), SOLVE, 4, "num_normal"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "edit, argv, code, message", [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_exit_code_without_traceback(
+        self, scenario_dir, tmp_path, capsys, edit, argv, code, message
+    ):
+        if edit is not None:
+            edit(scenario_dir)
+        capsys.readouterr()
+        assert run([a.format(scn=scenario_dir, tmp=tmp_path) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err

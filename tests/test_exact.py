@@ -25,20 +25,31 @@ def hand_instance():
     return sc, channel.PowerMap(q=q, noise_w=1.0)
 
 
-def random_instance(rng):
-    N = int(rng.integers(1, 4))
-    K = int(rng.integers(2, min(6, 2 * N) + 1))
+def random_instance(rng, num_bs=2):
+    """Random instance with one outpatient; N <= 3 PRBs at 2 BSs, N <= 2 at 3."""
+    N = int(rng.integers(1, 4 if num_bs == 2 else 3))
+    K = int(rng.integers(2, min(6 if num_bs == 2 else 5, num_bs * N) + 1))
     cfg = channel.ScenarioConfig(
-        num_bs=2, prbs_per_bs=N, num_users=K, num_normal=K - 1, seed=0
+        num_bs=num_bs, prbs_per_bs=N, num_users=K, num_normal=K - 1, seed=0
     )
     sc = channel.Scenario(config=cfg, op_ps={K: float(rng.uniform(0.001, 0.01))})
-    q = rng.uniform(0.05, 5.0, size=(K, N, 2))
+    q = rng.uniform(0.05, 5.0, size=(K, N, num_bs))
     return sc, channel.PowerMap(q=q, noise_w=float(rng.uniform(0.5, 2.0)))
 
 
 def oracle_best(scenario, pm, config):
+    """Optimal objective value by the exhaustive oracle (`oracle_optimum`)."""
+    return oracle_optimum(scenario, pm, config)[0]
+
+
+def oracle_optimum(scenario, pm, config):
     """Independent exhaustive oracle: evaluate every injective user->slot map
-    with the SINR ratio and objective written out from scratch."""
+    with the SINR ratio and objective written out from scratch.
+
+    Returns the optimal value and its slots; equal values break to the
+    lexicographically smallest assignment (users in id order, slots ordered
+    by (bs, prb)), the tie-break solve_exact promises.
+    """
     cfg = scenario.config
     users = list(cfg.user_ids)
     slots = [(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)]
@@ -68,9 +79,9 @@ def oracle_best(scenario, pm, config):
                     value += weights[k] * sinrs[k]
                 else:
                     value += math.log(sinrs[k])
-        if best is None or value > best:
-            best = value
-    return best
+        if best is None or value > best[0] or (value == best[0] and perm < best[1]):
+            best = (value, perm)
+    return best[0], dict(zip(users, best[1]))
 
 
 class TestPwlSpec:
@@ -96,30 +107,36 @@ class TestPwlSpec:
             ex.PwlSpec((1.0, 1.0))
 
 
+def objective_of(sinrs, weights, config):
+    """Sum of user_terms over `sinrs`; user 1 is a normal user, user 2 an outpatient."""
+    cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=1, num_users=2, num_normal=1)
+    terms = ex.user_terms(channel.Scenario(config=cfg), config, weights)
+    return sum(terms[k](s) for k, s in sinrs.items())
+
+
 class TestObjectives:
     def test_wsrmax_plain_sum_when_off(self):
         sinrs = {1: 2.0, 2: 3.0}
-        assert ex.objective_wsrmax(sinrs, {1: 1.0, 2: 1.0}) == 5.0
+        assert objective_of(sinrs, {1: 1.0, 2: 1.0}, ex.SolverConfig()) == 5.0
 
     def test_wsrmax_weighted_term(self):
-        assert ex.objective_wsrmax({1: 5.0}, {1: 4.2}) == pytest.approx(21.0)
+        assert objective_of({1: 5.0}, {1: 4.2}, ex.SolverConfig()) == pytest.approx(21.0)
 
     def test_pf_all_ones_is_zero(self):
         cfg = ex.SolverConfig(objective="pf")
         sinrs = {1: 1.0, 2: 1.0}
-        assert ex.objective_pf(sinrs, {1: 1.0, 2: 1.0}, {1: False, 2: False}, cfg) == 0.0
+        assert objective_of(sinrs, {1: 1.0, 2: 1.0}, cfg) == 0.0
 
     def test_pf_after_prioritization_mixes_terms(self):
         cfg = ex.SolverConfig(objective="pf", prioritization=True)
         sinrs = {1: 1.0, 2: 5.0}
         weights = {1: 1.0, 2: 2.04}
-        got = ex.objective_pf(sinrs, weights, {1: False, 2: True}, cfg)
-        assert got == pytest.approx(10.2)
+        assert objective_of(sinrs, weights, cfg) == pytest.approx(10.2)
 
     def test_pf_zero_sinr_undefined(self):
         cfg = ex.SolverConfig(objective="pf")
         with pytest.raises(ex.PfUndefinedError):
-            ex.objective_pf({1: 0.0}, {1: 1.0}, {1: False}, cfg)
+            objective_of({1: 0.0}, {1: 1.0}, cfg)
 
 
 class TestSinrOf:
@@ -178,23 +195,39 @@ class TestSolveExact:
                     want = oracle_best(sc, pm, config)
                     assert report.objective_value == pytest.approx(want, rel=1e-12)
 
-    def test_search_modes_agree_including_tie_break(self):
+    def test_matches_oracle_on_three_cell_instances(self):
+        # the DP places up to 3 users per PRB in every BS order; N <= 2, K <= 5
+        rng = np.random.default_rng(29)
+        shapes = set()
+        for i in range(10):
+            sc, pm = random_instance(rng, num_bs=3)
+            shapes.add(pm.q.shape[:2])
+            for objective in ("wsrmax", "pf"):
+                for prio in (False, True):
+                    config = ex.SolverConfig(objective=objective, prioritization=prio)
+                    assignment, report = ex.solve_exact(sc, pm, config)
+                    value, slots = oracle_optimum(sc, pm, config)
+                    assert report.objective_value == pytest.approx(value, rel=1e-12)
+                    assert assignment.slots == slots
+        assert any(k > 2 * n for k, n in shapes)  # some PRB serves all three BSs
+
+    def test_matches_oracle_assignment_including_tie_break(self):
         rng = np.random.default_rng(23)
         for i in range(8):
             sc, pm = random_instance(rng)
-            a1, r1 = ex.solve_exact(sc, pm, ex.SolverConfig(search="subset_dp"))
-            a2, r2 = ex.solve_exact(sc, pm, ex.SolverConfig(search="exhaustive"))
-            assert a1.slots == a2.slots
-            assert r1.objective_value == pytest.approx(r2.objective_value, rel=1e-14)
+            assignment, report = ex.solve_exact(sc, pm, ex.SolverConfig())
+            value, slots = oracle_optimum(sc, pm, ex.SolverConfig())
+            assert assignment.slots == slots
+            assert report.objective_value == pytest.approx(value, rel=1e-14)
 
     def test_tie_break_lexicographic(self):
-        # fully symmetric instance: every assignment scores the same
+        # symmetric instance: every assignment on distinct PRBs scores the same
         cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=2, num_users=2, num_normal=1)
         sc = channel.Scenario(config=cfg)
         pm = channel.PowerMap(q=np.full((2, 2, 2), 1.0), noise_w=1.0)
-        for search in ("subset_dp", "exhaustive"):
-            assignment, _ = ex.solve_exact(sc, pm, ex.SolverConfig(search=search))
-            assert assignment.slots == {1: (1, 1), 2: (1, 2)}
+        assignment, _ = ex.solve_exact(sc, pm, ex.SolverConfig())
+        _, slots = oracle_optimum(sc, pm, ex.SolverConfig())
+        assert assignment.slots == slots == {1: (1, 1), 2: (1, 2)}
 
     def test_report_recomputes(self):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=5), op_ps=REF_PS)

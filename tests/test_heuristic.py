@@ -111,13 +111,28 @@ class TestRunIteration:
         assert len(set(trace.slots.values())) == 10
         assert sorted(trace.serve_order) == list(range(1, 11))
 
-    def test_ops_never_share_prb_index(self):
-        sc, pm = baseline()
+    @pytest.mark.parametrize(
+        "cfg, realizations, seeds",
+        [
+            (channel.ScenarioConfig(seed=3), 1, 30),
+            # with 3 BSs an outpatient's PRB keeps a free slot after its interferer
+            (
+                channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=5, num_normal=2, seed=1),
+                5,
+                40,
+            ),
+        ],
+        ids=["baseline", "three-cells"],
+    )
+    def test_ops_never_share_prb_index(self, cfg, realizations, seeds):
+        sc, _ = channel.generate_scenario(cfg, op_ps=REF_PS)
         config = heur.HeuristicConfig(prioritization=True)
-        for s in range(30):
-            trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
-            prbs = [trace.slots[k][1] for k in (8, 9, 10)]
-            assert len(set(prbs)) == 3
+        for r in range(realizations):
+            pm = channel.generate_power_map(sc, r)
+            for s in range(seeds):
+                trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
+                prbs = [trace.slots[k][1] for k in cfg.op_ids]
+                assert len(set(prbs)) == len(prbs)
 
     def test_final_sinrs_match_recomputation(self):
         sc, pm = baseline()
@@ -235,7 +250,7 @@ class TestSwapImprovement:
         sc, _ = baseline()
         for prio in (False, True):
             config = heur.HeuristicConfig(prioritization=prio)
-            weights = heur.user_weights(sc, config)
+            weights = ex.priorities_for(sc, config)
             for r in range(3):
                 pm = channel.generate_power_map(sc, r)
                 for s in range(10):
@@ -254,7 +269,7 @@ class TestSwapImprovement:
     def test_no_improving_swap_left(self, prio):
         sc, _ = baseline()
         config = heur.HeuristicConfig(prioritization=prio)
-        weights = heur.user_weights(sc, config)
+        weights = ex.priorities_for(sc, config)
         for r in range(3):
             pm = channel.generate_power_map(sc, r)
             trace = heur.run_iteration(sc, pm, config, np.random.default_rng(r))
@@ -266,7 +281,7 @@ class TestSwapImprovement:
         sc, pm = channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})
         for prio in (False, True):
             config = heur.HeuristicConfig(prioritization=prio)
-            weights = heur.user_weights(sc, config)
+            weights = ex.priorities_for(sc, config)
             for s in range(3):
                 trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
                 assert len(set(trace.slots.values())) == 8
@@ -301,7 +316,7 @@ class TestSwapImprovement:
         sc, pm = baseline()
         for prio in (False, True):
             config = heur.HeuristicConfig(prioritization=prio)
-            shared = heur.SwapSearch(sc, pm, heur.user_weights(sc, config), prio)
+            shared = heur.SwapSearch(sc, pm, ex.priorities_for(sc, config), prio)
             for s in range(5):
                 a = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
                 b = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
@@ -311,7 +326,7 @@ class TestSwapImprovement:
     def test_batches_and_memo_leave_the_result_alone(self, monkeypatch):
         sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=True)
-        weights = heur.user_weights(sc, config)
+        weights = ex.priorities_for(sc, config)
         built = heur.run_iteration(sc, pm, config, np.random.default_rng(4), _Unchanged())
         want = heur.SwapSearch(sc, pm, weights, True).improve(built.slots)
         monkeypatch.setattr(heur, "BATCH_FLOATS", 1)  # one column per batch

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, UsageError
+from .fileio import write_csv
 from .risk import priority
 
 DEFAULT_ALPHA = 500.0
@@ -278,15 +279,10 @@ def verify_linearization(assignment, power_map, lam=None):
 
 def write_result_csv(assignment, report, path):
     """Result rows user,bs,prb,sinr,log_sinr,up plus an objective summary line."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "bs", "prb", "sinr", "log_sinr", "up"])
-        for k in sorted(assignment.slots):
-            b, n = assignment.slots[k]
-            ls = report.log_sinr[k]
-            writer.writerow(
-                [k, b, n, repr(report.sinr[k]), "" if ls is None else repr(ls), repr(report.priorities[k])]
-            )
-        writer.writerow(["objective", repr(report.objective_value)])
+    rows = [
+        [k, b, n, repr(report.sinr[k]), "" if report.log_sinr[k] is None else repr(report.log_sinr[k]),
+         repr(report.priorities[k])]
+        for k, (b, n) in sorted(assignment.slots.items())
+    ]
+    rows.append(["objective", repr(report.objective_value)])
+    write_csv(path, ["user", "bs", "prb", "sinr", "log_sinr", "up"], rows)

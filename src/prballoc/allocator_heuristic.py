@@ -10,15 +10,15 @@ until no swap gains.  An iteration harness averages over randomized admission
 orders and over power-map realizations.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator_exact import Assignment, priorities_for, sinr_of
+from .allocator_exact import DEFAULT_ALPHA, Assignment, priorities_for, sinr_of
 from .channel import derive_seed
 from .errors import InfeasibleError, UsageError
+from .fileio import write_csv
 from .metrics import summarize
 
 SWAP_RTOL = 1e-12  # a swap must gain more than this share of the objective
@@ -30,7 +30,7 @@ BATCH_FLOATS = 1 << 13  # bound on the temporaries of one batch of columns (64 K
 class HeuristicConfig:
     iterations: int = 1000
     prioritization: bool = False
-    alpha: float = 500.0
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
 
     def __post_init__(self):
@@ -369,17 +369,7 @@ def run_heuristic(scenario, power_maps, config):
 
 
 def write_heuristic_csv(report, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "mean_sinr", "sd", "ci_low", "ci_high"])
-        for k in sorted(report.summaries):
-            s = report.summaries[k]
-            writer.writerow(
-                [
-                    k,
-                    repr(s.mean),
-                    "" if s.sd is None else repr(s.sd),
-                    repr(s.ci_low),
-                    repr(s.ci_high),
-                ]
-            )
+    write_csv(path, ["user", "mean_sinr", "sd", "ci_low", "ci_high"], (
+        [k, repr(s.mean), "" if s.sd is None else repr(s.sd), repr(s.ci_low), repr(s.ci_high)]
+        for k, s in sorted(report.summaries.items())
+    ))

@@ -6,7 +6,6 @@ unit-mean exponential fading gains (squared Rayleigh envelope) and AWGN
 integrated over one PRB's bandwidth.  All optimizer math is in watts.
 """
 
-import csv
 import hashlib
 import json
 import math
@@ -15,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DataError, InfeasibleError, UsageError
+from .fileio import open_csv, write_csv
 
 TABLE_DEFAULTS = dict(
     num_bs=2,
@@ -28,6 +28,8 @@ TABLE_DEFAULTS = dict(
     noise_density_dbm_hz=-162.0,
     prb_bandwidth_hz=180000.0,
 )
+
+POWER_MAP_COLUMNS = ["user", "prb", "bs", "power_watts"]
 
 
 def derive_seed(master_seed, *parts):
@@ -216,24 +218,17 @@ def scenario_from_json(text):
 def write_power_map_csv(power_map, path):
     """CSV with one row per (user, prb, bs) triple; powers round-trip exactly."""
     K, N, B = power_map.q.shape
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "prb", "bs", "power_watts"])
-        for k in range(K):
-            for n in range(N):
-                for b in range(B):
-                    writer.writerow([k + 1, n + 1, b + 1, repr(float(power_map.q[k, n, b]))])
+    write_csv(path, POWER_MAP_COLUMNS, (
+        [k + 1, n + 1, b + 1, repr(float(power_map.q[k, n, b]))]
+        for k in range(K)
+        for n in range(N)
+        for b in range(B)
+    ))
 
 
 def read_power_map_csv(path, noise_w):
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user", "prb", "bs", "power_watts"]:
+    with open_csv(path) as (header, reader):
+        if header != POWER_MAP_COLUMNS:
             raise DataError(f"{path}: bad power map header")
         entries = []
         for row in reader:

@@ -2,7 +2,6 @@
 the before/after, alpha-sweep and scalability experiment suites."""
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -18,6 +17,7 @@ from . import allocator_exact as exact
 from . import allocator_heuristic as heur
 from . import channel, lp_export, medrecords, metrics, risk
 from .errors import DataError, InfeasibleError, PrballocError, UsageError
+from .fileio import write_csv, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ class ExperimentSpec:
     scenario_path: str | None = None
     objective: str = "wsrmax"
     alphas: tuple = DEFAULT_ALPHAS
-    alpha: float = 500.0
+    alpha: float = exact.DEFAULT_ALPHA
     realizations: int = 100
     iterations: int = 1000
     seed: int = 0
@@ -48,25 +48,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind == "alpha_sweep" and not self.alphas:
             raise UsageError("alpha sweep needs a non-empty alpha list")
-
-
-def write_text_atomic(path, text):
-    """Write `text` to `path` through a uniquely named temporary file beside it.
-
-    Readers see the old file or the whole new one, concurrent writers never
-    share a temporary file, and a failed write leaves no temporary file behind.
-    Exclusive creation ("x"), unlike tempfile.mkstemp's 0600 file, gives the
-    output the same mode as a plain open().
-    """
-    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        for name in ("realizations", "runs"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1")
 
 
 def _read_scenario(path):
@@ -191,10 +175,7 @@ def run_before_after(spec, scenario=None, power_maps=None):
         ["system_change_exact_pct", repr(result.system_change_pct(result.exact_before, result.exact_after))],
         ["system_change_heuristic_pct", repr(result.system_change_pct(result.heuristic_before, result.heuristic_after))],
     ]
-    with open(os.path.join(spec.output_dir, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerows(summary)
+    write_csv(os.path.join(spec.output_dir, "summary.csv"), ["metric", "value"], summary)
     _echo_config(spec, spec.output_dir, extra={"realization_sha256": hashes})
     return result
 
@@ -232,13 +213,11 @@ def run_alpha_sweep(spec, scenario=None, power_maps=None):
         rows.append(
             [alpha, repr(avg), repr(sd)] + [repr(user_means[k]) for k in cfg.op_ids]
         )
-    path = os.path.join(spec.output_dir, "alpha_sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["alpha", "avg_sinr", "healthy_sd"] + [f"op_{k}_mean" for k in cfg.op_ids]
-        )
-        writer.writerows(rows)
+    write_csv(
+        os.path.join(spec.output_dir, "alpha_sweep.csv"),
+        ["alpha", "avg_sinr", "healthy_sd"] + [f"op_{k}_mean" for k in cfg.op_ids],
+        rows,
+    )
     _echo_config(spec, spec.output_dir)
     return table
 
@@ -267,12 +246,11 @@ def run_scalability(spec):
             heur.run_iteration(scenario, pm, hconfig, rng)
             times.append(time.perf_counter() - start)
         rows.append((bandwidth_mhz, prbs, users, statistics.median(times)))
-    path = os.path.join(spec.output_dir, "scalability.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bandwidth_mhz", "prbs", "users", "seconds"])
-        for bw, prbs, users, seconds in rows:
-            writer.writerow([bw, prbs, users, repr(seconds)])
+    write_csv(
+        os.path.join(spec.output_dir, "scalability.csv"),
+        ["bandwidth_mhz", "prbs", "users", "seconds"],
+        ([bw, prbs, users, repr(seconds)] for bw, prbs, users, seconds in rows),
+    )
     _echo_config(spec, spec.output_dir)
     return rows
 
@@ -291,11 +269,11 @@ def _cmd_ingest(args):
 
 
 def _cmd_risk(args):
+    config = risk.RiskConfig(alpha=args.alpha, smoothing=args.smoothing)
     records = {r.patient_id: r for r in medrecords.read_records_csv(args.records)}
     scenario = _read_scenario(args.scenario)
     if not scenario.current_states:
         raise DataError("scenario has no current_states for the outpatients")
-    config = risk.RiskConfig(alpha=args.alpha, smoothing=args.smoothing)
     ordered_patients = sorted(records)
     profiles = []
     for uid in scenario.config.user_ids:
@@ -305,7 +283,10 @@ def _cmd_risk(args):
         state_tokens = scenario.current_states.get(uid)
         if state_tokens is None:
             raise DataError(f"no current state for outpatient {uid}")
-        state = risk.CurrentState(**state_tokens)
+        try:
+            state = risk.CurrentState(**state_tokens)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"bad current state for outpatient {uid}: {exc}") from None
         op_rank = uid - scenario.config.num_normal - 1
         if op_rank >= len(ordered_patients):
             raise DataError("fewer patient records than outpatients")
@@ -410,18 +391,13 @@ def _cmd_validate_solution(args):
 
 
 def _spec_from_args(args, kind):
-    return ExperimentSpec(
-        kind=kind,
-        output_dir=args.output,
-        scenario_path=getattr(args, "scenario", None),
-        objective=getattr(args, "objective", "wsrmax"),
-        alphas=tuple(getattr(args, "alphas", DEFAULT_ALPHAS)),
-        alpha=getattr(args, "alpha", 500.0),
-        realizations=getattr(args, "realizations", 100),
-        iterations=getattr(args, "iterations", 1000),
-        seed=args.seed,
-        runs=getattr(args, "runs", 3),
-    )
+    """The spec from the options the subcommand defines; the rest keep the field defaults."""
+    renamed = {"output": "output_dir", "scenario": "scenario_path"}
+    given = {renamed.get(k, k): v for k, v in vars(args).items()}
+    given = {k: v for k, v in given.items() if k in ExperimentSpec.__dataclass_fields__}
+    if "alphas" in given:
+        given["alphas"] = tuple(given["alphas"])
+    return ExperimentSpec(kind=kind, **given)
 
 
 def _cmd_before_after(args):
@@ -444,6 +420,15 @@ def _cmd_scalability(args):
         print(f"{bw:g} MHz: {prbs} PRBs, {users} users, {seconds:.4f} s")
 
 
+def _add_instance_args(p):
+    """The options that _read_scenario_and_map and _solver_config read."""
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--power-map", required=True)
+    p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
+    p.add_argument("--prioritize", action="store_true")
+    p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="prballoc", description="Patient-priority OFDMA uplink PRB allocation"
@@ -460,7 +445,7 @@ def build_parser():
     p = sub.add_parser("risk", help="score outpatients from discretized records")
     p.add_argument("--records", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--alpha", type=float, default=500.0)
+    p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
     p.add_argument("--smoothing", choices=["off", "laplace"], default="off")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_risk)
@@ -477,11 +462,7 @@ def build_parser():
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("solve", help="exact solve of one instance")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--power-map", required=True)
-    p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
-    p.add_argument("--prioritize", action="store_true")
-    p.add_argument("--alpha", type=float, default=500.0)
+    _add_instance_args(p)
     p.add_argument("--output", required=True)
     p.add_argument("--export-lp")
     p.set_defaults(func=_cmd_solve)
@@ -491,34 +472,26 @@ def build_parser():
     p.add_argument("--power-map", required=True, nargs="+")
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--prioritize", action="store_true")
-    p.add_argument("--alpha", type=float, default=500.0)
+    p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_heuristic)
 
     p = sub.add_parser("export-lp", help="emit the MILP in LP format")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--power-map", required=True)
-    p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
-    p.add_argument("--prioritize", action="store_true")
-    p.add_argument("--alpha", type=float, default=500.0)
+    _add_instance_args(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_export_lp)
 
     p = sub.add_parser("validate-solution", help="check an external solver solution")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--power-map", required=True)
+    _add_instance_args(p)
     p.add_argument("--solution", required=True)
-    p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
-    p.add_argument("--prioritize", action="store_true")
-    p.add_argument("--alpha", type=float, default=500.0)
     p.set_defaults(func=_cmd_validate_solution)
 
     p = sub.add_parser("before-after", help="paired prioritization experiment")
     p.add_argument("--output", required=True)
     p.add_argument("--scenario")
     p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
-    p.add_argument("--alpha", type=float, default=500.0)
+    p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
     p.add_argument("--realizations", type=int, default=100)
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

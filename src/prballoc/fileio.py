@@ -1,0 +1,66 @@
+"""The package's file boundary: every output is written atomically, every CSV
+input is opened and checked here.
+
+Files are UTF-8.  CSVs use the csv module's default (excel) dialect, so rows
+end in "\\r\\n"; text is written with exactly the line ends it holds.
+"""
+
+import contextlib
+import csv
+import os
+
+from .errors import DataError
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """A text handle on a uniquely named temporary file beside `path`, which
+    replaces `path` only when the block ends without an exception.
+
+    Readers see the old file or the whole new one, concurrent writers never
+    share a temporary file, and a failed write leaves no temporary file behind.
+    Exclusive creation ("x"), unlike tempfile.mkstemp's 0600 file, gives the
+    output the same mode as a plain open().
+    """
+    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_text_atomic(path, text):
+    """Replace the file at `path` with `text`."""
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+def write_csv(path, header, rows):
+    """Write the header row, then each row of the iterable `rows` as it comes."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def open_csv(path):
+    """Yield (header, reader) for a CSV input; the header is None for an empty file.
+
+    A file that cannot be opened or decoded as UTF-8, or that the csv module
+    rejects, raises DataError.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            yield next(reader, None), reader
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"cannot read {path}: {exc}") from None

@@ -19,6 +19,7 @@ from .allocator_exact import (
 )
 from .channel import dbm_to_mw
 from .errors import DataError, UsageError
+from .fileio import write_text_atomic
 
 FRACTIONAL_TOL = 1e-6
 PARITY_TOL = 1e-9
@@ -165,11 +166,16 @@ class ParityReport:
 
 def write_solution_file(assignment, objective, path):
     """Serialize a solution in the validator's `name value` format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# objective {_num(objective)}\n")
-        for k in sorted(assignment.slots):
-            b, n = assignment.slots[k]
-            fh.write(f"X_{k}_{n}_{b} 1\n")
+    lines = [f"# objective {_num(objective)}\n"]
+    lines += [f"X_{k}_{n}_{b} 1\n" for k, (b, n) in sorted(assignment.slots.items())]
+    write_text_atomic(path, "".join(lines))
+
+
+def _value(text, line_no):
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"solution line {line_no}: bad value {text!r}") from None
 
 
 def parse_solution_text(text):
@@ -182,37 +188,38 @@ def parse_solution_text(text):
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "objective":
-                reported = float(parts[1])
+                reported = _value(parts[1], line_no)
             continue
         parts = line.split()
         if len(parts) != 2:
             raise DataError(f"solution line {line_no}: expected 'name value'")
-        try:
-            values[parts[0]] = float(parts[1])
-        except ValueError:
-            raise DataError(f"solution line {line_no}: bad value {parts[1]!r}") from None
+        values[parts[0]] = _value(parts[1], line_no)
     return reported, values
 
 
 def validate_external_solution(text, scenario, power_map, config):
     """Check an external solver's solution against the internal optimizer."""
+    cfg = scenario.config
     reported, values = parse_solution_text(text)
     slots = {}
     for name, value in values.items():
         if not name.startswith("X_"):
             continue
-        if min(abs(value), abs(value - 1.0)) > FRACTIONAL_TOL:
+        if not min(abs(value), abs(value - 1.0)) <= FRACTIONAL_TOL:  # NaN fails too
             raise DataError(f"non-integral solution: {name} = {value}")
         if value > 0.5:
             try:
-                _, k, n, b = name.split("_")
+                k, n, b = (int(i) for i in name[2:].split("_"))
             except ValueError:
                 raise DataError(f"malformed variable name {name!r}") from None
-            k = int(k)
+            if not (1 <= k <= cfg.num_users and 1 <= n <= cfg.prbs_per_bs and 1 <= b <= cfg.num_bs):
+                raise DataError(f"{name} names a user or slot outside the scenario")
             if k in slots:
                 raise DataError(f"user {k} assigned more than one slot")
-            slots[k] = (int(b), int(n))
-    missing = [k for k in scenario.config.user_ids if k not in slots]
+            if (b, n) in slots.values():
+                raise DataError(f"slot (bs {b}, prb {n}) assigned to more than one user")
+            slots[k] = (b, n)
+    missing = [k for k in cfg.user_ids if k not in slots]
     if missing:
         raise DataError(f"users without a slot: {missing}")
     assignment = Assignment(slots=slots)

@@ -6,7 +6,6 @@ inconsistent rows are dropped) and generalization (numeric readings are mapped
 to three severity levels each).
 """
 
-import csv
 import itertools
 import logging
 import math
@@ -14,7 +13,8 @@ import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import DataError
+from .errors import DataError, UsageError
+from .fileio import open_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -108,16 +108,9 @@ def _parse_cell(text, line_no, column, cast):
 
 def load_raw_records(path):
     """Read the raw CSV (one row per patient-day); empty cells stay missing."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with open_csv(path) as (header, reader):
+        if header is None:
+            raise DataError(f"{path}: empty file")
         header = [h.strip() for h in header]
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
@@ -198,6 +191,8 @@ def segment(rows, window=DEFAULT_OBSERVATION_DAYS, all_patient_ids=None):
     `all_patient_ids` may list patients seen before cleansing, so that patients
     who lost every day can be warned about.
     """
+    if window is not None and window < 1:
+        raise UsageError("window must be >= 1")
     by_patient = {}
     for row in rows:
         by_patient.setdefault(row.patient_id, []).append(row)
@@ -216,27 +211,18 @@ def segment(rows, window=DEFAULT_OBSERVATION_DAYS, all_patient_ids=None):
 
 def write_records_csv(records, path):
     """Write discretized records with level names as tokens."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for rec in records:
-            for entry in rec.days:
-                writer.writerow(
-                    [rec.patient_id, entry.day]
-                    + [entry.levels[f] for f in FEATURES]
-                    + [1 if entry.stroke else 0]
-                )
+    write_csv(path, RECORD_COLUMNS, (
+        [rec.patient_id, entry.day]
+        + [entry.levels[f] for f in FEATURES]
+        + [1 if entry.stroke else 0]
+        for rec in records
+        for entry in rec.days
+    ))
 
 
 def read_records_csv(path):
     """Read discretized records written by write_records_csv."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open_csv(path) as (header, reader):
         if header is None or [h.strip() for h in header] != RECORD_COLUMNS:
             raise DataError(f"{path}: expected header {','.join(RECORD_COLUMNS)}")
         by_patient = {}

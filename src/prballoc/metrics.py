@@ -1,8 +1,9 @@
 """Aggregate statistics: means, sample SD, 95% confidence intervals, fairness."""
 
-import csv
 import math
 from dataclasses import dataclass
+
+from .fileio import write_csv
 
 Z_95 = 1.96  # normal-approximation quantile; adequate for ~100 samples
 
@@ -50,18 +51,8 @@ def fairness_sd(values):
 
 def write_summary_csv(rows, path):
     """Rows of (metric, subset, StatSummary)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "subset", "n", "mean", "sd", "ci_low", "ci_high"])
-        for metric, subset, s in rows:
-            writer.writerow(
-                [
-                    metric,
-                    subset,
-                    s.n,
-                    repr(s.mean),
-                    "" if s.sd is None else repr(s.sd),
-                    repr(s.ci_low),
-                    repr(s.ci_high),
-                ]
-            )
+    write_csv(path, ["metric", "subset", "n", "mean", "sd", "ci_low", "ci_high"], (
+        [metric, subset, s.n, repr(s.mean), "" if s.sd is None else repr(s.sd),
+         repr(s.ci_low), repr(s.ci_high)]
+        for metric, subset, s in rows
+    ))

@@ -6,16 +6,17 @@ current state.  An outpatient's weight is 1 + alpha * posterior; normal users
 always weigh 1.
 """
 
-import csv
 import logging
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, UsageError
+from .fileio import open_csv, write_csv
 from .medrecords import FEATURES, LEVEL_NAMES
 
 log = logging.getLogger(__name__)
 
 NUM_LEVELS = 3  # every feature has exactly three severity levels
+RISK_COLUMNS = ["user_id", "is_op", "ps", "up"]
 
 
 @dataclass
@@ -25,9 +26,9 @@ class RiskConfig:
 
     def __post_init__(self):
         if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+            raise UsageError("alpha must be positive")
         if self.smoothing not in ("off", "laplace"):
-            raise ValueError(f"unknown smoothing mode {self.smoothing!r}")
+            raise UsageError(f"unknown smoothing mode {self.smoothing!r}")
 
 
 @dataclass
@@ -108,22 +109,14 @@ def priority(ps, config, is_outpatient):
 
 
 def write_risk_csv(profiles, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "is_op", "ps", "up"])
-        for p in profiles:
-            writer.writerow([p.user_id, int(p.is_outpatient), repr(p.ps), repr(p.up)])
+    write_csv(path, RISK_COLUMNS, (
+        [p.user_id, int(p.is_outpatient), repr(p.ps), repr(p.up)] for p in profiles
+    ))
 
 
 def read_risk_csv(path):
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "is_op", "ps", "up"]:
+    with open_csv(path) as (header, reader):
+        if header != RISK_COLUMNS:
             raise DataError(f"{path}: bad risk CSV header")
         return [
             RiskProfile(

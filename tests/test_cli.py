@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from prballoc import channel, cli, medrecords
+from prballoc import channel, cli, fileio, medrecords
 from prballoc.errors import UsageError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "before_after_seed3.json")
@@ -24,6 +24,11 @@ def scenario_dir(tmp_path):
     return out
 
 
+def _rows_then_fail():
+    yield ["new"]
+    raise RuntimeError("row source failed")
+
+
 class TestWriteTextAtomic:
     def test_replaces_and_leaves_only_target(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -39,6 +44,19 @@ class TestWriteTextAtomic:
             cli.write_text_atomic(str(path), "lone surrogate \ud800")
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [(lambda: [["lone surrogate \ud800"]], UnicodeEncodeError), (_rows_then_fail, RuntimeError)],
+        ids=["unencodable-cell", "rows-raise-part-way"],
+    )
+    def test_failed_csv_write_leaves_previous_file(self, tmp_path, rows, error):
+        path = tmp_path / "out.csv"
+        fileio.write_csv(str(path), ["a"], [["old"]])
+        with pytest.raises(error):
+            fileio.write_csv(str(path), ["a"], rows())
+        assert path.read_text() == "a\nold\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestGenerate:
@@ -250,12 +268,49 @@ def _set_scenario(**fields):
     return edit
 
 
+def _not_utf8(scn):
+    path = scn / "power_map_000.csv"
+    path.write_bytes(path.read_bytes() + b"10,5,2,\xff\n")
+
+
+def _write(name, text):
+    def edit(scn):
+        (scn / name).write_text(text)
+
+    return edit
+
+
+def _solution(*lines):
+    """A solution giving users 1-9 one slot each (X_k_n_b), followed by `lines`."""
+    slots = [f"X_{k}_{(k - 1) % 5 + 1}_{(k - 1) // 5 + 1} 1" for k in range(1, 10)]
+    return _write("solution.txt", "\n".join(slots + list(lines)) + "\n")
+
+
+STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
+
+
+def _risk_inputs(state):
+    """One stroke day per patient for three patients; `state` for every outpatient."""
+
+    def edit(scn):
+        rows = [",".join(medrecords.RECORD_COLUMNS)]
+        rows += [f"p{i},1,Normal,Normal,High,Heavy,1" for i in (1, 2, 3)]
+        _write("records.csv", "\n".join(rows) + "\n")(scn)
+        _set_scenario(current_states={str(k): state for k in (8, 9, 10)})(scn)
+
+    return edit
+
+
 SOLVE = ["solve", "--scenario", "{scn}/scenario.json", "--power-map",
          "{scn}/power_map_000.csv", "--output", "{tmp}/out.csv"]
 HEURISTIC = ["heuristic", "--scenario", "{scn}/scenario.json", "--power-map",
              "{scn}/power_map_000.csv", "--output", "{tmp}/out.csv"]
 BEFORE_AFTER = ["before-after", "--scenario", "{scn}/scenario.json", "--output", "{tmp}/ba",
                 "--realizations", "1", "--iterations", "1"]
+VALIDATE = ["validate-solution", "--scenario", "{scn}/scenario.json", "--power-map",
+            "{scn}/power_map_000.csv", "--solution", "{scn}/solution.txt"]
+RISK = ["risk", "--records", "{scn}/records.csv", "--scenario", "{scn}/scenario.json",
+        "--output", "{tmp}/risk.csv"]
 
 # id, edit of the generated scenario directory, argv, exit code, text in stderr
 MALFORMED = [
@@ -275,6 +330,28 @@ MALFORMED = [
     ("scenario-min-distance-negative", _set_scenario(distance_min_m=-1.0), BEFORE_AFTER, 4,
      "distance_min_m"),
     ("scenario-all-normal", _set_scenario(num_normal=10), SOLVE, 4, "num_normal"),
+    ("power-not-utf8", _not_utf8, SOLVE, 4, "cannot read"),
+    ("power-field-too-large", _set_power_cell("9" * 200000), SOLVE, 4, "cannot read"),
+    ("before-after-zero-realizations", None, BEFORE_AFTER + ["--realizations", "0"], 2,
+     "realizations"),
+    ("sweep-alpha-zero-realizations", None,
+     ["sweep-alpha", "--output", "{tmp}/sw", "--realizations", "0"], 2, "realizations"),
+    ("scalability-zero-runs", None, ["scalability", "--output", "{tmp}/sc", "--runs", "0"], 2,
+     "runs"),
+    ("ingest-zero-window",
+     _write("raw.csv", ",".join(medrecords.CSV_COLUMNS) + "\np1,1,120,80,200,0,0\n"),
+     ["ingest", "--input", "{scn}/raw.csv", "--output", "{tmp}/r.csv", "--window", "0"], 2,
+     "window"),
+    ("solution-bad-objective", _solution("X_10_5_2 1", "# objective abc"), VALIDATE, 4, "'abc'"),
+    ("solution-bad-name", _solution("X_10_a_2 1"), VALIDATE, 4, "X_10_a_2"),
+    ("solution-user-outside", _solution("X_10_5_2 1", "X_99_5_2 1"), VALIDATE, 4, "X_99_5_2"),
+    ("solution-prb-outside", _solution("X_10_9_9 1"), VALIDATE, 4, "X_10_9_9"),
+    ("solution-shared-slot", _solution("X_10_1_1 1"), VALIDATE, 4, "more than one user"),
+    ("solution-nan-value", _solution("X_10_5_2 nan"), VALIDATE, 4, "non-integral"),
+    ("risk-zero-alpha", _risk_inputs(STATE), RISK + ["--alpha", "0"], 2, "alpha"),
+    ("risk-unknown-level", _risk_inputs({**STATE, "f1": "Bogus"}), RISK, 4, "outpatient 8"),
+    ("risk-missing-feature", _risk_inputs({"f1": "Normal", "f2": "Normal", "f3": "High"}),
+     RISK, 4, "outpatient 8"),
 ]
 
 

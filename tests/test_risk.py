@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prballoc import risk
-from prballoc.errors import DataError
+from prballoc.errors import DataError, UsageError
 from prballoc.medrecords import FEATURES, LEVEL_NAMES, DayEntry, MedicalRecord
 
 
@@ -138,9 +138,9 @@ class TestPriority:
             risk.priority(1.5, risk.RiskConfig(alpha=50.0), True)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             risk.RiskConfig(alpha=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             risk.RiskConfig(alpha=1.0, smoothing="bogus")
 
 

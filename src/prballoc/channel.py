@@ -54,29 +54,11 @@ def dbm_to_mw(x_dbm):
     return 10.0 ** (x_dbm / 10.0)
 
 
-def mw_to_dbm(x_mw):
-    if x_mw <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(x_mw)
-
-
 def noise_power_w(density_dbm_hz, bandwidth_hz):
     """AWGN power over one PRB, in watts."""
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive")
     return dbm_to_mw(density_dbm_hz + 10.0 * math.log10(bandwidth_hz)) / 1000.0
-
-
-def draw_fading(rng, size=None):
-    """Power gains: unit-mean exponential (squared unit-variance Rayleigh)."""
-    return rng.exponential(1.0, size=size)
-
-
-def received_power_w(tx_power_dbm, fading_gain, loss_db):
-    """Received power in watts for one (user, PRB, BS) triple."""
-    if fading_gain < 0:
-        raise ValueError("fading gain must be non-negative")
-    return dbm_to_mw(tx_power_dbm) * fading_gain * 10.0 ** (-loss_db / 10.0) / 1000.0
 
 
 @dataclass
@@ -140,7 +122,6 @@ class Scenario:
 class PowerMap:
     q: np.ndarray  # (num_users, prbs_per_bs, num_bs), watts
     noise_w: float
-    fading: np.ndarray | None = None  # gains used to build q, same shape
     distances: np.ndarray | None = None  # meters per (user, bs), if generated
 
     def power(self, user_id, prb, bs):
@@ -170,13 +151,13 @@ def generate_power_map(scenario, realization=0):
         distances = rng.uniform(
             cfg.distance_min_m, cfg.distance_max_m, size=(cfg.num_users, cfg.num_bs)
         )
-    shape = (cfg.num_users, cfg.prbs_per_bs, cfg.num_bs)
-    fading = draw_fading(rng, size=shape)
-    tx_mw = dbm_to_mw(cfg.tx_power_per_prb_dbm)
-    loss_db = path_loss_db(distances)  # (K, B)
-    atten = 10.0 ** (-loss_db / 10.0)
-    q = tx_mw * fading * atten[:, None, :] / 1000.0
-    return PowerMap(q=q, noise_w=cfg.noise_w, fading=fading, distances=distances)
+    # The Exp(1) gains are drawn into the array that becomes q and scaled in
+    # place, so a map costs one (K, N, B) array.
+    q = rng.exponential(1.0, size=(cfg.num_users, cfg.prbs_per_bs, cfg.num_bs))
+    q *= dbm_to_mw(cfg.tx_power_per_prb_dbm)
+    q *= 10.0 ** (-path_loss_db(distances) / 10.0)[:, None, :]
+    q /= 1000.0
+    return PowerMap(q=q, noise_w=cfg.noise_w, distances=distances)
 
 
 # --- serialization ---------------------------------------------------------

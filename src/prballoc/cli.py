@@ -17,7 +17,7 @@ from . import allocator_exact as exact
 from . import allocator_heuristic as heur
 from . import channel, lp_export, medrecords, metrics, risk
 from .errors import DataError, InfeasibleError, PrballocError, UsageError
-from .fileio import write_csv, write_text_atomic
+from .fileio import read_text, write_csv, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -54,8 +54,7 @@ class ExperimentSpec:
 
 
 def _read_scenario(path):
-    with open(path, encoding="utf-8") as fh:
-        return channel.scenario_from_json(fh.read())
+    return channel.scenario_from_json(read_text(path))
 
 
 def _load_scenario(spec):
@@ -378,8 +377,9 @@ def _cmd_export_lp(args):
 def _cmd_validate_solution(args):
     scenario, pm = _read_scenario_and_map(args)
     config = _solver_config(args)
-    with open(args.solution, encoding="utf-8") as fh:
-        parity = lp_export.validate_external_solution(fh.read(), scenario, pm, config)
+    parity = lp_export.validate_external_solution(
+        read_text(args.solution), scenario, pm, config
+    )
     print(
         f"recomputed {parity.recomputed_objective!r} "
         f"reported {parity.reported_objective!r} "

@@ -1,4 +1,4 @@
-"""The package's file boundary: every output is written atomically, every CSV
+"""The package's file boundary: every output is written atomically, every
 input is opened and checked here.
 
 Files are UTF-8.  CSVs use the csv module's default (excel) dialect, so rows
@@ -45,6 +45,16 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_text(path):
+    """The whole text of an input file; one that cannot be read or decoded as
+    UTF-8 raises DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -161,7 +161,6 @@ class ParityReport:
     internal_optimum: float
     objective_match: bool
     is_optimal: bool
-    tolerance: float = PARITY_TOL
 
 
 def write_solution_file(assignment, objective, path):

@@ -118,9 +118,16 @@ def read_risk_csv(path):
     with open_csv(path) as (header, reader):
         if header != RISK_COLUMNS:
             raise DataError(f"{path}: bad risk CSV header")
-        return [
-            RiskProfile(
-                user_id=int(uid), is_outpatient=bool(int(op)), ps=float(ps), up=float(up)
-            )
-            for uid, op, ps, up in reader
-        ]
+        profiles = []
+        for row in reader:
+            try:
+                uid, op, ps, up = row
+                profile = RiskProfile(
+                    user_id=int(uid), is_outpatient=bool(int(op)), ps=float(ps), up=float(up)
+                )
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {reader.line_num}: want user_id, is_op, ps, up, got {row}"
+                ) from None
+            profiles.append(profile)
+        return profiles

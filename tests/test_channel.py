@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,23 @@ from prballoc import channel
 from prballoc.errors import InfeasibleError, UsageError
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
+
+
+def recompute(cfg, realization, distances=None):
+    """(distances, gains, q) of one realization, redrawn with plain numpy.
+
+    Draw order: distances (unless given), then the Exp(1) gains; powers from
+    the dBm budget, 128 + 37.6*log10(d_km) path loss, in watts.
+    """
+    rng = np.random.default_rng(channel.derive_seed(cfg.seed, 1, realization))
+    if distances is None:
+        distances = rng.uniform(
+            cfg.distance_min_m, cfg.distance_max_m, size=(cfg.num_users, cfg.num_bs)
+        )
+    gains = rng.exponential(1.0, size=(cfg.num_users, cfg.prbs_per_bs, cfg.num_bs))
+    loss_db = 128.0 + 37.6 * np.log10(distances / 1000.0)
+    q = gains * 10.0 ** ((cfg.tx_power_per_prb_dbm - 30.0 - loss_db) / 10.0)[:, None, :]
+    return distances, gains, q
 
 
 class TestConversions:
@@ -28,7 +46,7 @@ class TestConversions:
         assert channel.dbm_to_mw(0.0) == 1.0
         assert channel.dbm_to_mw(30.0) == pytest.approx(1000.0, rel=1e-12)
         for x in (-20.0, 0.0, 17.0, 23.0):
-            assert channel.mw_to_dbm(channel.dbm_to_mw(x)) == pytest.approx(x, abs=1e-12)
+            assert 10.0 * math.log10(channel.dbm_to_mw(x)) == pytest.approx(x, abs=1e-12)
 
     def test_noise_power_anchors(self):
         assert channel.noise_power_w(-30.0, 1.0) == pytest.approx(1e-6, rel=1e-12)
@@ -39,24 +57,28 @@ class TestConversions:
             channel.noise_power_w(-162.0, 0.0)
 
     def test_received_power_anchors(self):
-        assert channel.received_power_w(17.0, 0.0, 108.34) == 0.0
-        got = channel.received_power_w(17.0, 1.0, channel.path_loss_db(300.0))
-        assert got == pytest.approx(7.34e-13, rel=0.01)
-        assert channel.received_power_w(17.0, 2.0, 108.34) == pytest.approx(
-            2 * channel.received_power_w(17.0, 1.0, 108.34), rel=1e-12
-        )
-        with pytest.raises(ValueError):
-            channel.received_power_w(17.0, -0.5, 108.34)
+        # Every user 300 m from both BSs: q / gain is the unit-gain power there.
+        cfg = channel.ScenarioConfig(seed=6)
+        sc = channel.Scenario(config=cfg, distances=np.full((10, 2), 300.0))
+        pm = channel.generate_power_map(sc, realization=2)
+        _, gains, _ = recompute(cfg, 2, sc.distances)
+        ratio = pm.q / gains
+        assert ratio == pytest.approx(7.34e-13, rel=0.01)
+        assert ratio == pytest.approx(ratio[0, 0, 0], rel=1e-12)  # linear in the gain
 
 
 class TestFading:
     def test_deterministic_nonnegative_unit_mean(self):
-        a = channel.draw_fading(np.random.default_rng(5), size=1000)
-        b = channel.draw_fading(np.random.default_rng(5), size=1000)
-        assert np.array_equal(a, b)
-        assert (a >= 0).all()
-        big = channel.draw_fading(np.random.default_rng(5), size=1_000_000)
-        assert 0.997 <= big.mean() <= 1.003
+        # 10^6 gains, read back from one map by dividing out the path loss.
+        cfg = channel.ScenarioConfig(seed=5, num_users=1000, num_normal=997, prbs_per_bs=500)
+        sc, pm = channel.generate_scenario(cfg)
+        again = channel.generate_power_map(sc, realization=0)
+        assert np.array_equal(pm.q, again.q)
+        loss_db = 128.0 + 37.6 * np.log10(pm.distances / 1000.0)
+        gains = pm.q / (10.0 ** ((17.0 - 30.0 - loss_db) / 10.0))[:, None, :]
+        np.testing.assert_allclose(gains, recompute(cfg, 0)[1], rtol=1e-12, atol=0)
+        assert (gains >= 0).all()
+        assert 0.997 <= gains.mean() <= 1.003
 
 
 class TestDeriveSeed:
@@ -93,23 +115,30 @@ class TestGeneration:
         assert np.array_equal(pm1.q, pm2.q)
 
     def test_entries_bounded_by_closest_distance(self):
-        sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=1))
-        bound = channel.received_power_w(
-            17.0, float(pm.fading.max()), channel.path_loss_db(300.0)
-        )
+        cfg = channel.ScenarioConfig(seed=1)
+        sc, pm = channel.generate_scenario(cfg)
+        _, gains, _ = recompute(cfg, 0)
+        bound = 10.0 ** ((17.0 - 30.0 - channel.path_loss_db(300.0)) / 10.0) * gains.max()
         assert pm.q.max() <= bound * (1 + 1e-12)
 
     def test_round_trip_against_componentwise_recomputation(self):
-        sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3))
-        for k in range(10):
-            for n in range(5):
-                for b in range(2):
-                    expect = channel.received_power_w(
-                        17.0,
-                        float(pm.fading[k, n, b]),
-                        channel.path_loss_db(float(pm.distances[k, b])),
-                    )
-                    assert pm.q[k, n, b] == pytest.approx(expect, rel=1e-12)
+        for cfg in (
+            channel.ScenarioConfig(seed=3),
+            channel.ScenarioConfig(seed=3, num_bs=3, num_users=12, num_normal=9),
+            channel.ScenarioConfig(seed=3, prbs_per_bs=100, num_users=200, num_normal=197),
+        ):
+            sc, _ = channel.generate_scenario(cfg)
+            for r in (0, 1, 7):
+                pm = channel.generate_power_map(sc, realization=r)
+                distances, _, q = recompute(cfg, r)
+                assert np.array_equal(pm.distances, distances)
+                np.testing.assert_allclose(pm.q, q, rtol=1e-12, atol=0)
+
+    def test_power_map_holds_one_per_slot_array(self):
+        # q is the only (K, N, B) array a generated map keeps.
+        _, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3))
+        arrays = {f.name for f in fields(pm) if isinstance(getattr(pm, f.name), np.ndarray)}
+        assert arrays == {"q", "distances"}
 
     def test_realizations_differ_and_are_reproducible(self):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=9))

@@ -268,9 +268,12 @@ def _set_scenario(**fields):
     return edit
 
 
-def _not_utf8(scn):
-    path = scn / "power_map_000.csv"
-    path.write_bytes(path.read_bytes() + b"10,5,2,\xff\n")
+def _append_bytes(name, data):
+    def edit(scn):
+        with open(scn / name, "ab") as fh:
+            fh.write(data)
+
+    return edit
 
 
 def _write(name, text):
@@ -330,7 +333,9 @@ MALFORMED = [
     ("scenario-min-distance-negative", _set_scenario(distance_min_m=-1.0), BEFORE_AFTER, 4,
      "distance_min_m"),
     ("scenario-all-normal", _set_scenario(num_normal=10), SOLVE, 4, "num_normal"),
-    ("power-not-utf8", _not_utf8, SOLVE, 4, "cannot read"),
+    ("power-not-utf8", _append_bytes("power_map_000.csv", b"10,5,2,\xff\n"), SOLVE, 4,
+     "cannot read"),
+    ("scenario-not-utf8", _append_bytes("scenario.json", b"\xff"), SOLVE, 4, "cannot read"),
     ("power-field-too-large", _set_power_cell("9" * 200000), SOLVE, 4, "cannot read"),
     ("before-after-zero-realizations", None, BEFORE_AFTER + ["--realizations", "0"], 2,
      "realizations"),
@@ -348,6 +353,7 @@ MALFORMED = [
     ("solution-prb-outside", _solution("X_10_9_9 1"), VALIDATE, 4, "X_10_9_9"),
     ("solution-shared-slot", _solution("X_10_1_1 1"), VALIDATE, 4, "more than one user"),
     ("solution-nan-value", _solution("X_10_5_2 nan"), VALIDATE, 4, "non-integral"),
+    ("solution-not-utf8", _append_bytes("solution.txt", b"\xff\n"), VALIDATE, 4, "cannot read"),
     ("risk-zero-alpha", _risk_inputs(STATE), RISK + ["--alpha", "0"], 2, "alpha"),
     ("risk-unknown-level", _risk_inputs({**STATE, "f1": "Bogus"}), RISK, 4, "outpatient 8"),
     ("risk-missing-feature", _risk_inputs({"f1": "Normal", "f2": "Normal", "f3": "High"}),

@@ -153,3 +153,12 @@ class TestRiskCsv:
         path = tmp_path / "risk.csv"
         risk.write_risk_csv(profiles, path)
         assert risk.read_risk_csv(path) == profiles
+
+    @pytest.mark.parametrize(
+        "row", ["1,0,0.5", "1,0,0.5,1,9", "1,0,abc,1"], ids=["short", "long", "non-numeric"]
+    )
+    def test_malformed_row_names_line(self, tmp_path, row):
+        path = tmp_path / "risk.csv"
+        path.write_text(",".join(risk.RISK_COLUMNS) + "\n8,1,0.0032,2.6\n" + row + "\n")
+        with pytest.raises(DataError, match="line 3"):
+            risk.read_risk_csv(path)

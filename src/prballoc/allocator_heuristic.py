@@ -39,13 +39,6 @@ class HeuristicConfig:
 
 
 @dataclass
-class PoolEntry:
-    slot: tuple  # (bs, prb)
-    interferer: int | None
-    sinr: float
-
-
-@dataclass
 class IterationTrace:
     serve_order: list
     slots: dict  # user_id -> (bs, prb)
@@ -72,40 +65,29 @@ def serve_order(scenario, config, rng):
     return ops + normals
 
 
-def best_sinr_pool(user_id, free_slots, unserved, power_map, scenario, prioritization):
-    """One entry per free slot, each carrying the slot's best achievable SINR.
+def best_sinr_pool(user_id, allowed, candidates, power_map):
+    """One (slot, interferer, sinr) entry per allowed slot, in (bs, prb) order.
 
-    The candidate interferer set is the unserved users that could take a free
-    co-channel slot at another BS; an OP's candidates are restricted to normal
-    users when prioritization is on.  The minimum-interfering-power candidate
-    wins (ties by user id); without candidates the entry is interference-free.
+    `allowed` is the (N, B) mask of the slots the user may take; `candidates`
+    holds the ids, ascending, of the users that may interfere with it.  Where
+    the slot's PRB has another allowed slot, the minimum-interfering-power
+    candidate (ties by user id) is the interferer and the entry carries the
+    SINR it leaves; otherwise, or without candidates, the entry is
+    interference-free (interferer None).  A slot is (bs, prb), 1-based.
     """
-    free_slots = set(free_slots)
-    if not free_slots:
+    bs, prb = np.nonzero(allowed.T)
+    if not len(bs):
         raise InfeasibleError("no free slot available")
-    candidates = [m for m in unserved if m != user_id]
-    if prioritization and scenario.is_outpatient(user_id):
-        candidates = [m for m in candidates if not scenario.is_outpatient(m)]
-    candidates.sort()
-    noise = power_map.noise_w
-    if candidates:
-        cand_q = power_map.q[np.array(candidates) - 1]  # (C, N, B)
-        min_q = cand_q.min(axis=0)
-        arg_q = cand_q.argmin(axis=0)
-    entries = []
-    num_bs = scenario.config.num_bs
-    for b, n in sorted(free_slots):
-        own = power_map.power(user_id, n, b)
-        co_channel_free = any(
-            (w, n) in free_slots for w in range(1, num_bs + 1) if w != b
-        )
-        if candidates and co_channel_free:
-            interferer = candidates[int(arg_q[n - 1, b - 1])]
-            sinr = own / (float(min_q[n - 1, b - 1]) + noise)
-            entries.append(PoolEntry(slot=(b, n), interferer=interferer, sinr=sinr))
-        else:
-            entries.append(PoolEntry(slot=(b, n), interferer=None, sinr=own / noise))
-    return entries
+    paired = allowed.sum(axis=1)[prb] > 1  # a co-channel slot is left for the interferer
+    interference = np.zeros(len(bs))
+    interferer = np.zeros(len(bs), dtype=int)  # 0: none
+    if len(candidates):
+        heard = power_map.q[candidates[:, None] - 1, prb[paired], bs[paired]]  # (C, P)
+        interference[paired] = heard.min(axis=0)
+        interferer[paired] = candidates[heard.argmin(axis=0)]
+    sinr = power_map.q[user_id - 1, prb, bs] / (interference + power_map.noise_w)
+    slots = zip((bs + 1).tolist(), (prb + 1).tolist())
+    return list(zip(slots, [m or None for m in interferer.tolist()], sinr.tolist()))
 
 
 def semi_greedy_pick(pool, rng):
@@ -227,12 +209,13 @@ class SwapSearch:
                 put(key[0], entry)
         return values
 
-    def improve(self, slots):
-        """Improve slots (user_id -> (bs, prb)); returns (improved slots, swaps applied)."""
-        num_bs, nobody = self.num_bs, self.nobody
-        occ = np.full((self.num_prbs, num_bs), nobody)  # occupant of each (prb, bs)
-        for k, (b, n) in slots.items():
-            occ[n - 1, b - 1] = k - 1
+    def improve(self, occ):
+        """Improve occ in place; returns the number of swaps applied.
+
+        occ is the C-contiguous (N, B) array of each slot's occupant: user
+        index k - 1 for user k, num_users for an empty slot.
+        """
+        num_bs = self.num_bs
         flat = occ.reshape(-1)  # a view; slot s = (prb - 1) * num_bs + (bs - 1)
         move_in = np.empty((flat.size, flat.size))  # s's column if t's occupant moves in
         within = np.empty(self.within_at.shape)
@@ -252,12 +235,7 @@ class SwapSearch:
             objective += gain
             swaps += 1
             self._columns(occ, sorted({s1 // num_bs, s2 // num_bs}), move_in, within)
-        slot_of = {
-            k + 1: (s % num_bs + 1, s // num_bs + 1)
-            for s, k in enumerate(flat.tolist())
-            if k != nobody
-        }
-        return {k: slot_of[k] for k in slots}, swaps
+        return swaps
 
 
 def run_iteration(scenario, power_map, config, rng, improver=None):
@@ -268,49 +246,50 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     `at_assignment_sinr` holds each user's SINR when the construction placed
     it; `slots` is the assignment after the improvement phase, and
     `final_sinr` is recomputed on it, since later admissions and swaps change
-    the interference.  `improver` is a SwapSearch built for this scenario,
-    power map and config; passing one to every iteration on a map lets it
-    reuse column gains, and None builds a fresh one.
+    the interference.  All three list the users in placement order: each
+    admitted user, then its interferer.  `improver` is a SwapSearch built for
+    this scenario, power map and config; passing one to every iteration on a
+    map lets it reuse column gains, and None builds a fresh one.
     """
     cfg = scenario.config
     if cfg.num_users > cfg.num_bs * cfg.prbs_per_bs:
         raise InfeasibleError("more users than slots")
     order = serve_order(scenario, config, rng)
-    free = {(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)}
-    slots = {}
-    at_sinr = {}
-    pool_sizes = []
-    op_prbs = set()  # PRB indices holding an outpatient
+    nobody = cfg.num_users
+    ids = np.arange(1, nobody + 1)
+    is_op = np.array(  # outpatients kept apart (none with prioritization off), then nobody
+        [config.prioritization and scenario.is_outpatient(k) for k in cfg.user_ids] + [False]
+    )
+    occ = np.full((cfg.prbs_per_bs, cfg.num_bs), nobody)  # occupant index of each (prb, bs)
+    unserved = np.ones(nobody, dtype=bool)
+    at_sinr, pool_sizes = {}, []
     for user in order:
-        if user in slots:
+        if not unserved[user - 1]:
             continue  # already placed as someone's interferer
-        unserved = [m for m in order if m not in slots and m != user]
-        is_op = config.prioritization and scenario.is_outpatient(user)
-        allowed = free
-        if is_op:
-            allowed = {slot for slot in free if slot[1] not in op_prbs} or free
-        pool = best_sinr_pool(user, allowed, unserved, power_map, scenario, config.prioritization)
+        unserved[user - 1] = False
+        candidates, allowed = unserved, occ == nobody
+        if is_op[user - 1]:
+            candidates = unserved & ~is_op[:nobody]
+            apart = allowed & ~is_op[occ].any(axis=1, keepdims=True)  # PRBs without outpatients
+            allowed = apart if apart.any() else allowed
+        pool = best_sinr_pool(user, allowed, ids[candidates], power_map)
         pool_sizes.append(len(pool))
-        entry = semi_greedy_pick(pool, rng)
-        b, n = entry.slot
-        if is_op:
-            op_prbs.add(n)
-        slots[user] = entry.slot
-        free.discard(entry.slot)
-        at_sinr[user] = entry.sinr
-        if entry.interferer is not None:
-            co = min(w for w in range(1, cfg.num_bs + 1) if w != b and (w, n) in free)
-            m = entry.interferer
-            slots[m] = (co, n)
-            free.discard((co, n))
+        (b, n), m, at_sinr[user] = semi_greedy_pick(pool, rng)
+        occ[n - 1, b - 1] = user - 1
+        if m is not None:
+            co = occ[n - 1].tolist().index(nobody) + 1  # the lowest free co-channel BS
+            occ[n - 1, co - 1] = m - 1
+            unserved[m - 1] = False
             at_sinr[m] = power_map.power(m, n, co) / (
                 power_map.power(user, n, co) + power_map.noise_w
             )
-    assert len(slots) == cfg.num_users
     if improver is None:
         weights = priorities_for(scenario, config)
         improver = SwapSearch(scenario, power_map, weights, config.prioritization)
-    slots, swaps = improver.improve(slots)
+    swaps = improver.improve(occ)
+    num_bs = cfg.num_bs
+    slot_of = {k: (s % num_bs + 1, s // num_bs + 1) for s, k in enumerate(occ.reshape(-1).tolist())}
+    slots = {k: slot_of[k - 1] for k in at_sinr}
     assignment = Assignment(slots=slots)
     final = {k: sinr_of(assignment, power_map, k) for k in slots}
     return IterationTrace(

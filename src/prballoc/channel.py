@@ -9,25 +9,12 @@ integrated over one PRB's bandwidth.  All optimizer math is in watts.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import DataError, InfeasibleError, UsageError
 from .fileio import open_csv, write_csv
-
-TABLE_DEFAULTS = dict(
-    num_bs=2,
-    prbs_per_bs=5,
-    num_users=10,
-    num_normal=7,
-    distance_min_m=300.0,
-    distance_max_m=600.0,
-    tx_power_per_prb_dbm=17.0,
-    max_power_per_connection_dbm=23.0,
-    noise_density_dbm_hz=-162.0,
-    prb_bandwidth_hz=180000.0,
-)
 
 POWER_MAP_COLUMNS = ["user", "prb", "bs", "power_watts"]
 
@@ -63,16 +50,16 @@ def noise_power_w(density_dbm_hz, bandwidth_hz):
 
 @dataclass
 class ScenarioConfig:
-    num_bs: int = TABLE_DEFAULTS["num_bs"]
-    prbs_per_bs: int = TABLE_DEFAULTS["prbs_per_bs"]
-    num_users: int = TABLE_DEFAULTS["num_users"]
-    num_normal: int = TABLE_DEFAULTS["num_normal"]
-    distance_min_m: float = TABLE_DEFAULTS["distance_min_m"]
-    distance_max_m: float = TABLE_DEFAULTS["distance_max_m"]
-    tx_power_per_prb_dbm: float = TABLE_DEFAULTS["tx_power_per_prb_dbm"]
-    max_power_per_connection_dbm: float = TABLE_DEFAULTS["max_power_per_connection_dbm"]
-    noise_density_dbm_hz: float = TABLE_DEFAULTS["noise_density_dbm_hz"]
-    prb_bandwidth_hz: float = TABLE_DEFAULTS["prb_bandwidth_hz"]
+    num_bs: int = 2
+    prbs_per_bs: int = 5
+    num_users: int = 10
+    num_normal: int = 7
+    distance_min_m: float = 300.0
+    distance_max_m: float = 600.0
+    tx_power_per_prb_dbm: float = 17.0
+    max_power_per_connection_dbm: float = 23.0
+    noise_density_dbm_hz: float = -162.0
+    prb_bandwidth_hz: float = 180000.0
     seed: int = 0
 
     def __post_init__(self):
@@ -175,9 +162,8 @@ def scenario_to_json(scenario):
 def scenario_from_json(text):
     try:
         payload = json.loads(text)
-        cfg_kwargs = {k: payload[k] for k in TABLE_DEFAULTS if k in payload}
-        cfg_kwargs["seed"] = payload.get("seed", 0)
-        config = ScenarioConfig(**cfg_kwargs)
+        names = [f.name for f in fields(ScenarioConfig)]
+        config = ScenarioConfig(**{k: payload[k] for k in names if k in payload})
         op_ps = {int(k): float(v) for k, v in payload.get("op_ps", {}).items()}
         states = {int(k): v for k, v in payload.get("current_states", {}).items()}
         distances = None

@@ -7,6 +7,7 @@ always weigh 1.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 from .errors import DataError, UsageError
@@ -122,12 +123,14 @@ def read_risk_csv(path):
         for row in reader:
             try:
                 uid, op, ps, up = row
-                profile = RiskProfile(
-                    user_id=int(uid), is_outpatient=bool(int(op)), ps=float(ps), up=float(up)
-                )
+                uid, op, ps, up = int(uid), int(op), float(ps), float(up)
+                ok = op in (0, 1) and 0.0 <= ps <= 1.0 and 1.0 <= up < math.inf
             except ValueError:
+                ok = False
+            if not ok:
                 raise DataError(
-                    f"{path}: line {reader.line_num}: want user_id, is_op, ps, up, got {row}"
-                ) from None
-            profiles.append(profile)
+                    f"{path}: line {reader.line_num}: want user_id, is_op 0 or 1, ps in [0, 1]"
+                    f" and a finite up >= 1, got {row}"
+                )
+            profiles.append(RiskProfile(user_id=uid, is_outpatient=bool(op), ps=ps, up=up))
         return profiles

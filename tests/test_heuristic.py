@@ -5,6 +5,7 @@ from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
 from prballoc import channel
 from prballoc.errors import InfeasibleError
+from test_heuristic_reference import occupants, slots_of
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 
@@ -39,61 +40,85 @@ class TestServeOrder:
         assert len(orders) > 1
 
 
+def free_mask(slots, n=5, b=2):
+    """The (N, B) mask holding the (bs, prb) slots given."""
+    mask = np.zeros((n, b), dtype=bool)
+    for bs, prb in slots:
+        mask[prb - 1, bs - 1] = True
+    return mask
+
+
 class TestPool:
     def test_one_entry_per_free_slot(self):
         sc, pm = baseline()
         free = {(b, n) for b in (1, 2) for n in range(1, 6)}
-        pool = heur.best_sinr_pool(1, free, list(range(2, 11)), pm, sc, False)
+        pool = heur.best_sinr_pool(1, free_mask(free), np.arange(2, 11), pm)
         assert len(pool) == len(free)
-        assert {e.slot for e in pool} == free
+        assert [slot for slot, _, _ in pool] == sorted(free)
 
     def test_argmin_interferer(self):
         sc, pm = baseline()
         free = {(1, 1), (2, 1)}
-        pool = heur.best_sinr_pool(1, free, [2, 3], pm, sc, False)
-        for entry in pool:
-            b, n = entry.slot
+        pool = heur.best_sinr_pool(1, free_mask(free), np.array([2, 3]), pm)
+        for (b, n), interferer, sinr in pool:
             cands = {m: pm.power(m, n, b) for m in (2, 3)}
-            assert entry.interferer == min(cands, key=cands.get)
-            want = pm.power(1, n, b) / (cands[entry.interferer] + pm.noise_w)
-            assert entry.sinr == pytest.approx(want, rel=1e-12)
+            assert interferer == min(cands, key=cands.get)
+            want = pm.power(1, n, b) / (cands[interferer] + pm.noise_w)
+            assert sinr == pytest.approx(want, rel=1e-12)
 
-    def test_op_with_only_ops_unserved_is_interference_free(self):
+    def test_op_with_only_ops_unserved_is_interference_free(self, monkeypatch):
         sc, pm = baseline()
         free = {(1, 1), (2, 1)}
-        pool = heur.best_sinr_pool(8, free, [9, 10], pm, sc, True)
-        for entry in pool:
-            assert entry.interferer is None
-            b, n = entry.slot
-            assert entry.sinr == pytest.approx(pm.power(8, n, b) / pm.noise_w, rel=1e-12)
+        # an outpatient's candidates are the unserved normal users: none here
+        pool = heur.best_sinr_pool(8, free_mask(free), np.array([], dtype=int), pm)
+        for (b, n), interferer, sinr in pool:
+            assert interferer is None
+            assert sinr == pytest.approx(pm.power(8, n, b) / pm.noise_w, rel=1e-12)
+        # run_iteration gives an outpatient only normal users as candidates
+        calls = []
+        pool_of = heur.best_sinr_pool
+
+        def recorded(user_id, allowed, candidates, power_map):
+            calls.append((user_id, candidates.tolist()))
+            return pool_of(user_id, allowed, candidates, power_map)
+
+        monkeypatch.setattr(heur, "best_sinr_pool", recorded)
+        config = heur.HeuristicConfig(prioritization=True)
+        heur.run_iteration(sc, pm, config, np.random.default_rng(0))
+        ops = [(user, candidates) for user, candidates in calls if user in (8, 9, 10)]
+        assert sorted(user for user, _ in ops) == [8, 9, 10]
+        for _, candidates in ops:
+            assert candidates and not set(candidates) & {8, 9, 10}
 
     def test_no_free_slot_errors(self):
         sc, pm = baseline()
         with pytest.raises(InfeasibleError):
-            heur.best_sinr_pool(1, set(), [2], pm, sc, False)
+            heur.best_sinr_pool(1, free_mask(set()), np.array([2]), pm)
 
     def test_no_co_channel_free_slot_is_interference_free(self):
         sc, pm = baseline()
-        pool = heur.best_sinr_pool(1, {(1, 1)}, [2, 3], pm, sc, False)
-        (entry,) = pool
-        assert entry.interferer is None
+        pool = heur.best_sinr_pool(1, free_mask({(1, 1)}), np.array([2, 3]), pm)
+        ((slot, interferer, _),) = pool
+        assert slot == (1, 1)
+        assert interferer is None
 
 
 class TestSemiGreedyPick:
     def test_singleton_and_determinism(self):
-        entries = [heur.PoolEntry(slot=(1, i), interferer=None, sinr=float(i)) for i in range(4)]
+        entries = [((1, i), None, float(i)) for i in range(4)]
         assert heur.semi_greedy_pick(entries[:1], np.random.default_rng(0)) is entries[0]
         a = heur.semi_greedy_pick(entries, np.random.default_rng(5))
         b = heur.semi_greedy_pick(entries, np.random.default_rng(5))
         assert a is b
 
     def test_uniformity(self):
-        entries = [heur.PoolEntry(slot=(1, i), interferer=None, sinr=1.0) for i in range(4)]
+        entries = [((1, i), None, 1.0) for i in range(4)]
         rng = np.random.default_rng(42)
         counts = [0, 0, 0, 0]
         n = 100_000
         for _ in range(n):
-            counts[heur.semi_greedy_pick(entries, rng).slot[1]] += 1
+            (_, prb), _, _ = heur.semi_greedy_pick(entries, rng)
+            counts[prb] += 1
         for c in counts:
             assert abs(c / n - 0.25) < 0.01
 
@@ -201,8 +226,8 @@ class TestRunHeuristic:
 class _Unchanged:
     """A search that leaves the construction as it is."""
 
-    def improve(self, slots):
-        return dict(slots), 0
+    def improve(self, occ):
+        return 0
 
 
 def weighted_objective(slots, pm, weights):
@@ -307,7 +332,9 @@ class TestSwapImprovement:
         q[1, 0, 0] = 10.0  # user 2 is strong at BS 1 on PRB 1
         pm = channel.PowerMap(q=q, noise_w=1.0)
         search = heur.SwapSearch(sc, pm, {1: 1.0, 2: 1.0}, prioritization=False)
-        slots, swaps = search.improve({1: (1, 1), 2: (2, 1)})
+        occ = occupants({1: (1, 1), 2: (2, 1)}, cfg)
+        swaps = search.improve(occ)
+        slots = slots_of(occ, (1, 2))
         assert slots == {1: (2, 2), 2: (1, 1)}
         assert swaps == 2
         assert weighted_objective(slots, pm, {1: 1.0, 2: 1.0}) == pytest.approx(20.0)
@@ -328,9 +355,13 @@ class TestSwapImprovement:
         config = heur.HeuristicConfig(prioritization=True)
         weights = ex.priorities_for(sc, config)
         built = heur.run_iteration(sc, pm, config, np.random.default_rng(4), _Unchanged())
-        want = heur.SwapSearch(sc, pm, weights, True).improve(built.slots)
+        want = occupants(built.slots, sc.config)
+        want_swaps = heur.SwapSearch(sc, pm, weights, True).improve(want)
         monkeypatch.setattr(heur, "BATCH_FLOATS", 1)  # one column per batch
         monkeypatch.setattr(heur, "MEMO_FLOATS", 0)  # nothing kept
         search = heur.SwapSearch(sc, pm, weights, True)
-        assert search.improve(built.slots) == want
+        occ = occupants(built.slots, sc.config)
+        assert search.improve(occ) == want_swaps
+        assert want_swaps > 0
+        assert (occ == want).all()
         assert search.memo == {}

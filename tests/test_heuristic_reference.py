@@ -1,0 +1,156 @@
+"""The heuristic's construction as plain sets and dicts: the scalar reference.
+
+`reference_iteration` admits users slot by slot, with a set of free slots and
+a list of unserved users per admission, and hands the swap phase a
+{user: (bs, prb)} dict.  `run_iteration` keeps the same state in arrays; the
+tests here hold it to the reference bit for bit, dict order included.
+"""
+
+import numpy as np
+import pytest
+
+from prballoc import allocator_exact as ex
+from prballoc import allocator_heuristic as heur
+from prballoc import channel
+from prballoc.errors import InfeasibleError
+
+REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
+
+
+def occupants(slots, cfg):
+    """The (N, B) occupant array of slots (user_id -> (bs, prb)); num_users is nobody."""
+    occ = np.full((cfg.prbs_per_bs, cfg.num_bs), cfg.num_users)
+    for k, (b, n) in slots.items():
+        occ[n - 1, b - 1] = k - 1
+    return occ
+
+
+def slots_of(occ, users):
+    """occ as user_id -> (bs, prb), keyed in the order of `users`."""
+    num_bs = occ.shape[1]
+    flat = occ.reshape(-1).tolist()
+    slot_of = {k + 1: (s % num_bs + 1, s // num_bs + 1) for s, k in enumerate(flat)}
+    return {k: slot_of[k] for k in users}
+
+
+def reference_pool(user_id, free_slots, unserved, power_map, scenario, prioritization):
+    """One (slot, interferer, sinr) entry per free slot, in (bs, prb) order."""
+    free_slots = set(free_slots)
+    if not free_slots:
+        raise InfeasibleError("no free slot available")
+    candidates = [m for m in unserved if m != user_id]
+    if prioritization and scenario.is_outpatient(user_id):
+        candidates = [m for m in candidates if not scenario.is_outpatient(m)]
+    candidates.sort()
+    noise = power_map.noise_w
+    if candidates:
+        cand_q = power_map.q[np.array(candidates) - 1]  # (C, N, B)
+        min_q = cand_q.min(axis=0)
+        arg_q = cand_q.argmin(axis=0)
+    entries = []
+    num_bs = scenario.config.num_bs
+    for b, n in sorted(free_slots):
+        own = power_map.power(user_id, n, b)
+        co_channel_free = any(
+            (w, n) in free_slots for w in range(1, num_bs + 1) if w != b
+        )
+        if candidates and co_channel_free:
+            interferer = candidates[int(arg_q[n - 1, b - 1])]
+            sinr = own / (float(min_q[n - 1, b - 1]) + noise)
+            entries.append(((b, n), interferer, sinr))
+        else:
+            entries.append(((b, n), None, own / noise))
+    return entries
+
+
+def reference_iteration(scenario, power_map, config, rng, improver):
+    cfg = scenario.config
+    order = heur.serve_order(scenario, config, rng)
+    free = {(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)}
+    slots = {}
+    at_sinr = {}
+    pool_sizes = []
+    op_prbs = set()  # PRB indices holding an outpatient
+    for user in order:
+        if user in slots:
+            continue  # already placed as someone's interferer
+        unserved = [m for m in order if m not in slots and m != user]
+        is_op = config.prioritization and scenario.is_outpatient(user)
+        allowed = free
+        if is_op:
+            allowed = {slot for slot in free if slot[1] not in op_prbs} or free
+        pool = reference_pool(user, allowed, unserved, power_map, scenario, config.prioritization)
+        pool_sizes.append(len(pool))
+        slot, interferer, sinr = pool[int(rng.integers(len(pool)))]
+        b, n = slot
+        if is_op:
+            op_prbs.add(n)
+        slots[user] = slot
+        free.discard(slot)
+        at_sinr[user] = sinr
+        if interferer is not None:
+            co = min(w for w in range(1, cfg.num_bs + 1) if w != b and (w, n) in free)
+            m = interferer
+            slots[m] = (co, n)
+            free.discard((co, n))
+            at_sinr[m] = power_map.power(m, n, co) / (
+                power_map.power(user, n, co) + power_map.noise_w
+            )
+    assert len(slots) == cfg.num_users
+    occ = occupants(slots, cfg)
+    swaps = improver.improve(occ)
+    slots = slots_of(occ, slots)
+    assignment = ex.Assignment(slots=slots)
+    final = {k: ex.sinr_of(assignment, power_map, k) for k in slots}
+    return heur.IterationTrace(
+        serve_order=order,
+        slots=slots,
+        at_assignment_sinr=at_sinr,
+        final_sinr=final,
+        pool_sizes=pool_sizes,
+        swaps=swaps,
+    )
+
+
+def assert_same_trace(trace, want):
+    """Equal values in the same order; float equality is bit equality here."""
+    assert trace.serve_order == want.serve_order
+    assert list(trace.slots.items()) == list(want.slots.items())
+    assert list(trace.at_assignment_sinr.items()) == list(want.at_assignment_sinr.items())
+    assert trace.pool_sizes == want.pool_sizes
+    assert trace.swaps == want.swaps
+    assert list(trace.final_sinr.items()) == list(want.final_sinr.items())
+
+
+def check_against_reference(sc, maps, seeds, prio):
+    config = heur.HeuristicConfig(prioritization=prio)
+    weights = ex.priorities_for(sc, config)
+    for pm in maps:
+        search = heur.SwapSearch(sc, pm, weights, prio)
+        reference_search = heur.SwapSearch(sc, pm, weights, prio)
+        for s in seeds:
+            trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s), search)
+            want = reference_iteration(sc, pm, config, np.random.default_rng(s), reference_search)
+            assert_same_trace(trace, want)
+
+
+@pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
+def test_baseline_matches_reference(prio):
+    sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
+    maps = [channel.generate_power_map(sc, r) for r in range(3)]
+    check_against_reference(sc, maps, range(20), prio)
+
+
+@pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
+def test_three_cells_match_reference(prio):
+    cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
+    sc, _ = channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})
+    maps = [channel.generate_power_map(sc, r) for r in range(3)]
+    check_against_reference(sc, maps, range(20), prio)
+
+
+@pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
+def test_200_users_match_reference(prio):
+    cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=100, num_users=200, num_normal=197)
+    sc, pm = channel.generate_scenario(cfg, op_ps={198: 0.0032, 199: 0.0064, 200: 0.00208})
+    check_against_reference(sc, [pm], range(2), prio)

@@ -155,7 +155,15 @@ class TestRiskCsv:
         assert risk.read_risk_csv(path) == profiles
 
     @pytest.mark.parametrize(
-        "row", ["1,0,0.5", "1,0,0.5,1,9", "1,0,abc,1"], ids=["short", "long", "non-numeric"]
+        "row",
+        [
+            "1,0,0.5", "1,0,0.5,1,9", "1,0,abc,1", "8,2,1.5,nan", "8,2,0.5,1.5", "8,-1,0.5,1.5",
+            "8,1,1.5,2", "8,1,-0.1,1", "8,1,nan,1", "8,1,0.5,nan", "8,1,0.5,inf", "8,1,0.5,0.99",
+        ],
+        ids=[
+            "short", "long", "non-numeric", "all-out-of-range", "is-op-2", "is-op-negative",
+            "ps-above-1", "ps-negative", "ps-nan", "up-nan", "up-inf", "up-below-1",
+        ],
     )
     def test_malformed_row_names_line(self, tmp_path, row):
         path = tmp_path / "risk.csv"

@@ -10,6 +10,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
 from .risk import priority
@@ -38,10 +40,10 @@ class PwlSpec:
 
     def __post_init__(self):
         pts = tuple(sorted(float(p) for p in self.tangent_points))
-        if not pts or any(p <= 0 for p in pts):
-            raise ValueError("tangent points must be positive")
+        if not pts or any(not p > 0 for p in pts):
+            raise UsageError("tangent points must be positive")
         if len(set(pts)) != len(pts):
-            raise ValueError("tangent points must be distinct")
+            raise UsageError("tangent points must be distinct")
         self.tangent_points = pts
         self.segments = tuple((1.0 / p, math.log(p) - 1.0) for p in pts)
 
@@ -107,16 +109,28 @@ def priorities_for(scenario, config):
     }
 
 
-def sinr_of(assignment, power_map, user_id):
-    """Direct SINR: own power over co-channel cross-BS interference plus noise."""
-    if user_id not in assignment.slots:
-        raise ValueError(f"user {user_id} is unassigned")
-    b, n = assignment.slots[user_id]
-    interference = 0.0
-    for m, (w, n2) in assignment.slots.items():
-        if m != user_id and n2 == n and w != b:
-            interference += power_map.power(m, n, b)
-    return power_map.power(user_id, n, b) / (interference + power_map.noise_w)
+def column_sinrs(q, noise, occ, prbs):
+    """SINRs (C, B) of the occupants `occ` (C, B) of the 0-based PRB columns `prbs`.
+
+    An occupant is a 0-based user index, len(q) for an empty slot (SINR 0),
+    interfered by the co-channel occupants at the other BSs, summed in BS order.
+    """
+    bs = np.arange(occ.shape[1])
+    present = occ < len(q)
+    # heard[c, x, v]: power of the occupant at BS x received at BS v
+    heard = q[np.where(present, occ, 0)[:, :, None], prbs[:, None, None], bs] * present[:, :, None]
+    interference = np.where(bs[:, None] != bs, heard, 0.0).sum(axis=1)
+    return heard[:, bs, bs] / (interference + noise)
+
+
+def sinr_of(assignment, power_map):
+    """Every assigned user's SINR as a float, in `assignment.slots` order."""
+    num_users, num_prbs, num_bs = power_map.q.shape
+    occ = np.full((num_prbs, num_bs), num_users)
+    for k, (b, n) in assignment.slots.items():
+        occ[n - 1, b - 1] = k - 1
+    sinr = column_sinrs(power_map.q, power_map.noise_w, occ, np.arange(num_prbs)).tolist()
+    return {k: sinr[n - 1][b - 1] for k, (b, n) in assignment.slots.items()}
 
 
 def user_terms(scenario, config, weights):
@@ -140,31 +154,12 @@ def evaluate_assignment(assignment, power_map, scenario, config, priorities=None
     if priorities is None:
         priorities = priorities_for(scenario, config)
     terms = user_terms(scenario, config, priorities)
-    sinrs = {k: sinr_of(assignment, power_map, k) for k in assignment.slots}
+    sinrs = sinr_of(assignment, power_map)
     value = sum(terms[k](s) for k, s in sinrs.items())
     log_sinr = {k: (math.log(s) if s > 0 else None) for k, s in sinrs.items()}
     return SinrReport(
         sinr=sinrs, log_sinr=log_sinr, priorities=dict(priorities), objective_value=value
     )
-
-
-def _prb_contribution(chosen, n, q, noise, terms, user_ids):
-    """Objective contribution of one PRB given its (user index, bs index) picks.
-
-    Returns None when the PF log is undefined (zero SINR), pruning the choice.
-    """
-    total = 0.0
-    for ui, bi in chosen:
-        interference = 0.0
-        for uj, bj in chosen:
-            if uj != ui and bj != bi:
-                interference += q[uj][n][bi]
-        s = q[ui][n][bi] / (interference + noise)
-        try:
-            total += terms[user_ids[ui]](s)
-        except PfUndefinedError:
-            return None
-    return total
 
 
 def solve_exact(scenario, power_map, config):
@@ -185,61 +180,66 @@ def solve_exact(scenario, power_map, config):
     return assignment, report
 
 
+def _prb_options(n, power_map, terms, num_bs):
+    """Every way to serve 0-based PRB `n`: users ascending on one BS order.
+
+    Options are (user mask, contribution summed in user order, ((user index,
+    (bs, prb)), ...)); a pick that leaves a PF log user at zero SINR is dropped.
+    """
+    K = len(terms)
+    picks = [tuple(zip(users, order)) for s in range(num_bs + 1)
+             for users in itertools.combinations(range(K), s)
+             for order in itertools.permutations(range(num_bs), s)]
+    occ = np.array([[dict((b, u) for u, b in pick).get(v, K) for v in range(num_bs)]
+                    for pick in picks])
+    sinr = column_sinrs(power_map.q, power_map.noise_w, occ, np.full(len(picks), n)).tolist()
+    options = []
+    for pick, row in zip(picks, sinr):
+        try:
+            total = 0.0
+            for ui, bi in pick:
+                total += terms[ui + 1](row[bi])
+        except PfUndefinedError:
+            continue
+        mask = sum(1 << ui for ui, _ in pick)
+        options.append((mask, total, tuple((ui, (bi + 1, n + 1)) for ui, bi in pick)))
+    return options
+
+
 def _search_subset_dp(scenario, power_map, config, weights):
     cfg = scenario.config
     K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
-    user_ids = list(cfg.user_ids)
     terms = user_terms(scenario, config, weights)
-    q = power_map.q.tolist()
-    noise = power_map.noise_w
-    full = (1 << K) - 1
 
-    # dp: mask of served users -> (value, slots keyed by user index).
-    # For equal values the prefix whose user-ordered slot tuple is smaller
-    # wins; completions are identical per mask, so this composes to the
-    # globally lexicographically smallest optimum.
-    dp = {0: (0.0, {})}
-    bs_orders = {
-        s: list(itertools.permutations(range(B), s)) for s in range(0, B + 1)
-    }
+    # dp: mask of served users -> (value, K-tuple of slots, None if unserved).
+    # On equal values the smaller slot tuple wins; completions are identical
+    # per mask, so this composes to the lexicographically smallest optimum.
+    dp = {0: (0.0, (None,) * K)}
     for n in range(N):
-        cap_after = B * (N - n - 1)
+        served_min = K - B * (N - n - 1)  # due by PRB n: later PRBs serve B users each at most
+        options = _prb_options(n, power_map, terms, B)
         new_dp = {}
         for mask, (value, slots) in dp.items():
-            remaining = [i for i in range(K) if not mask & (1 << i)]
-            s_min = max(0, len(remaining) - cap_after)
-            s_max = min(B, len(remaining))
-            if s_min > s_max:
-                continue
-            for s in range(s_min, s_max + 1):
-                for users_pick in itertools.combinations(remaining, s):
-                    for bs_pick in bs_orders[s]:
-                        chosen = tuple(zip(users_pick, bs_pick))
-                        contrib = _prb_contribution(chosen, n, q, noise, terms, user_ids)
-                        if contrib is None:
-                            continue
-                        new_mask = mask
-                        for ui in users_pick:
-                            new_mask |= 1 << ui
-                        new_value = value + contrib
-                        incumbent = new_dp.get(new_mask)
-                        if incumbent is not None and new_value < incumbent[0]:
-                            continue
-                        new_slots = dict(slots)
-                        for ui, bi in chosen:
-                            new_slots[ui] = (bi + 1, n + 1)
-                        if incumbent is None or new_value > incumbent[0]:
-                            new_dp[new_mask] = (new_value, new_slots)
-                        else:  # exact value tie: lexicographic slot comparison
-                            key_new = tuple(new_slots[i] for i in sorted(new_slots))
-                            key_old = tuple(incumbent[1][i] for i in sorted(incumbent[1]))
-                            if key_new < key_old:
-                                new_dp[new_mask] = (new_value, new_slots)
+            least = served_min - mask.bit_count()
+            for option_mask, contrib, placed in options:
+                if option_mask & mask or len(placed) < least:
+                    continue
+                new_mask, new_value = mask | option_mask, value + contrib
+                incumbent = new_dp.get(new_mask)
+                if incumbent is not None and new_value < incumbent[0]:
+                    continue
+                new_slots = list(slots)
+                for ui, slot in placed:
+                    new_slots[ui] = slot
+                new_slots = tuple(new_slots)
+                if incumbent is None or new_value > incumbent[0] or new_slots < incumbent[1]:
+                    new_dp[new_mask] = (new_value, new_slots)
         dp = new_dp
-    if full not in dp:
+    if (1 << K) - 1 not in dp:
         raise InfeasibleError("no feasible assignment")
-    _, slots = dp[full]
-    return Assignment(slots={user_ids[i]: bn for i, bn in slots.items()})
+    _, slots = dp[(1 << K) - 1]
+    placed = sorted(range(K), key=lambda i: (slots[i][1], i))  # PRB-major, users ascending
+    return Assignment(slots={i + 1: slots[i] for i in placed})
 
 
 def default_lambda(power_map):
@@ -259,9 +259,9 @@ def verify_linearization(assignment, power_map, lam=None):
         lam = default_lambda(power_map)
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    direct = sinr_of(assignment, power_map)
     max_dev = 0.0
     for k, (b, n) in assignment.slots.items():
-        direct = sinr_of(assignment, power_map, k)
         interference = 0.0
         for m, (w, n2) in assignment.slots.items():
             if m != k and n2 == n and w != b:
@@ -273,7 +273,7 @@ def verify_linearization(assignment, power_map, lam=None):
             raise LambdaTooSmallError(
                 f"lambda {lam} below SINR {linearized} of user {k}; big-M binds"
             )
-        max_dev = max(max_dev, abs(linearized - direct) / direct)
+        max_dev = max(max_dev, abs(linearized - direct[k]) / direct[k])
     return max_dev
 
 

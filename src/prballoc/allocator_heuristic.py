@@ -290,8 +290,7 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     num_bs = cfg.num_bs
     slot_of = {k: (s % num_bs + 1, s // num_bs + 1) for s, k in enumerate(occ.reshape(-1).tolist())}
     slots = {k: slot_of[k - 1] for k in at_sinr}
-    assignment = Assignment(slots=slots)
-    final = {k: sinr_of(assignment, power_map, k) for k in slots}
+    final = sinr_of(Assignment(slots=slots), power_map)
     return IterationTrace(
         serve_order=order,
         slots=slots,

@@ -162,8 +162,19 @@ def scenario_to_json(scenario):
 def scenario_from_json(text):
     try:
         payload = json.loads(text)
-        names = [f.name for f in fields(ScenarioConfig)]
-        config = ScenarioConfig(**{k: payload[k] for k in names if k in payload})
+        if not isinstance(payload, dict):
+            raise DataError("bad scenario JSON: want an object")
+        config_fields = {f.name: f.type for f in fields(ScenarioConfig) if f.name in payload}
+        unknown = set(payload) - set(config_fields) - {"distances", "op_ps", "current_states"}
+        if unknown:
+            raise DataError(f"bad scenario JSON: unknown key {min(unknown)!r}")
+        for name, kind in config_fields.items():  # every field is an int or a float
+            value, allowed = payload[name], int if kind is int else (int, float)
+            if (isinstance(value, bool) or not isinstance(value, allowed)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise DataError(f"bad scenario JSON: {name} must be a finite {kind.__name__},"
+                                f" got {value!r}")
+        config = ScenarioConfig(**{k: payload[k] for k in config_fields})
         op_ps = {int(k): float(v) for k, v in payload.get("op_ps", {}).items()}
         states = {int(k): v for k, v in payload.get("current_states", {}).items()}
         distances = None

@@ -169,6 +169,7 @@ def test_criterion_4_linearization(capsys):
         pm = channel.generate_power_map(sc, i)
         perm = [slots[j] for j in rng.permutation(10)]
         assignment = ex.Assignment(slots=dict(zip(sc.config.user_ids, perm)))
+        direct = ex.sinr_of(assignment, pm)
         # independent resolution of the balance-equation system given fixed X
         for k, (b, n) in assignment.slots.items():
             interference = sum(
@@ -177,10 +178,9 @@ def test_criterion_4_linearization(capsys):
                 if m != k and n2 == n and w != b
             )
             t_linearized = pm.power(k, n, b) / (interference + pm.noise_w)
-            t_direct = ex.sinr_of(assignment, pm, k)
-            worst = max(worst, abs(t_linearized - t_direct) / t_direct)
+            worst = max(worst, abs(t_linearized - direct[k]) / direct[k])
         worst = max(worst, ex.verify_linearization(assignment, pm))
-        max_t = max(ex.sinr_of(assignment, pm, k) for k in sc.config.user_ids)
+        max_t = max(direct.values())
         try:
             ex.verify_linearization(assignment, pm, lam=max_t * 0.9)
         except ex.LambdaTooSmallError:

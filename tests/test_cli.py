@@ -8,6 +8,7 @@ from prballoc import channel, cli, fileio, medrecords
 from prballoc.errors import UsageError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "before_after_seed3.json")
+THREE_BS = os.path.join(os.path.dirname(__file__), "data", "three_bs")
 
 
 def run(argv):
@@ -240,6 +241,28 @@ class TestBeforeAfterGolden:
                     assert value == pytest.approx(want_run[str(k)], rel=1e-9), (name, k)
 
 
+class TestThreeCellGolden:
+    """Result files of a 3-BS, 8-user scenario (`generate --seed 1 --bs 3 --prbs 3
+    --users 8 --normal 5 --reference-ps`, stored with its two power maps), compared
+    byte for byte with recorded ones.  A SINR sums at most two interferers here,
+    which is exact in any order, so no summation order may move a byte.
+    """
+
+    MAP = ["--scenario", "{d}/scenario.json", "--power-map", "{d}/power_map_000.csv"]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["solve", *MAP], "solve_wsrmax.csv"),
+        (["solve", *MAP, "--prioritize", "--objective", "pf"], "solve_pf_prioritized.csv"),
+        (["heuristic", *MAP, "{d}/power_map_001.csv", "--prioritize", "--iterations", "50"],
+         "heuristic_prioritized.csv"),
+    ], ids=["solve-wsrmax", "solve-pf-prioritized", "heuristic-prioritized"])
+    def test_matches_recorded_bytes(self, tmp_path, argv, name):
+        out = tmp_path / name
+        assert run([a.format(d=THREE_BS) for a in argv] + ["--output", str(out)]) == 0
+        with open(os.path.join(THREE_BS, name), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+
 def _set_power_cell(text):
     """Replace the power in the power map's line 3 (its second triple)."""
 
@@ -333,6 +356,14 @@ MALFORMED = [
     ("scenario-min-distance-negative", _set_scenario(distance_min_m=-1.0), BEFORE_AFTER, 4,
      "distance_min_m"),
     ("scenario-all-normal", _set_scenario(num_normal=10), SOLVE, 4, "num_normal"),
+    ("scenario-float-count", _set_scenario(prbs_per_bs=5.0), SOLVE, 4, "prbs_per_bs"),
+    ("scenario-bool-count", _set_scenario(num_bs=True), HEURISTIC, 4, "num_bs"),
+    ("scenario-unknown-key", _set_scenario(num_user=10), SOLVE, 4, "'num_user'"),
+    ("scenario-bool-float", _set_scenario(noise_density_dbm_hz=True), SOLVE, 4,
+     "noise_density_dbm_hz"),
+    ("scenario-text-float", _set_scenario(prb_bandwidth_hz="180000"), SOLVE, 4, "prb_bandwidth_hz"),
+    ("scenario-nan-float", _set_scenario(prb_bandwidth_hz=float("nan")), SOLVE, 4,
+     "prb_bandwidth_hz"),
     ("power-not-utf8", _append_bytes("power_map_000.csv", b"10,5,2,\xff\n"), SOLVE, 4,
      "cannot read"),
     ("scenario-not-utf8", _append_bytes("scenario.json", b"\xff"), SOLVE, 4, "cannot read"),

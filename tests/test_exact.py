@@ -48,7 +48,8 @@ def oracle_optimum(scenario, pm, config):
 
     Returns the optimal value and its slots; equal values break to the
     lexicographically smallest assignment (users in id order, slots ordered
-    by (bs, prb)), the tie-break solve_exact promises.
+    by (bs, prb)), the tie-break solve_exact promises.  Under PF, assignments
+    that leave a log user at zero SINR are skipped; None when none is left.
     """
     cfg = scenario.config
     users = list(cfg.user_ids)
@@ -59,6 +60,9 @@ def oracle_optimum(scenario, pm, config):
             weights[k] = 1.0 + config.alpha * scenario.ps_of(k)
         else:
             weights[k] = 1.0
+    logged = set()  # users whose PF term is ln(SINR)
+    if config.objective == "pf":
+        logged = {k for k in users if not (config.prioritization and scenario.is_outpatient(k))}
     best = None
     for perm in itertools.permutations(slots, len(users)):
         placed = dict(zip(users, perm))
@@ -70,18 +74,12 @@ def oracle_optimum(scenario, pm, config):
                 if m != k and n2 == n and w != b
             )
             sinrs[k] = pm.q[k - 1, n - 1, b - 1] / (interf + pm.noise_w)
-        if config.objective == "wsrmax":
-            value = sum(weights[k] * sinrs[k] for k in users)
-        else:
-            value = 0.0
-            for k in users:
-                if config.prioritization and scenario.is_outpatient(k):
-                    value += weights[k] * sinrs[k]
-                else:
-                    value += math.log(sinrs[k])
+        if any(sinrs[k] == 0 for k in logged):
+            continue
+        value = sum(math.log(sinrs[k]) if k in logged else weights[k] * sinrs[k] for k in users)
         if best is None or value > best[0] or (value == best[0] and perm < best[1]):
             best = (value, perm)
-    return best[0], dict(zip(users, best[1]))
+    return None if best is None else (best[0], dict(zip(users, best[1])))
 
 
 class TestPwlSpec:
@@ -101,10 +99,9 @@ class TestPwlSpec:
         assert pwl.tangent_points[-1] == pytest.approx(20.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ex.PwlSpec((0.0, 1.0))
-        with pytest.raises(ValueError):
-            ex.PwlSpec((1.0, 1.0))
+        for points in [(), (0.0, 1.0), (-1.0, 1.0), (1.0, 1.0)]:  # empty, zero, negative, duplicate
+            with pytest.raises(UsageError):
+                ex.PwlSpec(points)
 
 
 def objective_of(sinrs, weights, config):
@@ -146,23 +143,15 @@ class TestSinrOf:
         q = np.array([[[2e-13, 1e-15]], [[5e-14, 1e-13]]])
         pm = channel.PowerMap(q=q, noise_w=1.135e-14)
         assignment = ex.Assignment(slots={1: (1, 1), 2: (2, 1)})
-        assert ex.sinr_of(assignment, pm, 1) == pytest.approx(3.260, abs=0.001)
+        assert ex.sinr_of(assignment, pm)[1] == pytest.approx(3.260, abs=0.001)
 
     def test_no_interferer_and_scale_invariance(self):
         sc, pm = hand_instance()
         lone = ex.Assignment(slots={1: (1, 1)})
-        assert ex.sinr_of(lone, pm, 1) == 4.0
+        assert ex.sinr_of(lone, pm) == {1: 4.0}
         both = ex.Assignment(slots={1: (1, 1), 2: (2, 1)})
         scaled = channel.PowerMap(q=pm.q * 7.0, noise_w=pm.noise_w * 7.0)
-        for k in (1, 2):
-            assert ex.sinr_of(both, scaled, k) == pytest.approx(
-                ex.sinr_of(both, pm, k), rel=1e-12
-            )
-
-    def test_unassigned_user(self):
-        sc, pm = hand_instance()
-        with pytest.raises(ValueError):
-            ex.sinr_of(ex.Assignment(slots={}), pm, 1)
+        assert ex.sinr_of(both, scaled) == pytest.approx(ex.sinr_of(both, pm), rel=1e-12)
 
 
 class TestSolveExact:

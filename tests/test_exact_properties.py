@@ -1,0 +1,113 @@
+"""Differential property tests of the exact solver and the SINR kernel.
+
+Hypothesis draws the instance shapes and the seed of the powers; the powers
+themselves come from numpy, continuous and, where asked, with exact zeros, so
+that no two assignments tie except by construction.
+`derandomize=True` keeps every run on the same examples.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from prballoc import allocator_exact as ex  # noqa: E402
+from prballoc import channel  # noqa: E402
+from prballoc.errors import InfeasibleError  # noqa: E402
+from test_exact import oracle_optimum  # noqa: E402
+
+# (max PRBs, max users) per BS count; the oracle walks every injective map
+SHAPES = {2: (3, 6), 3: (2, 5), 4: (2, 5)}
+EXAMPLES = {2: 40, 3: 30, 4: 15}
+
+
+@st.composite
+def instances(draw, num_bs, zero_share=0.0):
+    """A scenario whose last user is an outpatient, and a random power map."""
+    max_prbs, max_users = SHAPES[num_bs]
+    N = max_prbs - draw(st.integers(0, max_prbs - 1))  # drawn down from the largest shape
+    K = min(max_users, num_bs * N)
+    K -= draw(st.integers(0, K - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = channel.ScenarioConfig(num_bs=num_bs, prbs_per_bs=N, num_users=K, num_normal=K - 1)
+    scenario = channel.Scenario(config=cfg, op_ps={K: float(rng.uniform(0.001, 0.01))})
+    q = rng.uniform(0.05, 5.0, size=(K, N, num_bs))
+    q[rng.random(q.shape) < zero_share] = 0.0
+    return scenario, channel.PowerMap(q=q, noise_w=float(rng.uniform(0.5, 2.0)))
+
+
+def check_against_oracle(scenario, pm, config):
+    want = oracle_optimum(scenario, pm, config)
+    if want is None:
+        with pytest.raises(InfeasibleError):
+            ex.solve_exact(scenario, pm, config)
+        return
+    assignment, report = ex.solve_exact(scenario, pm, config)
+    assert assignment.slots == want[1]
+    # placement order, PRB by PRB, in which the objective is summed
+    slots = assignment.slots
+    assert list(slots) == sorted(slots, key=lambda k: (slots[k][1], k))
+    assert report.objective_value == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+
+
+SETTINGS = [(objective, prio) for objective in ("wsrmax", "pf") for prio in (False, True)]
+
+
+@pytest.mark.parametrize("num_bs", sorted(SHAPES))
+@pytest.mark.parametrize("objective, prio", SETTINGS)
+def test_dp_equals_oracle(num_bs, objective, prio):
+    config = ex.SolverConfig(objective=objective, prioritization=prio)
+
+    @settings(derandomize=True, max_examples=EXAMPLES[num_bs], deadline=None, database=None)
+    @given(instances(num_bs))
+    def check(instance):
+        check_against_oracle(*instance, config)
+
+    check()
+
+
+@pytest.mark.parametrize("num_bs", [2, 3])
+@pytest.mark.parametrize("prio", [False, True])
+def test_pf_with_zero_powers_prunes_like_oracle(num_bs, prio):
+    """Zero powers leave some users at zero SINR: the DP's PF prune must skip
+    exactly the assignments the oracle skips, and fail when none is left."""
+    config = ex.SolverConfig(objective="pf", prioritization=prio)
+
+    @settings(derandomize=True, max_examples=2 * EXAMPLES[num_bs], deadline=None, database=None)
+    @given(instances(num_bs, zero_share=0.4))
+    def check(instance):
+        check_against_oracle(*instance, config)
+
+    check()
+
+
+def direct_sinrs(assignment, pm):
+    """SINR per user, written out: own power over the co-channel powers at other BSs."""
+    sinrs = {}
+    for k, (b, n) in assignment.slots.items():
+        interference = 0.0
+        for m, (w, n2) in assignment.slots.items():
+            if m != k and n2 == n and w != b:
+                interference += pm.q[m - 1, n - 1, b - 1]
+        sinrs[k] = pm.q[k - 1, n - 1, b - 1] / (interference + pm.noise_w)
+    return sinrs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(num_bs=st.integers(2, 3), data=st.data())
+def test_sinr_of_bit_equal_to_direct_loop(num_bs, data):
+    """Up to two interferers, the kernel's BS-order sum is exact: bit-equal SINRs."""
+    scenario, pm = data.draw(instances(num_bs, zero_share=0.2))
+    cfg = scenario.config
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    slots = list(itertools.product(range(1, cfg.num_bs + 1), range(1, cfg.prbs_per_bs + 1)))
+    users = rng.permutation(cfg.num_users)[: data.draw(st.integers(0, cfg.num_users))] + 1
+    picked = rng.permutation(len(slots))[: len(users)]
+    assignment = ex.Assignment(slots={int(k): slots[i] for k, i in zip(users, picked)})
+    got = ex.sinr_of(assignment, pm)
+    assert list(got.items()) == list(direct_sinrs(assignment, pm).items())
+    assert all(type(s) is float for s in got.values())

@@ -163,9 +163,9 @@ class TestRunIteration:
         sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=False)
         trace = heur.run_iteration(sc, pm, config, np.random.default_rng(3))
-        assignment = ex.Assignment(slots=trace.slots)
+        recomputed = ex.sinr_of(ex.Assignment(slots=trace.slots), pm)
         for k, s in trace.final_sinr.items():
-            assert s == pytest.approx(ex.sinr_of(assignment, pm, k), rel=1e-12)
+            assert s == pytest.approx(recomputed[k], rel=1e-12)
 
     def test_infeasible_config(self):
         cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=1, num_users=2, num_normal=1)
@@ -231,8 +231,8 @@ class _Unchanged:
 
 
 def weighted_objective(slots, pm, weights):
-    assignment = ex.Assignment(slots=slots)
-    return sum(weights[k] * ex.sinr_of(assignment, pm, k) for k in slots)
+    sinrs = ex.sinr_of(ex.Assignment(slots=slots), pm)
+    return sum(weights[k] * sinrs[k] for k in slots)
 
 
 def improving_swaps(slots, pm, sc, weights, prioritization, tol=1e-12):

@@ -100,8 +100,7 @@ def reference_iteration(scenario, power_map, config, rng, improver):
     occ = occupants(slots, cfg)
     swaps = improver.improve(occ)
     slots = slots_of(occ, slots)
-    assignment = ex.Assignment(slots=slots)
-    final = {k: ex.sinr_of(assignment, power_map, k) for k in slots}
+    final = ex.sinr_of(ex.Assignment(slots=slots), power_map)
     return heur.IterationTrace(
         serve_order=order,
         slots=slots,

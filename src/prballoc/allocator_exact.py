@@ -98,15 +98,17 @@ class SinrReport:
     objective_value: float
 
 
+def prioritized(scenario, on):
+    """The outpatients prioritization singles out, ascending; () when it is off.
+    Each weighs 1 + alpha * PS and enters PF by its weighted SINR, not a log."""
+    return scenario.config.op_ids if on else ()
+
+
 def priorities_for(scenario, config):
     """UP weight per user (`risk.priority`) under a solver or heuristic config;
     all 1 when prioritization is off."""
-    return {
-        k: priority(
-            scenario.ps_of(k), config, config.prioritization and scenario.is_outpatient(k)
-        )
-        for k in scenario.config.user_ids
-    }
+    ops = prioritized(scenario, config.prioritization)
+    return {k: priority(scenario.ps_of(k), config, k in ops) for k in scenario.config.user_ids}
 
 
 def column_sinrs(q, noise, occ, prbs):
@@ -140,9 +142,10 @@ def user_terms(scenario, config, weights):
     prioritization an outpatient contributes its weighted SINR.  A PF log of
     a zero SINR raises PfUndefinedError.
     """
+    ops = prioritized(scenario, config.prioritization)
     terms = {}
     for k, w in weights.items():
-        if config.objective == "pf" and not (config.prioritization and scenario.is_outpatient(k)):
+        if config.objective == "pf" and k not in ops:
             terms[k] = config.log_value
         else:
             terms[k] = lambda s, w=w: w * s

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator_exact import DEFAULT_ALPHA, Assignment, priorities_for, sinr_of
+from .allocator_exact import DEFAULT_ALPHA, Assignment, prioritized, priorities_for, sinr_of
 from .channel import derive_seed
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
@@ -49,20 +49,20 @@ class IterationTrace:
 
 
 def serve_order(scenario, config, rng):
-    """OPs first by descending priority when prioritization is on.
-
-    Normal users always arrive in uniformly random order; with prioritization
-    off the whole population is shuffled.
-    """
-    user_ids = list(scenario.config.user_ids)
-    if not config.prioritization:
-        return [user_ids[i] for i in rng.permutation(len(user_ids))]
+    """Prioritized outpatients first by descending priority (ties by id), then
+    every other user in uniformly random order."""
+    ops = prioritized(scenario, config.prioritization)
     weights = priorities_for(scenario, config)
-    ops = [k for k in user_ids if scenario.is_outpatient(k)]
-    ops.sort(key=lambda k: (-weights[k], k))
-    normals = [k for k in user_ids if not scenario.is_outpatient(k)]
-    normals = [normals[i] for i in rng.permutation(len(normals))]
-    return ops + normals
+    rest = [k for k in scenario.config.user_ids if k not in ops]
+    first = sorted(ops, key=lambda k: (-weights[k], k))
+    return first + [rest[i] for i in rng.permutation(len(rest))]
+
+
+def _op_mask(scenario, on):
+    """(K + 1,) mask of the prioritized outpatients by user index, then nobody."""
+    mask = np.zeros(scenario.config.num_users + 1, dtype=bool)
+    mask[[k - 1 for k in prioritized(scenario, on)]] = True
+    return mask
 
 
 def best_sinr_pool(user_id, allowed, candidates, power_map):
@@ -121,9 +121,8 @@ class SwapSearch:
         self.q, self.noise = power_map.q, power_map.noise_w
         # user index num_users is nobody: an empty slot, with no power and no weight
         self.w = np.array([weights[k] for k in cfg.user_ids] + [0.0])
-        self.is_op = None
-        if prioritization:
-            self.is_op = np.array([scenario.is_outpatient(k) for k in cfg.user_ids] + [False])
+        is_op = _op_mask(scenario, prioritization)
+        self.is_op = is_op if is_op.any() else None  # None: no column needs the outpatient rule
         bs = np.arange(self.num_bs)
         self.other = bs[:, None] != bs
         pair_a, pair_b = np.nonzero(np.triu(self.other))
@@ -257,9 +256,7 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     order = serve_order(scenario, config, rng)
     nobody = cfg.num_users
     ids = np.arange(1, nobody + 1)
-    is_op = np.array(  # outpatients kept apart (none with prioritization off), then nobody
-        [config.prioritization and scenario.is_outpatient(k) for k in cfg.user_ids] + [False]
-    )
+    is_op = _op_mask(scenario, config.prioritization)  # the outpatients kept apart
     occ = np.full((cfg.prbs_per_bs, cfg.num_bs), nobody)  # occupant index of each (prb, bs)
     unserved = np.ones(nobody, dtype=bool)
     at_sinr, pool_sizes = {}, []

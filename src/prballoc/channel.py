@@ -187,6 +187,11 @@ def scenario_from_json(text):
             raise DataError("distances shape does not match config")
         if not (distances > 0).all():
             raise DataError("distances must be positive")
+    for key, users in (("op_ps", op_ps), ("current_states", states)):
+        strangers = sorted(set(users) - set(config.op_ids))
+        if strangers:
+            raise DataError(f"bad scenario JSON: {key} names user {strangers[0]}, which is not"
+                            f" an outpatient (users {config.num_normal + 1}-{config.num_users})")
     for k, ps in op_ps.items():
         if not 0.0 <= ps <= 1.0:
             raise DataError(f"op_ps of user {k} is {ps!r}, outside [0, 1]")

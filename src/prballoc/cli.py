@@ -305,7 +305,8 @@ def _cmd_generate(args):
         num_normal=args.normal,
         seed=args.seed,
     )
-    scenario, _ = channel.generate_scenario(config, op_ps=REFERENCE_OP_PS if args.reference_ps else None)
+    op_ps = {k: ps for k, ps in REFERENCE_OP_PS.items() if args.reference_ps and k in config.op_ids}
+    scenario, _ = channel.generate_scenario(config, op_ps=op_ps)
     write_text_atomic(
         os.path.join(args.output, "scenario.json"), channel.scenario_to_json(scenario)
     )

@@ -14,6 +14,7 @@ from .allocator_exact import (
     Assignment,
     default_lambda,
     evaluate_assignment,
+    prioritized,
     priorities_for,
     solve_exact,
 )
@@ -58,15 +59,10 @@ def export_milp(scenario, power_map, config, lam=None):
     pf = config.objective == "pf"
     if pf and config.pwl is None:
         raise UsageError("PF export requires a PwlSpec")
+    ops = prioritized(scenario, config.prioritization)
+    log_users = [k for k in cfg.user_ids if k not in ops] if pf else []
     noise = power_map.noise_w
     lam_s, neg_lam_s = _num(lam), _num(-lam)
-
-    def log_users():
-        if not pf:
-            return []
-        if config.prioritization:
-            return [k for k in cfg.user_ids if not scenario.is_outpatient(k)]
-        return list(cfg.user_ids)
 
     out = io.StringIO()
     write = out.write
@@ -78,11 +74,7 @@ def export_milp(scenario, power_map, config, lam=None):
                 for b in range(1, B + 1):
                     terms.append(f"+ {_num(weights[k])} T_{k}_{n}_{b}")
     else:
-        terms = [f"+ L_{k}" for k in log_users()]
-        if config.prioritization:
-            for k in cfg.user_ids:
-                if scenario.is_outpatient(k):
-                    terms.append(f"+ {_num(weights[k])} S_{k}")
+        terms = [f"+ L_{k}" for k in log_users] + [f"+ {_num(weights[k])} S_{k}" for k in ops]
     write(" obj: " + " ".join(terms) + "\n")
 
     write("Subject To\n")
@@ -129,12 +121,12 @@ def export_milp(scenario, power_map, config, lam=None):
                 f"- T_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)
             ]
             write(f" c21_{k}: S_{k} " + " ".join(terms) + " = 0\n")
-        for k in log_users():
+        for k in log_users:
             for y, (m_y, h_y) in enumerate(config.pwl.segments, start=1):
                 write(f" c24_{k}_{y}: L_{k} - {_num(m_y)} S_{k} <= {_num(h_y)}\n")
 
     write("Bounds\n")
-    for k in log_users():
+    for k in log_users:
         write(f" L_{k} free\n")
     write("Binary\n")
     for k in cfg.user_ids:

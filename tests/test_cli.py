@@ -262,6 +262,16 @@ class TestThreeCellGolden:
         with open(os.path.join(THREE_BS, name), "rb") as fh:
             assert out.read_bytes() == fh.read()
 
+    def test_generate_writes_the_recorded_inputs(self, tmp_path):
+        """--reference-ps writes only the posteriors of users that are outpatients here."""
+        assert run(["generate", "--seed", "1", "--bs", "3", "--prbs", "3", "--users", "8",
+                    "--normal", "5", "--reference-ps", "--realizations", "2",
+                    "--output", str(tmp_path)]) == 0
+        assert list(json.loads((tmp_path / "scenario.json").read_text())["op_ps"]) == ["8"]
+        for name in ("scenario.json", "power_map_000.csv", "power_map_001.csv"):
+            with open(os.path.join(THREE_BS, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
+
 
 def _set_power_cell(text):
     """Replace the power in the power map's line 3 (its second triple)."""
@@ -351,6 +361,10 @@ MALFORMED = [
     ("power-map-shape", _drop_last_user, HEURISTIC, 4, "do not match"),
     ("scenario-op-ps-above-one", _set_scenario(op_ps={"8": 1.5}), SOLVE, 4, "op_ps"),
     ("scenario-op-ps-negative", _set_scenario(op_ps={"9": -0.1}), SOLVE, 4, "op_ps"),
+    ("scenario-op-ps-normal-user", _set_scenario(op_ps={"3": "0.5"}), SOLVE, 4, "op_ps"),
+    ("scenario-op-ps-unknown-user", _set_scenario(op_ps={"42": "0.9"}), SOLVE, 4, "op_ps"),
+    ("scenario-state-normal-user", _set_scenario(current_states={"3": STATE}), SOLVE, 4,
+     "current_states"),
     ("scenario-distance-zero",
      _set_scenario(distances=[[400.0, 400.0]] * 9 + [[0.0, 400.0]]), BEFORE_AFTER, 4, "distances"),
     ("scenario-min-distance-negative", _set_scenario(distance_min_m=-1.0), BEFORE_AFTER, 4,

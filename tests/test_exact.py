@@ -42,14 +42,15 @@ def oracle_best(scenario, pm, config):
     return oracle_optimum(scenario, pm, config)[0]
 
 
-def oracle_optimum(scenario, pm, config):
+def oracle_optimum(scenario, pm, config, log=math.log):
     """Independent exhaustive oracle: evaluate every injective user->slot map
     with the SINR ratio and objective written out from scratch.
 
     Returns the optimal value and its slots; equal values break to the
     lexicographically smallest assignment (users in id order, slots ordered
-    by (bs, prb)), the tie-break solve_exact promises.  Under PF, assignments
-    that leave a log user at zero SINR are skipped; None when none is left.
+    by (bs, prb)), the tie-break solve_exact promises.  Under PF, a log user's
+    term is `log` of its SINR, and assignments that leave a log user at zero
+    SINR are skipped; None when none is left.
     """
     cfg = scenario.config
     users = list(cfg.user_ids)
@@ -76,7 +77,7 @@ def oracle_optimum(scenario, pm, config):
             sinrs[k] = pm.q[k - 1, n - 1, b - 1] / (interf + pm.noise_w)
         if any(sinrs[k] == 0 for k in logged):
             continue
-        value = sum(math.log(sinrs[k]) if k in logged else weights[k] * sinrs[k] for k in users)
+        value = sum(log(sinrs[k]) if k in logged else weights[k] * sinrs[k] for k in users)
         if best is None or value > best[0] or (value == best[0] and perm < best[1]):
             best = (value, perm)
     return None if best is None else (best[0], dict(zip(users, best[1])))

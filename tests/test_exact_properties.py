@@ -1,4 +1,5 @@
-"""Differential property tests of the exact solver and the SINR kernel.
+"""Differential property tests of the exact solver, the SINR kernel and the
+heuristic's bound.
 
 Hypothesis draws the instance shapes and the seed of the powers; the powers
 themselves come from numpy, continuous and, where asked, with exact zeros, so
@@ -7,6 +8,7 @@ that no two assignments tie except by construction.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prballoc import allocator_exact as ex  # noqa: E402
+from prballoc import allocator_heuristic as heur  # noqa: E402
 from prballoc import channel  # noqa: E402
 from prballoc.errors import InfeasibleError  # noqa: E402
 from test_exact import oracle_optimum  # noqa: E402
@@ -26,22 +29,26 @@ EXAMPLES = {2: 40, 3: 30, 4: 15}
 
 
 @st.composite
-def instances(draw, num_bs, zero_share=0.0):
-    """A scenario whose last user is an outpatient, and a random power map."""
+def instances(draw, num_bs, zero_share=0.0, max_ops=1):
+    """A scenario whose last users, one up to max_ops, are outpatients, and a random
+    power map."""
     max_prbs, max_users = SHAPES[num_bs]
     N = max_prbs - draw(st.integers(0, max_prbs - 1))  # drawn down from the largest shape
     K = min(max_users, num_bs * N)
     K -= draw(st.integers(0, K - 2))
+    ops = draw(st.integers(1, min(max_ops, K - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cfg = channel.ScenarioConfig(num_bs=num_bs, prbs_per_bs=N, num_users=K, num_normal=K - 1)
-    scenario = channel.Scenario(config=cfg, op_ps={K: float(rng.uniform(0.001, 0.01))})
+    cfg = channel.ScenarioConfig(num_bs=num_bs, prbs_per_bs=N, num_users=K, num_normal=K - ops)
+    scenario = channel.Scenario(
+        config=cfg, op_ps={k: float(rng.uniform(0.001, 0.01)) for k in cfg.op_ids}
+    )
     q = rng.uniform(0.05, 5.0, size=(K, N, num_bs))
     q[rng.random(q.shape) < zero_share] = 0.0
     return scenario, channel.PowerMap(q=q, noise_w=float(rng.uniform(0.5, 2.0)))
 
 
-def check_against_oracle(scenario, pm, config):
-    want = oracle_optimum(scenario, pm, config)
+def check_against_oracle(scenario, pm, config, log=math.log):
+    want = oracle_optimum(scenario, pm, config, log)
     if want is None:
         with pytest.raises(InfeasibleError):
             ex.solve_exact(scenario, pm, config)
@@ -81,6 +88,50 @@ def test_pf_with_zero_powers_prunes_like_oracle(num_bs, prio):
     @given(instances(num_bs, zero_share=0.4))
     def check(instance):
         check_against_oracle(*instance, config)
+
+    check()
+
+
+@pytest.mark.parametrize("num_bs", [2, 3])
+@pytest.mark.parametrize("prio", [False, True])
+def test_piecewise_pf_equals_oracle(num_bs, prio):
+    """Piecewise PF maximises the tangent-line envelope of ln: the DP equals the
+    oracle whose log term is the minimum over the tangents s/p + ln p - 1."""
+
+    @settings(derandomize=True, max_examples=EXAMPLES[num_bs], deadline=None, database=None)
+    @given(instances(num_bs),
+           st.lists(st.floats(0.01, 50.0), min_size=1, max_size=6, unique=True))
+    def check(instance, points):
+        config = ex.SolverConfig(objective="pf", prioritization=prio, pf_log_mode="piecewise",
+                                 pwl=ex.PwlSpec(tuple(points)))
+        check_against_oracle(
+            *instance, config, log=lambda s: min(s / p + math.log(p) - 1 for p in points)
+        )
+
+    check()
+
+
+@pytest.mark.parametrize("num_bs", [2, 3])
+@pytest.mark.parametrize("prio", [False, True])
+def test_heuristic_stays_at_or_below_optimum(num_bs, prio):
+    """Every heuristic iteration ends in a feasible assignment, so its weighted
+    SINR sum never exceeds the WSRMax optimum under the same weights."""
+    solver = ex.SolverConfig(objective="wsrmax", prioritization=prio, alpha=ex.DEFAULT_ALPHA)
+    config = heur.HeuristicConfig(prioritization=prio, alpha=ex.DEFAULT_ALPHA)
+
+    @settings(derandomize=True, max_examples=EXAMPLES[num_bs], deadline=None, database=None)
+    @given(instances(num_bs, max_ops=3), st.integers(0, 2**32 - 1))
+    def check(instance, seed):
+        scenario, pm = instance
+        _, optimum = ex.solve_exact(scenario, pm, solver)
+        weights = optimum.priorities
+        assert ex.priorities_for(scenario, config) == weights
+        search = heur.SwapSearch(scenario, pm, weights, prio)
+        for i in range(10):
+            trace = heur.run_iteration(scenario, pm, config, np.random.default_rng([seed, i]),
+                                       search)
+            value = sum(weights[k] * s for k, s in trace.final_sinr.items())
+            assert value <= optimum.objective_value * (1 + 1e-12)
 
     check()
 

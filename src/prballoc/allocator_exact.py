@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
-from .risk import priority
+from .risk import check_alpha, priority
 
 DEFAULT_ALPHA = 500.0
 
@@ -74,6 +74,7 @@ class SolverConfig:
             raise UsageError(f"unknown pf_log_mode {self.pf_log_mode!r}")
         if self.pf_log_mode == "piecewise" and self.pwl is None:
             raise UsageError("piecewise mode requires a PwlSpec")
+        check_alpha(self.alpha)
 
     def log_value(self, s):
         if s <= 0:

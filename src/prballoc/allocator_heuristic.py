@@ -20,6 +20,7 @@ from .channel import derive_seed
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
 from .metrics import summarize
+from .risk import check_alpha
 
 SWAP_RTOL = 1e-12  # a swap must gain more than this share of the objective
 MEMO_FLOATS = 1 << 16  # bound on the column gains a SwapSearch keeps (512 KB)
@@ -36,6 +37,7 @@ class HeuristicConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise UsageError("iterations must be >= 1")
+        check_alpha(self.alpha)
 
 
 @dataclass

@@ -185,8 +185,8 @@ def scenario_from_json(text):
     if distances is not None:
         if distances.shape != (config.num_users, config.num_bs):
             raise DataError("distances shape does not match config")
-        if not (distances > 0).all():
-            raise DataError("distances must be positive")
+        if not (np.isfinite(distances) & (distances > 0)).all():
+            raise DataError("distances must be finite and positive")
     for key, users in (("op_ps", op_ps), ("current_states", states)):
         strangers = sorted(set(users) - set(config.op_ids))
         if strangers:
@@ -237,4 +237,6 @@ def read_power_map_csv(path, noise_w):
         q[u - 1, n - 1, b - 1] = p
     if np.isnan(q).any():
         raise DataError(f"{path}: missing (user, prb, bs) triples")
+    if len(entries) > q.size:
+        raise DataError(f"{path}: {len(entries) - q.size} repeated (user, prb, bs) row(s)")
     return PowerMap(q=q, noise_w=noise_w)

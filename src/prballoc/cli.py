@@ -46,48 +46,50 @@ class ExperimentSpec:
     runs: int = 3
 
     def __post_init__(self):
+        self.alphas = tuple(self.alphas)
         if self.kind == "alpha_sweep" and not self.alphas:
             raise UsageError("alpha sweep needs a non-empty alpha list")
-        for name in ("realizations", "runs"):
+        for name in ("realizations", "iterations", "runs"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
+        for alpha in (self.alpha, *self.alphas):
+            risk.check_alpha(alpha)
 
 
 def _read_scenario(path):
     return channel.scenario_from_json(read_text(path))
 
 
-def _load_scenario(spec):
-    if spec.scenario_path:
-        return _read_scenario(spec.scenario_path)
-    config = channel.ScenarioConfig(seed=spec.seed)
-    scenario, _ = channel.generate_scenario(config, op_ps=REFERENCE_OP_PS)
-    return scenario
+def _inputs(spec, scenario, power_maps):
+    """The runner's scenario and power maps: those given, else the spec's scenario
+    file (or the seed's baseline scenario) and its first `realizations` maps."""
+    if scenario is None and spec.scenario_path:
+        scenario = _read_scenario(spec.scenario_path)
+    elif scenario is None:
+        config = channel.ScenarioConfig(seed=spec.seed)
+        scenario = channel.Scenario(config=config, op_ps=dict(REFERENCE_OP_PS))
+    if power_maps is None:
+        power_maps = [channel.generate_power_map(scenario, realization=i)
+                      for i in range(spec.realizations)]
+    return scenario, power_maps
 
 
-def _power_maps(scenario, count):
-    return [channel.generate_power_map(scenario, realization=i) for i in range(count)]
-
-
-def _file_sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _write_realizations(scenario, power_maps, outdir):
+def _write_scenario_dir(scenario, power_maps, outdir):
+    """Write scenario.json and one power_map_NNN.csv per map, as the iterable
+    `power_maps` yields them; return the map files' sha256 digests."""
+    os.makedirs(outdir, exist_ok=True)
+    write_text_atomic(os.path.join(outdir, "scenario.json"), channel.scenario_to_json(scenario))
     hashes = []
     for i, pm in enumerate(power_maps):
         path = os.path.join(outdir, f"power_map_{i:03d}.csv")
         channel.write_power_map_csv(pm, path)
-        hashes.append(_file_sha256(path))
+        with open(path, "rb") as fh:
+            hashes.append(hashlib.sha256(fh.read()).hexdigest())
     return hashes
 
 
 def _echo_config(spec, outdir, extra=None):
     payload = {k: getattr(spec, k) for k in spec.__dataclass_fields__}
-    payload["alphas"] = list(spec.alphas)
     if extra:
         payload.update(extra)
     write_text_atomic(
@@ -120,54 +122,31 @@ class BeforeAfterResult:
 
 
 def run_before_after(spec, scenario=None, power_maps=None):
-    """Paired before/after prioritization runs on identical realizations."""
-    # built first, so that bad settings fail before any work
-    heuristic_configs = [
-        heur.HeuristicConfig(
-            iterations=spec.iterations, prioritization=p, alpha=spec.alpha, seed=spec.seed
-        )
-        for p in (False, True)
-    ]
-    os.makedirs(spec.output_dir, exist_ok=True)
-    if scenario is None:
-        scenario = _load_scenario(spec)
-    if power_maps is None:
-        power_maps = _power_maps(scenario, spec.realizations)
-    hashes = _write_realizations(scenario, power_maps, spec.output_dir)
-    write_text_atomic(
-        os.path.join(spec.output_dir, "scenario.json"), channel.scenario_to_json(scenario)
-    )
-    result = BeforeAfterResult(
-        exact_before=[],
-        exact_after=[],
-        heuristic_before=[],
-        heuristic_after=[],
-        op_ids=scenario.config.op_ids,
-        user_ids=scenario.config.user_ids,
-    )
-    for prioritization, bucket in ((False, result.exact_before), (True, result.exact_after)):
-        config = exact.SolverConfig(
+    """Paired before/after prioritization runs on identical realizations: one
+    pass with prioritization off, then one with it on."""
+    scenario, power_maps = _inputs(spec, scenario, power_maps)
+    hashes = _write_scenario_dir(scenario, power_maps, spec.output_dir)
+    result = BeforeAfterResult([], [], [], [], scenario.config.op_ids, scenario.config.user_ids)
+    for prioritization, tag, exact_runs, heuristic_means in (
+        (False, "before", result.exact_before, result.heuristic_before),
+        (True, "after", result.exact_after, result.heuristic_after),
+    ):
+        solver = exact.SolverConfig(
             objective=spec.objective, prioritization=prioritization, alpha=spec.alpha
         )
-        for pm in power_maps:
-            _, report = exact.solve_exact(scenario, pm, config)
-            bucket.append(report.sinr)
-    for config, bucket, tag in zip(
-        heuristic_configs,
-        (result.heuristic_before, result.heuristic_after),
-        ("before", "after"),
-    ):
-        report = heur.run_heuristic(scenario, power_maps, config)
-        bucket.extend(report.per_file_means)
-        heur.write_heuristic_csv(
-            report, os.path.join(spec.output_dir, f"heuristic_{tag}.csv")
-        )
-    for tag, runs in (("before", result.exact_before), ("after", result.exact_after)):
+        exact_runs.extend(exact.solve_exact(scenario, pm, solver)[1].sinr for pm in power_maps)
         rows = [
-            (f"user_{k}", "exact", metrics.summarize([r[k] for r in runs]))
+            (f"user_{k}", "exact", metrics.summarize([r[k] for r in exact_runs]))
             for k in result.user_ids
         ]
         metrics.write_summary_csv(rows, os.path.join(spec.output_dir, f"exact_{tag}.csv"))
+        heuristic = heur.HeuristicConfig(
+            iterations=spec.iterations, prioritization=prioritization, alpha=spec.alpha,
+            seed=spec.seed,
+        )
+        report = heur.run_heuristic(scenario, power_maps, heuristic)
+        heuristic_means.extend(report.per_file_means)
+        heur.write_heuristic_csv(report, os.path.join(spec.output_dir, f"heuristic_{tag}.csv"))
     summary = [
         ["op_improvement_exact_pct", repr(result.op_improvement_pct(result.exact_before, result.exact_after))],
         ["op_improvement_heuristic_pct", repr(result.op_improvement_pct(result.heuristic_before, result.heuristic_after))],
@@ -181,41 +160,32 @@ def run_before_after(spec, scenario=None, power_maps=None):
 
 def run_alpha_sweep(spec, scenario=None, power_maps=None):
     """Exact after-prioritization solves per alpha: average SINR, healthy-user
-    SD, and per-OP means, ordered by alpha."""
+    SD (None for fewer than two healthy users), and per-OP means, ordered by alpha."""
+    scenario, power_maps = _inputs(spec, scenario, power_maps)
     os.makedirs(spec.output_dir, exist_ok=True)
-    if scenario is None:
-        scenario = _load_scenario(spec)
-    if power_maps is None:
-        power_maps = _power_maps(scenario, spec.realizations)
     cfg = scenario.config
     healthy = [k for k in cfg.user_ids if not scenario.is_outpatient(k)]
-    rows = []
     table = []
     for alpha in sorted(spec.alphas):
-        config = exact.SolverConfig(
-            objective=spec.objective, prioritization=True, alpha=alpha
-        )
-        sinr_runs = []
-        for pm in power_maps:
-            _, report = exact.solve_exact(scenario, pm, config)
-            sinr_runs.append(report.sinr)
+        config = exact.SolverConfig(objective=spec.objective, prioritization=True, alpha=alpha)
+        sinr_runs = [exact.solve_exact(scenario, pm, config)[1].sinr for pm in power_maps]
         user_means = {k: _mean([r[k] for r in sinr_runs]) for k in cfg.user_ids}
-        avg = _mean(list(user_means.values()))
-        sd = metrics.fairness_sd([user_means[k] for k in healthy])
-        row = {
+        sd = metrics.fairness_sd([user_means[k] for k in healthy]) if healthy else None
+        table.append({
             "alpha": alpha,
-            "avg_sinr": avg,
+            "avg_sinr": _mean(list(user_means.values())),
             "healthy_sd": sd,
             "op_means": {k: user_means[k] for k in cfg.op_ids},
-        }
-        table.append(row)
-        rows.append(
-            [alpha, repr(avg), repr(sd)] + [repr(user_means[k]) for k in cfg.op_ids]
-        )
+        })
     write_csv(
         os.path.join(spec.output_dir, "alpha_sweep.csv"),
         ["alpha", "avg_sinr", "healthy_sd"] + [f"op_{k}_mean" for k in cfg.op_ids],
-        rows,
+        (
+            [row["alpha"], repr(row["avg_sinr"]),
+             "" if row["healthy_sd"] is None else repr(row["healthy_sd"])]
+            + [repr(row["op_means"][k]) for k in cfg.op_ids]
+            for row in table
+        ),
     )
     _echo_config(spec, spec.output_dir)
     return table
@@ -268,7 +238,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_risk(args):
-    config = risk.RiskConfig(alpha=args.alpha, smoothing=args.smoothing)
+    config = risk.RiskConfig(alpha=args.alpha)
     records = {r.patient_id: r for r in medrecords.read_records_csv(args.records)}
     scenario = _read_scenario(args.scenario)
     if not scenario.current_states:
@@ -297,7 +267,6 @@ def _cmd_risk(args):
 
 
 def _cmd_generate(args):
-    os.makedirs(args.output, exist_ok=True)
     config = channel.ScenarioConfig(
         num_bs=args.bs,
         prbs_per_bs=args.prbs,
@@ -306,13 +275,9 @@ def _cmd_generate(args):
         seed=args.seed,
     )
     op_ps = {k: ps for k, ps in REFERENCE_OP_PS.items() if args.reference_ps and k in config.op_ids}
-    scenario, _ = channel.generate_scenario(config, op_ps=op_ps)
-    write_text_atomic(
-        os.path.join(args.output, "scenario.json"), channel.scenario_to_json(scenario)
-    )
-    for i in range(args.realizations):
-        pm = channel.generate_power_map(scenario, realization=i)
-        channel.write_power_map_csv(pm, os.path.join(args.output, f"power_map_{i:03d}.csv"))
+    scenario = channel.Scenario(config=config, op_ps=op_ps)
+    maps = (channel.generate_power_map(scenario, realization=i) for i in range(args.realizations))
+    _write_scenario_dir(scenario, maps, args.output)
     print(f"wrote scenario and {args.realizations} power maps to {args.output}")
 
 
@@ -392,13 +357,9 @@ def _cmd_validate_solution(args):
 
 
 def _spec_from_args(args, kind):
-    """The spec from the options the subcommand defines; the rest keep the field defaults."""
-    renamed = {"output": "output_dir", "scenario": "scenario_path"}
-    given = {renamed.get(k, k): v for k, v in vars(args).items()}
-    given = {k: v for k, v in given.items() if k in ExperimentSpec.__dataclass_fields__}
-    if "alphas" in given:
-        given["alphas"] = tuple(given["alphas"])
-    return ExperimentSpec(kind=kind, **given)
+    """The spec from the options given; the rest keep the field defaults."""
+    fields = ExperimentSpec.__dataclass_fields__
+    return ExperimentSpec(kind=kind, **{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _cmd_before_after(args):
@@ -412,7 +373,8 @@ def _cmd_before_after(args):
 def _cmd_sweep_alpha(args):
     table = run_alpha_sweep(_spec_from_args(args, "alpha_sweep"))
     for row in table:
-        print(f"alpha={row['alpha']:g} avg_sinr={row['avg_sinr']:.4f} healthy_sd={row['healthy_sd']:.4f}")
+        sd = "n/a" if row["healthy_sd"] is None else f"{row['healthy_sd']:.4f}"
+        print(f"alpha={row['alpha']:g} avg_sinr={row['avg_sinr']:.4f} healthy_sd={sd}")
 
 
 def _cmd_scalability(args):
@@ -428,6 +390,17 @@ def _add_instance_args(p):
     p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
     p.add_argument("--prioritize", action="store_true")
     p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
+
+
+def _add_experiment_args(p):
+    """The options before-after and sweep-alpha share.  Each is stored under the
+    ExperimentSpec field it sets; the experiment parsers' argument_default is
+    SUPPRESS, so an option not given keeps the field's default."""
+    p.add_argument("--output", dest="output_dir", required=True)
+    p.add_argument("--scenario", dest="scenario_path")
+    p.add_argument("--objective", choices=["wsrmax", "pf"])
+    p.add_argument("--realizations", type=int)
+    p.add_argument("--seed", type=int)
 
 
 def build_parser():
@@ -447,7 +420,7 @@ def build_parser():
     p.add_argument("--records", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
-    p.add_argument("--smoothing", choices=["off", "laplace"], default="off")
+    p.add_argument("--smoothing", choices=risk.SMOOTHING_MODES, default="off")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_risk)
 
@@ -488,29 +461,24 @@ def build_parser():
     p.add_argument("--solution", required=True)
     p.set_defaults(func=_cmd_validate_solution)
 
-    p = sub.add_parser("before-after", help="paired prioritization experiment")
-    p.add_argument("--output", required=True)
-    p.add_argument("--scenario")
-    p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
-    p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
-    p.add_argument("--realizations", type=int, default=100)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("before-after", help="paired prioritization experiment",
+                       argument_default=argparse.SUPPRESS)
+    _add_experiment_args(p)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--iterations", type=int)
     p.set_defaults(func=_cmd_before_after)
 
-    p = sub.add_parser("sweep-alpha", help="fairness and SINR across alpha values")
-    p.add_argument("--output", required=True)
-    p.add_argument("--scenario")
-    p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
-    p.add_argument("--alphas", type=float, nargs="+", default=list(DEFAULT_ALPHAS))
-    p.add_argument("--realizations", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("sweep-alpha", help="fairness and SINR across alpha values",
+                       argument_default=argparse.SUPPRESS)
+    _add_experiment_args(p)
+    p.add_argument("--alphas", type=float, nargs="+")
     p.set_defaults(func=_cmd_sweep_alpha)
 
-    p = sub.add_parser("scalability", help="heuristic timing across PRB counts")
-    p.add_argument("--output", required=True)
-    p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("scalability", help="heuristic timing across PRB counts",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--output", dest="output_dir", required=True)
+    p.add_argument("--runs", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_scalability)
 
     return parser

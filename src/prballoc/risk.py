@@ -18,18 +18,21 @@ log = logging.getLogger(__name__)
 
 NUM_LEVELS = 3  # every feature has exactly three severity levels
 RISK_COLUMNS = ["user_id", "is_op", "ps", "up"]
+SMOOTHING_MODES = ("off", "laplace")
+
+
+def check_alpha(alpha):
+    """The one rule for a priority scale: alpha must be finite and > 0."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise UsageError(f"alpha must be finite and > 0, got {alpha!r}")
 
 
 @dataclass
 class RiskConfig:
     alpha: float
-    smoothing: str = "off"  # "off" | "laplace"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise UsageError("alpha must be positive")
-        if self.smoothing not in ("off", "laplace"):
-            raise UsageError(f"unknown smoothing mode {self.smoothing!r}")
+        check_alpha(self.alpha)
 
 
 @dataclass
@@ -85,6 +88,8 @@ def conditional_probability(record, feature, level, stroke=True, smoothing="off"
 
 def posterior_stroke(record, state, smoothing="off"):
     """Stroke posterior PS for the given current state, in [0, 1]."""
+    if smoothing not in SMOOTHING_MODES:
+        raise UsageError(f"unknown smoothing mode {smoothing!r}")
     prior = prior_stroke(record)
     if prior == 0.0 and smoothing == "off":
         # A healthy history degrades the outpatient to normal priority.

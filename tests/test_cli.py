@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -205,6 +207,31 @@ class TestExperiments:
         with pytest.raises(UsageError):
             cli.ExperimentSpec(kind="alpha_sweep", output_dir=str(tmp_path), alphas=())
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 0), ("alpha", math.nan), ("alpha", -1000.0), ("alpha", math.inf),
+        ("alphas", (500.0, 0.0)), ("alphas", (math.nan,)),
+    ])
+    def test_bad_settings_fail_before_any_output(self, tmp_path, field, value):
+        out = tmp_path / "out"
+        with pytest.raises(UsageError):
+            spec = cli.ExperimentSpec(kind="before_after", output_dir=str(out),
+                                      **{"realizations": 1, "iterations": 1, field: value})
+            cli.run_before_after(spec)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("normal", [0, 1])
+    def test_sweep_with_fewer_than_two_healthy_users(self, tmp_path, capsys, normal):
+        """The healthy-user SD is undefined: an empty cell and "n/a", not a crash."""
+        scn = tmp_path / "scn"
+        assert run(["generate", "--output", str(scn), "--users", "4", "--normal", str(normal),
+                    "--prbs", "2", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert run(["sweep-alpha", "--scenario", str(scn / "scenario.json"), "--output",
+                    str(tmp_path / "sw"), "--realizations", "2", "--alphas", "50", "500"]) == 0
+        assert capsys.readouterr().out.count("healthy_sd=n/a\n") == 2
+        lines = (tmp_path / "sw" / "alpha_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[2] for line in lines[1:]] == ["", ""]
+
     def test_scalability_csv(self, tmp_path):
         spec = cli.ExperimentSpec(
             kind="scalability", output_dir=str(tmp_path / "scale"), runs=1, seed=0,
@@ -214,6 +241,22 @@ class TestExperiments:
         assert all(r[2] == 2 * r[1] for r in rows)
         lines = (tmp_path / "scale" / "scalability.csv").read_text().splitlines()
         assert lines[0] == "bandwidth_mhz,prbs,users,seconds"
+
+
+class TestScenarioDirectory:
+    def test_generate_and_before_after_write_the_same_inputs(self, tmp_path):
+        gen, ba = tmp_path / "gen", tmp_path / "ba"
+        assert run(["generate", "--seed", "3", "--realizations", "3", "--reference-ps",
+                    "--output", str(gen)]) == 0
+        assert run(["before-after", "--seed", "3", "--realizations", "3", "--iterations", "1",
+                    "--output", str(ba)]) == 0
+        maps = [f"power_map_{i:03d}.csv" for i in range(3)]
+        for name in ["scenario.json"] + maps:
+            assert (gen / name).read_bytes() == (ba / name).read_bytes(), name
+        echo = json.loads((ba / "config_echo.json").read_text())
+        assert echo["realization_sha256"] == [
+            hashlib.sha256((ba / name).read_bytes()).hexdigest() for name in maps
+        ]
 
 
 class TestBeforeAfterGolden:
@@ -348,6 +391,8 @@ VALIDATE = ["validate-solution", "--scenario", "{scn}/scenario.json", "--power-m
 RISK = ["risk", "--records", "{scn}/records.csv", "--scenario", "{scn}/scenario.json",
         "--output", "{tmp}/risk.csv"]
 
+INF_DISTANCES = [["400.0", "400.0"]] * 9 + [["inf", "400.0"]]
+
 # id, edit of the generated scenario directory, argv, exit code, text in stderr
 MALFORMED = [
     ("heuristic-zero-iterations", None, HEURISTIC + ["--iterations", "0"], 2, "iterations"),
@@ -400,6 +445,19 @@ MALFORMED = [
     ("solution-nan-value", _solution("X_10_5_2 nan"), VALIDATE, 4, "non-integral"),
     ("solution-not-utf8", _append_bytes("solution.txt", b"\xff\n"), VALIDATE, 4, "cannot read"),
     ("risk-zero-alpha", _risk_inputs(STATE), RISK + ["--alpha", "0"], 2, "alpha"),
+    ("risk-inf-alpha", _risk_inputs(STATE), RISK + ["--alpha", "inf"], 2, "alpha"),
+    ("solve-nan-alpha", None, SOLVE + ["--prioritize", "--alpha", "nan"], 2, "alpha"),
+    ("solve-negative-alpha", None, SOLVE + ["--prioritize", "--alpha", "-1000"], 2, "alpha"),
+    ("heuristic-zero-alpha", None, HEURISTIC + ["--prioritize", "--alpha", "0"], 2, "alpha"),
+    ("before-after-nan-alpha", None, BEFORE_AFTER + ["--alpha", "nan"], 2, "alpha"),
+    ("sweep-alpha-negative-alpha", None,
+     ["sweep-alpha", "--output", "{tmp}/sw", "--realizations", "1", "--alphas", "500", "-1"], 2,
+     "alpha"),
+    ("power-repeated-row", _append_bytes("power_map_000.csv", b"1,1,1,1.0\r\n"), SOLVE, 4,
+     "repeated"),
+    ("scenario-distance-inf", _set_scenario(distances=INF_DISTANCES), SOLVE, 4, "distances"),
+    ("before-after-distance-inf", _set_scenario(distances=INF_DISTANCES), BEFORE_AFTER, 4,
+     "distances"),
     ("risk-unknown-level", _risk_inputs({**STATE, "f1": "Bogus"}), RISK, 4, "outpatient 8"),
     ("risk-missing-feature", _risk_inputs({"f1": "Normal", "f2": "Normal", "f3": "High"}),
      RISK, 4, "outpatient 8"),

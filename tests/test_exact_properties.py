@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prballoc import allocator_exact as ex  # noqa: E402
@@ -22,6 +22,11 @@ from prballoc import allocator_heuristic as heur  # noqa: E402
 from prballoc import channel  # noqa: E402
 from prballoc.errors import InfeasibleError  # noqa: E402
 from test_exact import oracle_optimum  # noqa: E402
+
+# No shrinking: a failure reports the example that found it at once, rather than
+# re-running the oracle through minutes of shrink steps.
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    phases=[Phase.explicit, Phase.generate])
 
 # (max PRBs, max users) per BS count; the oracle walks every injective map
 SHAPES = {2: (3, 6), 3: (2, 5), 4: (2, 5)}
@@ -69,7 +74,7 @@ SETTINGS = [(objective, prio) for objective in ("wsrmax", "pf") for prio in (Fal
 def test_dp_equals_oracle(num_bs, objective, prio):
     config = ex.SolverConfig(objective=objective, prioritization=prio)
 
-    @settings(derandomize=True, max_examples=EXAMPLES[num_bs], deadline=None, database=None)
+    @settings(PROPERTY, max_examples=EXAMPLES[num_bs])
     @given(instances(num_bs))
     def check(instance):
         check_against_oracle(*instance, config)
@@ -84,7 +89,7 @@ def test_pf_with_zero_powers_prunes_like_oracle(num_bs, prio):
     exactly the assignments the oracle skips, and fail when none is left."""
     config = ex.SolverConfig(objective="pf", prioritization=prio)
 
-    @settings(derandomize=True, max_examples=2 * EXAMPLES[num_bs], deadline=None, database=None)
+    @settings(PROPERTY, max_examples=2 * EXAMPLES[num_bs])
     @given(instances(num_bs, zero_share=0.4))
     def check(instance):
         check_against_oracle(*instance, config)
@@ -98,7 +103,7 @@ def test_piecewise_pf_equals_oracle(num_bs, prio):
     """Piecewise PF maximises the tangent-line envelope of ln: the DP equals the
     oracle whose log term is the minimum over the tangents s/p + ln p - 1."""
 
-    @settings(derandomize=True, max_examples=EXAMPLES[num_bs], deadline=None, database=None)
+    @settings(PROPERTY, max_examples=EXAMPLES[num_bs])
     @given(instances(num_bs),
            st.lists(st.floats(0.01, 50.0), min_size=1, max_size=6, unique=True))
     def check(instance, points):
@@ -119,7 +124,7 @@ def test_heuristic_stays_at_or_below_optimum(num_bs, prio):
     solver = ex.SolverConfig(objective="wsrmax", prioritization=prio, alpha=ex.DEFAULT_ALPHA)
     config = heur.HeuristicConfig(prioritization=prio, alpha=ex.DEFAULT_ALPHA)
 
-    @settings(derandomize=True, max_examples=EXAMPLES[num_bs], deadline=None, database=None)
+    @settings(PROPERTY, max_examples=EXAMPLES[num_bs])
     @given(instances(num_bs, max_ops=3), st.integers(0, 2**32 - 1))
     def check(instance, seed):
         scenario, pm = instance
@@ -148,7 +153,7 @@ def direct_sinrs(assignment, pm):
     return sinrs
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(PROPERTY, max_examples=60)
 @given(num_bs=st.integers(2, 3), data=st.data())
 def test_sinr_of_bit_equal_to_direct_loop(num_bs, data):
     """Up to two interferers, the kernel's BS-order sum is exact: bit-equal SINRs."""

@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prballoc import channel  # noqa: E402
+
+# No shrinking: a failure reports the example that found it at once.
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    phases=[Phase.explicit, Phase.generate])
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -57,7 +61,7 @@ def scenarios(draw):
     )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(PROPERTY, max_examples=200)
 @given(scenarios())
 def test_scenario_json_round_trip(scenario):
     back = channel.scenario_from_json(channel.scenario_to_json(scenario))
@@ -70,7 +74,7 @@ def test_scenario_json_round_trip(scenario):
     assert back.current_states == scenario.current_states
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(PROPERTY, max_examples=100)
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)), st.data())
 def test_power_map_csv_round_trip_is_bit_equal(shape, data):
     cells = data.draw(st.lists(POWERS, min_size=math.prod(shape), max_size=math.prod(shape)))

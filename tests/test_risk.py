@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from prballoc import allocator_exact as ex
+from prballoc import allocator_heuristic as heur
 from prballoc import risk
 from prballoc.errors import DataError, UsageError
 from prballoc.medrecords import FEATURES, LEVEL_NAMES, DayEntry, MedicalRecord
@@ -91,6 +93,12 @@ class TestPosterior:
         assert ps == 0.0
         assert any("no stroke days" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("stroke", [False, True])
+    def test_unknown_smoothing_mode_rejected(self, stroke):
+        rec = _record([(_levels(), False)] * 4 + [(_levels(), stroke)])
+        with pytest.raises(UsageError, match="bogus"):
+            risk.posterior_stroke(rec, risk.CurrentState(**_levels()), smoothing="bogus")
+
     def test_matches_oracle_on_random_records(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -138,10 +146,11 @@ class TestPriority:
             risk.priority(1.5, risk.RiskConfig(alpha=50.0), True)
 
     def test_config_validation(self):
-        with pytest.raises(UsageError):
-            risk.RiskConfig(alpha=0.0)
-        with pytest.raises(UsageError):
-            risk.RiskConfig(alpha=1.0, smoothing="bogus")
+        """Every config that carries alpha takes only a finite alpha > 0."""
+        for make in (risk.RiskConfig, ex.SolverConfig, heur.HeuristicConfig):
+            for alpha in (0.0, -1000.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(UsageError, match="alpha"):
+                    make(alpha=alpha)
 
 
 class TestRiskCsv:

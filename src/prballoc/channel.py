@@ -232,6 +232,9 @@ def read_power_map_csv(path, noise_w):
     K = max(e[0] for e in entries)
     N = max(e[1] for e in entries)
     B = max(e[2] for e in entries)
+    # Checked before allocating, so that large ids cannot size a huge array.
+    if K * N * B > len(entries):
+        raise DataError(f"{path}: missing (user, prb, bs) triples")
     q = np.full((K, N, B), np.nan)
     for u, n, b, p in entries:
         q[u - 1, n - 1, b - 1] = p

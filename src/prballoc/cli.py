@@ -32,6 +32,13 @@ REFERENCE_OP_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 SCALABILITY_CASES = ((1.4, 6), (3.0, 15), (5.0, 25), (10.0, 50), (15.0, 75), (20.0, 100))
 
 
+def _check_counts(settings, *names):
+    """The one rule for a count setting: it must be >= 1."""
+    for name in names:
+        if getattr(settings, name) < 1:
+            raise UsageError(f"{name} must be >= 1")
+
+
 @dataclass
 class ExperimentSpec:
     kind: str  # alpha_sweep | before_after | scalability
@@ -49,9 +56,7 @@ class ExperimentSpec:
         self.alphas = tuple(self.alphas)
         if self.kind == "alpha_sweep" and not self.alphas:
             raise UsageError("alpha sweep needs a non-empty alpha list")
-        for name in ("realizations", "iterations", "runs"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1")
+        _check_counts(self, "realizations", "iterations", "runs")
         for alpha in (self.alpha, *self.alphas):
             risk.check_alpha(alpha)
 
@@ -238,17 +243,14 @@ def _cmd_ingest(args):
 
 
 def _cmd_risk(args):
-    config = risk.RiskConfig(alpha=args.alpha)
+    """Write the scenario back out with op_ps set to each outpatient's posterior.
+    The i-th outpatient is scored from the i-th record id in string order."""
     records = {r.patient_id: r for r in medrecords.read_records_csv(args.records)}
     scenario = _read_scenario(args.scenario)
     if not scenario.current_states:
         raise DataError("scenario has no current_states for the outpatients")
     ordered_patients = sorted(records)
-    profiles = []
-    for uid in scenario.config.user_ids:
-        if not scenario.is_outpatient(uid):
-            profiles.append(risk.RiskProfile(uid, False, 0.0, 1.0))
-            continue
+    for rank, uid in enumerate(scenario.config.op_ids):
         state_tokens = scenario.current_states.get(uid)
         if state_tokens is None:
             raise DataError(f"no current state for outpatient {uid}")
@@ -256,17 +258,16 @@ def _cmd_risk(args):
             state = risk.CurrentState(**state_tokens)
         except (TypeError, ValueError) as exc:
             raise DataError(f"bad current state for outpatient {uid}: {exc}") from None
-        op_rank = uid - scenario.config.num_normal - 1
-        if op_rank >= len(ordered_patients):
+        if rank >= len(ordered_patients):
             raise DataError("fewer patient records than outpatients")
-        record = records[ordered_patients[op_rank]]
-        ps = risk.posterior_stroke(record, state, smoothing=args.smoothing)
-        profiles.append(risk.RiskProfile(uid, True, ps, risk.priority(ps, config, True)))
-    risk.write_risk_csv(profiles, args.output)
-    print(f"wrote {len(profiles)} risk profiles to {args.output}")
+        record = records[ordered_patients[rank]]
+        scenario.op_ps[uid] = risk.posterior_stroke(record, state, smoothing=args.smoothing)
+    write_text_atomic(args.output, channel.scenario_to_json(scenario))
+    print(f"wrote the posteriors of {len(scenario.op_ps)} outpatients to {args.output}")
 
 
 def _cmd_generate(args):
+    _check_counts(args, "realizations")
     config = channel.ScenarioConfig(
         num_bs=args.bs,
         prbs_per_bs=args.prbs,
@@ -416,10 +417,9 @@ def build_parser():
     p.add_argument("--window", type=int, default=medrecords.DEFAULT_OBSERVATION_DAYS)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("risk", help="score outpatients from discretized records")
+    p = sub.add_parser("risk", help="score outpatients from discretized records into a scenario")
     p.add_argument("--records", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
     p.add_argument("--smoothing", choices=risk.SMOOTHING_MODES, default="off")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_risk)

@@ -11,13 +11,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError, UsageError
-from .fileio import open_csv, write_csv
 from .medrecords import FEATURES, LEVEL_NAMES
 
 log = logging.getLogger(__name__)
 
 NUM_LEVELS = 3  # every feature has exactly three severity levels
-RISK_COLUMNS = ["user_id", "is_op", "ps", "up"]
 SMOOTHING_MODES = ("off", "laplace")
 
 
@@ -54,14 +52,6 @@ class CurrentState:
         return getattr(self, feature)
 
 
-@dataclass
-class RiskProfile:
-    user_id: int
-    is_outpatient: bool
-    ps: float
-    up: float
-
-
 def prior_stroke(record):
     """Fraction of days in the record on which a stroke occurred."""
     if not record.days:
@@ -70,20 +60,17 @@ def prior_stroke(record):
     return stroke_days / len(record.days)
 
 
-def conditional_probability(record, feature, level, stroke=True, smoothing="off"):
-    """P(feature = level | class = stroke/no-stroke) by counting days."""
+def conditional_probability(record, feature, level, smoothing="off"):
+    """P(feature = level | stroke) by counting the stroke days."""
     if feature not in FEATURES:
         raise ValueError(f"unknown feature {feature!r}")
-    class_count = sum(1 for e in record.days if e.stroke == stroke)
-    joint = sum(1 for e in record.days if e.stroke == stroke and e.levels[feature] == level)
+    stroke_days = [e for e in record.days if e.stroke]
+    joint = sum(1 for e in stroke_days if e.levels[feature] == level)
     if smoothing == "laplace":
-        return (joint + 1) / (class_count + NUM_LEVELS)
-    if class_count == 0:
-        raise DataError(
-            f"patient {record.patient_id}: undefined conditional, "
-            f"no days with stroke={stroke}"
-        )
-    return joint / class_count
+        return (joint + 1) / (len(stroke_days) + NUM_LEVELS)
+    if not stroke_days:
+        raise DataError(f"patient {record.patient_id}: undefined conditional, no stroke days")
+    return joint / len(stroke_days)
 
 
 def posterior_stroke(record, state, smoothing="off"):
@@ -99,9 +86,7 @@ def posterior_stroke(record, state, smoothing="off"):
         return 0.0
     ps = prior
     for feature in FEATURES:
-        ps *= conditional_probability(
-            record, feature, state.level(feature), stroke=True, smoothing=smoothing
-        )
+        ps *= conditional_probability(record, feature, state.level(feature), smoothing=smoothing)
     return ps
 
 
@@ -112,30 +97,3 @@ def priority(ps, config, is_outpatient):
     if not is_outpatient:
         return 1.0
     return 1.0 + config.alpha * ps
-
-
-def write_risk_csv(profiles, path):
-    write_csv(path, RISK_COLUMNS, (
-        [p.user_id, int(p.is_outpatient), repr(p.ps), repr(p.up)] for p in profiles
-    ))
-
-
-def read_risk_csv(path):
-    with open_csv(path) as (header, reader):
-        if header != RISK_COLUMNS:
-            raise DataError(f"{path}: bad risk CSV header")
-        profiles = []
-        for row in reader:
-            try:
-                uid, op, ps, up = row
-                uid, op, ps, up = int(uid), int(op), float(ps), float(up)
-                ok = op in (0, 1) and 0.0 <= ps <= 1.0 and 1.0 <= up < math.inf
-            except ValueError:
-                ok = False
-            if not ok:
-                raise DataError(
-                    f"{path}: line {reader.line_num}: want user_id, is_op 0 or 1, ps in [0, 1]"
-                    f" and a finite up >= 1, got {row}"
-                )
-            profiles.append(RiskProfile(user_id=uid, is_outpatient=bool(op), ps=ps, up=up))
-        return profiles

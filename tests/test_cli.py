@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from prballoc import channel, cli, fileio, medrecords
+from prballoc import channel, cli, fileio, medrecords, risk
 from prballoc.errors import UsageError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "before_after_seed3.json")
@@ -127,34 +127,74 @@ class TestSolveAndExport:
         assert code == 4
 
 
+STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
+
+
+def _ingest(tmp_path, num_patients):
+    """Raw rows of `num_patients` synthetic patients (ids p1, p2, ...), ingested."""
+    raw = tmp_path / "raw.csv"
+    rng = np.random.default_rng(0)
+    rows = medrecords.synthesize_raw_records(num_patients, 35, rng, stroke_rate=0.3)
+    with open(raw, "w") as fh:
+        fh.write(",".join(medrecords.CSV_COLUMNS) + "\n")
+        for r in rows:
+            fh.write(
+                f"{r.patient_id},{r.day},{r.sysbp},{r.diabp},{r.totchol},{r.cigpday},{r.stroke}\n"
+            )
+    records = tmp_path / "records.csv"
+    assert run(["ingest", "--input", str(raw), "--output", str(records)]) == 0
+    return records
+
+
+def _with_states(scenario_dir):
+    """The scenario with current states for outpatients 8-10 and no posteriors."""
+    scenario_path = scenario_dir / "scenario.json"
+    payload = json.loads(scenario_path.read_text())
+    payload["op_ps"] = {}
+    payload["current_states"] = {str(k): STATE for k in (8, 9, 10)}
+    scenario_path.write_text(json.dumps(payload))
+    return scenario_path
+
+
 class TestIngestAndRisk:
     def test_pipeline(self, tmp_path, scenario_dir):
-        raw = tmp_path / "raw.csv"
-        rng = np.random.default_rng(0)
-        rows = medrecords.synthesize_raw_records(3, 35, rng, stroke_rate=0.3)
-        with open(raw, "w") as fh:
-            fh.write(",".join(medrecords.CSV_COLUMNS) + "\n")
-            for r in rows:
-                fh.write(
-                    f"{r.patient_id},{r.day},{r.sysbp},{r.diabp},{r.totchol},{r.cigpday},{r.stroke}\n"
-                )
-        records = tmp_path / "records.csv"
-        assert run(["ingest", "--input", str(raw), "--output", str(records)]) == 0
-
-        # add current states for the three outpatients to the scenario file
-        scenario_path = scenario_dir / "scenario.json"
-        payload = json.loads(scenario_path.read_text())
-        state = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
-        payload["current_states"] = {str(k): state for k in (8, 9, 10)}
-        scenario_path.write_text(json.dumps(payload))
-        out = tmp_path / "risk.csv"
+        records = _ingest(tmp_path, 3)
+        scenario_path = _with_states(scenario_dir)
+        out = tmp_path / "scored.json"
         assert run([
             "risk", "--records", str(records), "--scenario", str(scenario_path),
             "--smoothing", "laplace", "--output", str(out),
         ]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "user_id,is_op,ps,up"
-        assert len(lines) == 11
+        given, scored = json.loads(scenario_path.read_text()), json.loads(out.read_text())
+        assert sorted(scored.pop("op_ps"), key=int) == ["8", "9", "10"]
+        assert scored == {k: v for k, v in given.items() if k != "op_ps"}
+
+    def test_scored_scenario_drives_the_prioritized_solve(self, tmp_path, scenario_dir):
+        """ingest -> risk -> solve --prioritize equals a solve on the posteriors injected
+        by hand.  Outpatient 7 + i is scored from the i-th record id in string order."""
+        records_path = _ingest(tmp_path, 11)
+        scenario_path = _with_states(scenario_dir)
+        scored = tmp_path / "scored.json"
+        assert run(["risk", "--records", str(records_path), "--scenario", str(scenario_path),
+                    "--output", str(scored)]) == 0
+
+        records = {r.patient_id: r for r in medrecords.read_records_csv(str(records_path))}
+        scenario = channel.scenario_from_json(scenario_path.read_text())
+        for uid, pid in {8: "p1", 9: "p10", 10: "p11"}.items():
+            state = risk.CurrentState(**scenario.current_states[uid])
+            scenario.op_ps[uid] = risk.posterior_stroke(records[pid], state)
+        hand = tmp_path / "hand.json"
+        hand.write_text(channel.scenario_to_json(scenario))
+        assert channel.scenario_from_json(scored.read_text()).op_ps == scenario.op_ps
+
+        results = []
+        for scn in (scored, hand):
+            out = tmp_path / f"solve_{scn.stem}.csv"
+            assert run(["solve", "--scenario", str(scn), "--power-map",
+                        str(scenario_dir / "power_map_000.csv"), "--prioritize",
+                        "--output", str(out)]) == 0
+            results.append(out.read_bytes())
+        assert results[0] == results[1]
 
     def test_risk_without_states_is_data_error(self, tmp_path, scenario_dir):
         records = tmp_path / "records.csv"
@@ -163,7 +203,7 @@ class TestIngestAndRisk:
         code = run([
             "risk", "--records", str(records),
             "--scenario", str(scenario_dir / "scenario.json"),
-            "--output", str(tmp_path / "risk.csv"),
+            "--output", str(tmp_path / "scored.json"),
         ])
         assert code == 4
 
@@ -365,9 +405,6 @@ def _solution(*lines):
     return _write("solution.txt", "\n".join(slots + list(lines)) + "\n")
 
 
-STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
-
-
 def _risk_inputs(state):
     """One stroke day per patient for three patients; `state` for every outpatient."""
 
@@ -389,7 +426,7 @@ BEFORE_AFTER = ["before-after", "--scenario", "{scn}/scenario.json", "--output",
 VALIDATE = ["validate-solution", "--scenario", "{scn}/scenario.json", "--power-map",
             "{scn}/power_map_000.csv", "--solution", "{scn}/solution.txt"]
 RISK = ["risk", "--records", "{scn}/records.csv", "--scenario", "{scn}/scenario.json",
-        "--output", "{tmp}/risk.csv"]
+        "--output", "{tmp}/scored.json"]
 
 INF_DISTANCES = [["400.0", "400.0"]] * 9 + [["inf", "400.0"]]
 
@@ -444,8 +481,6 @@ MALFORMED = [
     ("solution-shared-slot", _solution("X_10_1_1 1"), VALIDATE, 4, "more than one user"),
     ("solution-nan-value", _solution("X_10_5_2 nan"), VALIDATE, 4, "non-integral"),
     ("solution-not-utf8", _append_bytes("solution.txt", b"\xff\n"), VALIDATE, 4, "cannot read"),
-    ("risk-zero-alpha", _risk_inputs(STATE), RISK + ["--alpha", "0"], 2, "alpha"),
-    ("risk-inf-alpha", _risk_inputs(STATE), RISK + ["--alpha", "inf"], 2, "alpha"),
     ("solve-nan-alpha", None, SOLVE + ["--prioritize", "--alpha", "nan"], 2, "alpha"),
     ("solve-negative-alpha", None, SOLVE + ["--prioritize", "--alpha", "-1000"], 2, "alpha"),
     ("heuristic-zero-alpha", None, HEURISTIC + ["--prioritize", "--alpha", "0"], 2, "alpha"),
@@ -461,6 +496,10 @@ MALFORMED = [
     ("risk-unknown-level", _risk_inputs({**STATE, "f1": "Bogus"}), RISK, 4, "outpatient 8"),
     ("risk-missing-feature", _risk_inputs({"f1": "Normal", "f2": "Normal", "f3": "High"}),
      RISK, 4, "outpatient 8"),
+    ("power-huge-ids", _write("power_map_000.csv", "user,prb,bs,power_watts\n"
+                              "1000000,1000000,1000,1.0\n"), SOLVE, 4, "missing"),
+    ("generate-negative-realizations", None,
+     ["generate", "--output", "{tmp}/g", "--realizations", "-2"], 2, "realizations"),
 ]
 
 

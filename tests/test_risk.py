@@ -151,31 +151,3 @@ class TestPriority:
             for alpha in (0.0, -1000.0, math.nan, math.inf, -math.inf):
                 with pytest.raises(UsageError, match="alpha"):
                     make(alpha=alpha)
-
-
-class TestRiskCsv:
-    def test_round_trip(self, tmp_path):
-        profiles = [
-            risk.RiskProfile(1, False, 0.0, 1.0),
-            risk.RiskProfile(8, True, 0.0032, 2.6),
-        ]
-        path = tmp_path / "risk.csv"
-        risk.write_risk_csv(profiles, path)
-        assert risk.read_risk_csv(path) == profiles
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            "1,0,0.5", "1,0,0.5,1,9", "1,0,abc,1", "8,2,1.5,nan", "8,2,0.5,1.5", "8,-1,0.5,1.5",
-            "8,1,1.5,2", "8,1,-0.1,1", "8,1,nan,1", "8,1,0.5,nan", "8,1,0.5,inf", "8,1,0.5,0.99",
-        ],
-        ids=[
-            "short", "long", "non-numeric", "all-out-of-range", "is-op-2", "is-op-negative",
-            "ps-above-1", "ps-negative", "ps-nan", "up-nan", "up-inf", "up-below-1",
-        ],
-    )
-    def test_malformed_row_names_line(self, tmp_path, row):
-        path = tmp_path / "risk.csv"
-        path.write_text(",".join(risk.RISK_COLUMNS) + "\n8,1,0.0032,2.6\n" + row + "\n")
-        with pytest.raises(DataError, match="line 3"):
-            risk.read_risk_csv(path)

@@ -172,12 +172,6 @@ def solve_exact(scenario, power_map, config):
     Ties between equal-valued optima break to the lexicographically smallest
     assignment (users in id order, slots ordered by (bs, prb)).
     """
-    cfg = scenario.config
-    K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
-    if K > N * B:
-        raise InfeasibleError(f"{K} users exceed {N * B} slots")
-    if cfg.tx_power_per_prb_dbm > cfg.max_power_per_connection_dbm:
-        raise InfeasibleError("per-PRB power exceeds the per-connection cap")
     weights = priorities_for(scenario, config)
     assignment = _search_subset_dp(scenario, power_map, config, weights)
     report = evaluate_assignment(assignment, power_map, scenario, config, weights)

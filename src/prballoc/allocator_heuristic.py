@@ -253,8 +253,6 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     map lets it reuse column gains, and None builds a fresh one.
     """
     cfg = scenario.config
-    if cfg.num_users > cfg.num_bs * cfg.prbs_per_bs:
-        raise InfeasibleError("more users than slots")
     order = serve_order(scenario, config, rng)
     nobody = cfg.num_users
     ids = np.arange(1, nobody + 1)

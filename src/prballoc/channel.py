@@ -48,8 +48,9 @@ def noise_power_w(density_dbm_hz, bandwidth_hz):
     return dbm_to_mw(density_dbm_hz + 10.0 * math.log10(bandwidth_hz)) / 1000.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """The system model.  Its rules are checked here, once; being frozen, it keeps them."""
     num_bs: int = 2
     prbs_per_bs: int = 5
     num_users: int = 10
@@ -63,17 +64,24 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
+        if min(self.num_bs, self.prbs_per_bs) < 1 or not 0 <= self.num_normal < self.num_users:
+            raise UsageError("want num_bs, prbs_per_bs >= 1 and 0 <= num_normal < num_users")
+        if not 0 < self.distance_min_m <= self.distance_max_m:
+            raise UsageError("distances must satisfy 0 < distance_min_m <= distance_max_m")
+        try:
+            powers_ok = all(0 < w < math.inf for w in (dbm_to_mw(self.tx_power_per_prb_dbm),
+                            dbm_to_mw(self.max_power_per_connection_dbm), self.noise_w))
+        except (OverflowError, ValueError):
+            powers_ok = False
+        if not powers_ok:
+            raise UsageError("tx_power_per_prb_dbm, max_power_per_connection_dbm and the noise"
+                             " (noise_density_dbm_hz, prb_bandwidth_hz) must be finite watts > 0")
+        if self.tx_power_per_prb_dbm > self.max_power_per_connection_dbm:
+            raise InfeasibleError("per-PRB power exceeds the per-connection cap")
         if self.num_users > self.num_bs * self.prbs_per_bs:
             raise InfeasibleError(
                 f"{self.num_users} users exceed {self.num_bs * self.prbs_per_bs} slots"
             )
-        if not self.num_normal < self.num_users:
-            raise UsageError("num_normal must be smaller than num_users")
-        if not 0 < self.distance_min_m <= self.distance_max_m:
-            raise UsageError("distances must satisfy 0 < distance_min_m <= distance_max_m")
 
     @property
     def user_ids(self):
@@ -118,7 +126,6 @@ class PowerMap:
 
 def generate_scenario(config, op_ps=None):
     """A scenario plus its first power-map realization, deterministically."""
-    config.validate()
     scenario = Scenario(config=config, op_ps=dict(op_ps or {}))
     return scenario, generate_power_map(scenario, realization=0)
 

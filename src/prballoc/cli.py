@@ -314,9 +314,6 @@ def _cmd_solve(args):
     config = _solver_config(args)
     assignment, report = exact.solve_exact(scenario, pm, config)
     exact.write_result_csv(assignment, report, args.output)
-    if args.export_lp:
-        lp_config = _solver_config(args, piecewise=args.objective == "pf")
-        write_text_atomic(args.export_lp, lp_export.export_milp(scenario, pm, lp_config))
     print(f"objective {report.objective_value!r}")
 
 
@@ -343,7 +340,7 @@ def _cmd_export_lp(args):
 
 def _cmd_validate_solution(args):
     scenario, pm = _read_scenario_and_map(args)
-    config = _solver_config(args)
+    config = _solver_config(args, piecewise=args.objective == "pf")  # the model export-lp writes
     parity = lp_export.validate_external_solution(
         read_text(args.solution), scenario, pm, config
     )
@@ -438,7 +435,6 @@ def build_parser():
     p = sub.add_parser("solve", help="exact solve of one instance")
     _add_instance_args(p)
     p.add_argument("--output", required=True)
-    p.add_argument("--export-lp")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("heuristic", help="semi-greedy allocation with averaging")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .allocator_exact import (
     Assignment,
+    PfUndefinedError,
     default_lambda,
     evaluate_assignment,
     prioritized,
@@ -214,7 +215,10 @@ def validate_external_solution(text, scenario, power_map, config):
     if missing:
         raise DataError(f"users without a slot: {missing}")
     assignment = Assignment(slots=slots)
-    report = evaluate_assignment(assignment, power_map, scenario, config)
+    try:
+        report = evaluate_assignment(assignment, power_map, scenario, config)
+    except PfUndefinedError:
+        raise DataError("the solution gives a PF log user zero SINR, where ln is undefined") from None
     _, optimal = solve_exact(scenario, power_map, config)
     scale = max(1.0, abs(report.objective_value))
     objective_match = (

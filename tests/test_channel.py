@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -103,6 +103,26 @@ class TestScenarioConfig:
     def test_bad_split_rejected(self):
         with pytest.raises(UsageError):
             channel.ScenarioConfig(num_normal=10)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_bs", 0), ("prbs_per_bs", -2), ("num_users", 0), ("num_normal", -1),
+        ("tx_power_per_prb_dbm", 1e308), ("max_power_per_connection_dbm", -1e308),
+        ("prb_bandwidth_hz", 0.0), ("noise_density_dbm_hz", 1e308),
+        ("noise_density_dbm_hz", -1e308),
+    ])
+    def test_bad_count_or_power_rejected(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            channel.ScenarioConfig(**{field: value})
+
+    def test_power_above_cap_infeasible(self):
+        with pytest.raises(InfeasibleError, match="cap"):
+            channel.ScenarioConfig(tx_power_per_prb_dbm=23.5)
+
+    def test_frozen(self):
+        cfg = channel.ScenarioConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.num_users = 11
+        assert cfg.num_users == 10
 
 
 class TestGeneration:

@@ -118,6 +118,27 @@ class TestSolveAndExport:
             "--solution", str(sol), "--prioritize",
         ]) == 0
 
+    def test_validate_pf_judges_the_exported_piecewise_model(self, scenario_dir, tmp_path, capsys):
+        """`export-lp --objective pf` writes the piecewise model, so the validator
+        must find that model's optimum to be optimal and its objective matched."""
+        from prballoc import allocator_exact as ex, lp_export
+
+        scenario = str(scenario_dir / "scenario.json")
+        pm = str(scenario_dir / "power_map_000.csv")
+        with open(scenario) as fh:
+            sc = channel.scenario_from_json(fh.read())
+        power_map = channel.read_power_map_csv(pm, sc.config.noise_w)
+        cfg = ex.SolverConfig(objective="pf", pf_log_mode="piecewise", pwl=ex.PwlSpec.default())
+        assignment, report = ex.solve_exact(sc, power_map, cfg)
+        sol = tmp_path / "solution.txt"
+        lp_export.write_solution_file(assignment, report.objective_value, sol)
+        capsys.readouterr()
+        assert run([
+            "validate-solution", "--scenario", scenario, "--power-map", pm,
+            "--solution", str(sol), "--objective", "pf",
+        ]) == 0
+        assert "objective_match=True is_optimal=True" in capsys.readouterr().out
+
     def test_missing_file_exit_code(self, scenario_dir, tmp_path):
         code = run([
             "solve", "--scenario", str(scenario_dir / "scenario.json"),
@@ -356,13 +377,14 @@ class TestThreeCellGolden:
                 assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
-def _set_power_cell(text):
-    """Replace the power in the power map's line 3 (its second triple)."""
+def _set_power_cell(text, line=3):
+    """Replace the power in the power map's line `line`; line 2 holds the triple
+    (user 1, prb 1, bs 1), line 3 the second triple."""
 
     def edit(scn):
         path = scn / "power_map_000.csv"
         lines = path.read_text().splitlines()
-        lines[2] = lines[2].rsplit(",", 1)[0] + "," + text
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + "," + text
         path.write_text("\n".join(lines) + "\n")
 
     return edit
@@ -405,6 +427,12 @@ def _solution(*lines):
     return _write("solution.txt", "\n".join(slots + list(lines)) + "\n")
 
 
+def _zero_sinr_solution(scn):
+    """A full solution that puts user 1 on (prb 1, bs 1), where it hears 0.0 W."""
+    _set_power_cell("0.0", line=2)(scn)
+    _solution("X_10_5_2 1")(scn)
+
+
 def _risk_inputs(state):
     """One stroke day per patient for three patients; `state` for every outpatient."""
 
@@ -425,6 +453,8 @@ BEFORE_AFTER = ["before-after", "--scenario", "{scn}/scenario.json", "--output",
                 "--realizations", "1", "--iterations", "1"]
 VALIDATE = ["validate-solution", "--scenario", "{scn}/scenario.json", "--power-map",
             "{scn}/power_map_000.csv", "--solution", "{scn}/solution.txt"]
+EXPORT = ["export-lp", "--scenario", "{scn}/scenario.json", "--power-map",
+          "{scn}/power_map_000.csv", "--output", "{tmp}/model.lp"]
 RISK = ["risk", "--records", "{scn}/records.csv", "--scenario", "{scn}/scenario.json",
         "--output", "{tmp}/scored.json"]
 
@@ -500,6 +530,23 @@ MALFORMED = [
                               "1000000,1000000,1000,1.0\n"), SOLVE, 4, "missing"),
     ("generate-negative-realizations", None,
      ["generate", "--output", "{tmp}/g", "--realizations", "-2"], 2, "realizations"),
+    ("generate-negative-bs-and-prbs", None,
+     ["generate", "--output", "{tmp}/g", "--bs", "-2", "--prbs", "-2", "--users", "3",
+      "--normal", "1"], 2, "num_bs"),
+    ("generate-negative-normal", None,
+     ["generate", "--output", "{tmp}/g", "--users", "2", "--normal", "-3"], 2, "num_normal"),
+    ("generate-no-users", None,
+     ["generate", "--output", "{tmp}/g", "--users", "0", "--normal", "-1"], 2, "num_users"),
+    ("scenario-zero-bandwidth", _set_scenario(prb_bandwidth_hz=0), SOLVE, 4, "prb_bandwidth_hz"),
+    ("scenario-noise-overflow", _set_scenario(noise_density_dbm_hz=1e308), SOLVE, 4,
+     "noise_density_dbm_hz"),
+    ("scenario-negative-normal", _set_scenario(num_normal=-1), SOLVE, 4, "num_normal"),
+    ("heuristic-power-above-cap", _set_scenario(tx_power_per_prb_dbm=24.0), HEURISTIC, 3,
+     "per-connection cap"),
+    ("export-lp-power-above-cap", _set_scenario(tx_power_per_prb_dbm=24.0), EXPORT, 3,
+     "per-connection cap"),
+    ("solution-pf-zero-sinr", _zero_sinr_solution, VALIDATE + ["--objective", "pf"], 4,
+     "zero SINR"),
 ]
 
 

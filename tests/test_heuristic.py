@@ -167,14 +167,6 @@ class TestRunIteration:
         for k, s in trace.final_sinr.items():
             assert s == pytest.approx(recomputed[k], rel=1e-12)
 
-    def test_infeasible_config(self):
-        cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=1, num_users=2, num_normal=1)
-        sc = channel.Scenario(config=cfg)
-        pm = channel.PowerMap(q=np.ones((3, 1, 2)), noise_w=1.0)
-        sc.config.num_users = 3
-        with pytest.raises(InfeasibleError):
-            heur.run_iteration(sc, pm, heur.HeuristicConfig(), np.random.default_rng(0))
-
 
 class TestRunHeuristic:
     def test_single_file_single_iteration_is_that_trace(self):

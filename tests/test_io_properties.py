@@ -21,7 +21,7 @@ from prballoc import channel  # noqa: E402
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     phases=[Phase.explicit, Phase.generate])
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DBM = st.floats(-3000.0, 3000.0)  # 1e-300 to 1e300 mW
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # zero and subnormals drawn on purpose, next to every other non-negative finite float
 POWERS = st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(
@@ -34,6 +34,11 @@ def scenarios(draw):
     num_bs, prbs = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     num_users = draw(st.integers(1, num_bs * prbs))
     lo = draw(POSITIVE)
+    # The config admits dBm values that convert to finite positive watts, a per-PRB
+    # power at most the cap, and a noise power over the PRB that is finite and > 0.
+    tx_dbm = draw(DBM)
+    bandwidth = draw(POSITIVE)
+    density_lo = -3000.0 - 10.0 * math.log10(bandwidth)
     config = channel.ScenarioConfig(
         num_bs=num_bs,
         prbs_per_bs=prbs,
@@ -41,10 +46,10 @@ def scenarios(draw):
         num_normal=draw(st.integers(0, num_users - 1)),
         distance_min_m=lo,
         distance_max_m=draw(st.floats(min_value=lo, allow_infinity=False)),
-        tx_power_per_prb_dbm=draw(FINITE),
-        max_power_per_connection_dbm=draw(FINITE),
-        noise_density_dbm_hz=draw(FINITE),
-        prb_bandwidth_hz=draw(FINITE),
+        tx_power_per_prb_dbm=tx_dbm,
+        max_power_per_connection_dbm=draw(st.floats(min_value=tx_dbm, max_value=3000.0)),
+        noise_density_dbm_hz=draw(st.floats(density_lo, density_lo + 6000.0)),
+        prb_bandwidth_hz=bandwidth,
         seed=draw(st.integers(0, 2**64 - 1)),
     )
     distances = None

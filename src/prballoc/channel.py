@@ -70,12 +70,15 @@ class ScenarioConfig:
             raise UsageError("distances must satisfy 0 < distance_min_m <= distance_max_m")
         try:
             powers_ok = all(0 < w < math.inf for w in (dbm_to_mw(self.tx_power_per_prb_dbm),
-                            dbm_to_mw(self.max_power_per_connection_dbm), self.noise_w))
+                            dbm_to_mw(self.max_power_per_connection_dbm), self.noise_w,
+                            self.mean_received_w(self.distance_min_m),
+                            self.mean_received_w(self.distance_max_m)))
         except (OverflowError, ValueError):
             powers_ok = False
         if not powers_ok:
-            raise UsageError("tx_power_per_prb_dbm, max_power_per_connection_dbm and the noise"
-                             " (noise_density_dbm_hz, prb_bandwidth_hz) must be finite watts > 0")
+            raise UsageError("tx_power_per_prb_dbm, max_power_per_connection_dbm, the noise"
+                             " (noise_density_dbm_hz, prb_bandwidth_hz) and the mean received"
+                             " power at distance_min_m and distance_max_m must be finite watts > 0")
         if self.tx_power_per_prb_dbm > self.max_power_per_connection_dbm:
             raise InfeasibleError("per-PRB power exceeds the per-connection cap")
         if self.num_users > self.num_bs * self.prbs_per_bs:
@@ -95,6 +98,15 @@ class ScenarioConfig:
     @property
     def noise_w(self):
         return noise_power_w(self.noise_density_dbm_hz, self.prb_bandwidth_hz)
+
+    def mean_received_w(self, distance_m):
+        """Received power in watts over unit-mean fading at `distance_m`; inf past a float."""
+        with np.errstate(divide="ignore"):  # below 1e-320 m, distance / 1 km is 0: -inf dB
+            loss_db = float(path_loss_db(distance_m))
+        try:
+            return dbm_to_mw(self.tx_power_per_prb_dbm - loss_db) / 1000.0
+        except OverflowError:
+            return math.inf
 
 
 @dataclass
@@ -192,8 +204,10 @@ def scenario_from_json(text):
     if distances is not None:
         if distances.shape != (config.num_users, config.num_bs):
             raise DataError("distances shape does not match config")
-        if not (np.isfinite(distances) & (distances > 0)).all():
-            raise DataError("distances must be finite and positive")
+        if not all(0 < d < math.inf and 0 < config.mean_received_w(d) < math.inf
+                   for d in distances.flat):
+            raise DataError("distances must be finite and positive, with a mean received power"
+                            " of finite watts > 0")
     for key, users in (("op_ps", op_ps), ("current_states", states)):
         strangers = sorted(set(users) - set(config.op_ids))
         if strangers:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .allocator_exact import (
     Assignment,
     PfUndefinedError,
-    default_lambda,
+    balance_row,
+    big_m,
     evaluate_assignment,
     prioritized,
     priorities_for,
@@ -52,17 +53,13 @@ def export_milp(scenario, power_map, config, lam=None):
     """
     cfg = scenario.config
     K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
-    if lam is None:
-        lam = default_lambda(power_map)
-    if lam <= 0:
-        raise UsageError("lambda must be positive")
+    lam = big_m(power_map, lam)
     weights = priorities_for(scenario, config)
     pf = config.objective == "pf"
     if pf and config.pwl is None:
         raise UsageError("PF export requires a PwlSpec")
     ops = prioritized(scenario, config.prioritization)
     log_users = [k for k in cfg.user_ids if k not in ops] if pf else []
-    noise = power_map.noise_w
     lam_s, neg_lam_s = _num(lam), _num(-lam)
 
     out = io.StringIO()
@@ -90,17 +87,11 @@ def export_milp(scenario, power_map, config, lam=None):
     for k in cfg.user_ids:
         for n in range(1, N + 1):
             for b in range(1, B + 1):
+                phis, t_coef, x_coef = balance_row(power_map, k, n, b)
                 write(f" c16_{k}_{n}_{b}:")
-                for m in cfg.user_ids:
-                    if m == k:
-                        continue
-                    for w in range(1, B + 1):
-                        if w == b:
-                            continue
-                        qm = power_map.power(m, n, b)
-                        write(f" + {_num(qm)} PHI_{m}_{n}_{k}_{w}_{b}")
-                write(f" + {_num(noise)} T_{k}_{n}_{b}")
-                write(f" - {_num(power_map.power(k, n, b))} X_{k}_{n}_{b} = 0\n")
+                for m, w, q in phis:
+                    write(f" + {_num(q)} PHI_{m}_{n}_{k}_{w}_{b}")
+                write(f" + {_num(t_coef)} T_{k}_{n}_{b} - {_num(x_coef)} X_{k}_{n}_{b} = 0\n")
     p_w = dbm_to_mw(cfg.tx_power_per_prb_dbm) / 1000.0
     pm_w = dbm_to_mw(cfg.max_power_per_connection_dbm) / 1000.0
     for k in cfg.user_ids:

@@ -100,10 +100,18 @@ def _parse_cell(text, line_no, column, cast):
         return None
     try:
         return cast(text)
-    except (ValueError, OverflowError):  # int(float("inf")) overflows
+    except ValueError:
         raise DataError(
             f"line {line_no}: non-numeric value {text!r} in column {column!r}"
         ) from None
+
+
+def _whole(text):
+    """An int for an integral cell; a non-integral one stays a float, which cleanse drops."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return int(value) if value.is_integer() else value
 
 
 def load_raw_records(path):
@@ -125,12 +133,12 @@ def load_raw_records(path):
             rows.append(
                 RawRecordRow(
                     patient_id=sys.intern(cells[idx["patient_id"]].strip()),
-                    day=_parse_cell(cells[idx["day"]], line_no, "day", lambda s: int(float(s))),
+                    day=_parse_cell(cells[idx["day"]], line_no, "day", _whole),
                     sysbp=_parse_cell(cells[idx["sysbp"]], line_no, "sysbp", float),
                     diabp=_parse_cell(cells[idx["diabp"]], line_no, "diabp", float),
                     totchol=_parse_cell(cells[idx["totchol"]], line_no, "totchol", float),
                     cigpday=_parse_cell(cells[idx["cigpday"]], line_no, "cigpday", float),
-                    stroke=_parse_cell(cells[idx["stroke"]], line_no, "stroke", lambda s: int(float(s))),
+                    stroke=_parse_cell(cells[idx["stroke"]], line_no, "stroke", _whole),
                 )
             )
     return rows
@@ -138,7 +146,7 @@ def load_raw_records(path):
 
 def _is_complete(row):
     clinical = (row.sysbp, row.diabp, row.totchol, row.cigpday, row.stroke)
-    if row.day is None or row.day < 1:
+    if row.day is None or row.day < 1 or row.day % 1:
         return False
     if any(v is None for v in clinical):
         return False
@@ -153,9 +161,9 @@ def _is_complete(row):
 def cleanse(rows):
     """Drop incomplete, erroneous and inconsistent rows; order is preserved.
 
-    A row survives only if all five clinical fields are present, the four
-    readings are finite and non-negative, the stroke flag is 0/1, and its
-    (patient, day) pair has not been seen before.
+    A row survives only if its day is a whole number >= 1, all five clinical
+    fields are present, the four readings are finite and non-negative, the
+    stroke flag is 0/1, and its (patient, day) pair has not been seen before.
     """
     kept = []
     seen = set()
@@ -242,10 +250,16 @@ def read_records_csv(path):
                 )
             except ValueError as exc:
                 raise DataError(f"line {line_no}: {exc}") from None
+            if entry.day < 1 or stroke not in ("0", "1"):
+                raise DataError(f"line {line_no}: want a day >= 1 and a stroke of 0 or 1,"
+                                f" got {day!r} and {stroke!r}")
             by_patient.setdefault(sys.intern(pid), []).append(entry)
     records = []
     for pid, entries in by_patient.items():
         entries.sort(key=lambda e: e.day)
+        for a, b in itertools.pairwise(entries):
+            if a.day == b.day:
+                raise DataError(f"{path}: patient {pid!r} repeats day {a.day}")
         records.append(MedicalRecord(patient_id=pid, days=entries))
     return records
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prballoc import channel
-from prballoc.errors import InfeasibleError, UsageError
+from prballoc.errors import DataError, InfeasibleError, UsageError
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 
@@ -109,6 +109,8 @@ class TestScenarioConfig:
         ("tx_power_per_prb_dbm", 1e308), ("max_power_per_connection_dbm", -1e308),
         ("prb_bandwidth_hz", 0.0), ("noise_density_dbm_hz", 1e308),
         ("noise_density_dbm_hz", -1e308),
+        # the mean received power overflows at 1e-300 m and 1e-322 m, and is 0 W at 1e200 m
+        ("distance_min_m", 1e-300), ("distance_min_m", 1e-322), ("distance_max_m", 1e200),
     ])
     def test_bad_count_or_power_rejected(self, field, value):
         with pytest.raises(UsageError, match=field):
@@ -197,6 +199,14 @@ class TestSerialization:
         assert np.array_equal(back.distances, sc.distances)
         assert back.op_ps == sc.op_ps
         assert back.current_states == sc.current_states
+
+    @pytest.mark.parametrize("distance", [1e-300, 1e200])
+    def test_explicit_distance_out_of_received_power_range(self, distance):
+        distances = np.full((10, 2), 400.0)
+        distances[9, 1] = distance
+        sc = channel.Scenario(config=channel.ScenarioConfig(), distances=distances)
+        with pytest.raises(DataError, match="mean received power"):
+            channel.scenario_from_json(channel.scenario_to_json(sc))
 
     def test_scenario_json_without_distances(self):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=11), op_ps=REF_PS)

@@ -433,13 +433,16 @@ def _zero_sinr_solution(scn):
     _solution("X_10_5_2 1")(scn)
 
 
-def _risk_inputs(state):
-    """One stroke day per patient for three patients; `state` for every outpatient."""
+STROKE_DAYS = [f"p{i},1,Normal,Normal,High,Heavy,1" for i in (1, 2, 3)]
+
+
+def _risk_inputs(state, rows=STROKE_DAYS):
+    """Records `rows`, by default one stroke day per patient for three patients;
+    `state` for every outpatient."""
 
     def edit(scn):
-        rows = [",".join(medrecords.RECORD_COLUMNS)]
-        rows += [f"p{i},1,Normal,Normal,High,Heavy,1" for i in (1, 2, 3)]
-        _write("records.csv", "\n".join(rows) + "\n")(scn)
+        lines = [",".join(medrecords.RECORD_COLUMNS), *rows]
+        _write("records.csv", "\n".join(lines) + "\n")(scn)
         _set_scenario(current_states={str(k): state for k in (8, 9, 10)})(scn)
 
     return edit
@@ -526,6 +529,12 @@ MALFORMED = [
     ("risk-unknown-level", _risk_inputs({**STATE, "f1": "Bogus"}), RISK, 4, "outpatient 8"),
     ("risk-missing-feature", _risk_inputs({"f1": "Normal", "f2": "Normal", "f3": "High"}),
      RISK, 4, "outpatient 8"),
+    ("risk-stroke-yes", _risk_inputs(STATE, [row[:-1] + "yes" for row in STROKE_DAYS]), RISK, 4,
+     "'yes'"),
+    ("risk-day-zero", _risk_inputs(STATE, ["p1,0,Normal,Normal,High,Heavy,1", *STROKE_DAYS[1:]]),
+     RISK, 4, "'0'"),
+    ("risk-repeated-day", _risk_inputs(STATE, [*STROKE_DAYS, "p1,1,Normal,Normal,High,Heavy,0"]),
+     RISK, 4, "repeats day 1"),
     ("power-huge-ids", _write("power_map_000.csv", "user,prb,bs,power_watts\n"
                               "1000000,1000000,1000,1.0\n"), SOLVE, 4, "missing"),
     ("generate-negative-realizations", None,
@@ -540,6 +549,12 @@ MALFORMED = [
     ("scenario-zero-bandwidth", _set_scenario(prb_bandwidth_hz=0), SOLVE, 4, "prb_bandwidth_hz"),
     ("scenario-noise-overflow", _set_scenario(noise_density_dbm_hz=1e308), SOLVE, 4,
      "noise_density_dbm_hz"),
+    ("before-after-received-power-overflow",
+     _set_scenario(distance_min_m=1e-300, distance_max_m=1e-300), BEFORE_AFTER, 4,
+     "mean received power"),
+    ("before-after-received-power-underflow",
+     _set_scenario(distance_min_m=1e200, distance_max_m=1e200), BEFORE_AFTER, 4,
+     "mean received power"),
     ("scenario-negative-normal", _set_scenario(num_normal=-1), SOLVE, 4, "num_normal"),
     ("heuristic-power-above-cap", _set_scenario(tx_power_per_prb_dbm=24.0), HEURISTIC, 3,
      "per-connection cap"),

@@ -256,6 +256,20 @@ class TestLinearization:
         with pytest.raises(ex.LambdaTooSmallError):
             ex.verify_linearization(assignment, pm, lam=max_t * 0.5)
 
+    def test_evaluates_the_balance_rows(self, monkeypatch):
+        sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
+        pm = channel.generate_power_map(sc, 0)
+        assignment, _ = ex.solve_exact(sc, pm, ex.SolverConfig())
+        assert ex.verify_linearization(assignment, pm) < 1e-9
+        balance_row = ex.balance_row
+
+        def heard_at_own_bs(power_map, k, n, b):
+            phis, t_coef, x_coef = balance_row(power_map, k, n, b)
+            return [(m, w, power_map.power(m, n, w)) for m, w, _ in phis], t_coef, x_coef
+
+        monkeypatch.setattr(ex, "balance_row", heard_at_own_bs)
+        assert ex.verify_linearization(assignment, pm) > 1e-3
+
     def test_no_interferers_degenerates(self):
         sc, pm = hand_instance()
         lone = ex.Assignment(slots={1: (1, 1)})

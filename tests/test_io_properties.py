@@ -21,7 +21,10 @@ from prballoc import channel  # noqa: E402
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     phases=[Phase.explicit, Phase.generate])
 
-DBM = st.floats(-3000.0, 3000.0)  # 1e-300 to 1e300 mW
+# A path loss from -1113 to 1144 dB: a per-PRB power in TX_DBM then gives a mean
+# received power within 1e-300 to 1e300 mW at every drawn distance.
+DISTANCE = st.floats(1e-30, 1e30)
+TX_DBM = st.floats(-1800.0, 1800.0)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # zero and subnormals drawn on purpose, next to every other non-negative finite float
 POWERS = st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(
@@ -33,10 +36,11 @@ POWERS = st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(
 def scenarios(draw):
     num_bs, prbs = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     num_users = draw(st.integers(1, num_bs * prbs))
-    lo = draw(POSITIVE)
+    lo = draw(DISTANCE)
     # The config admits dBm values that convert to finite positive watts, a per-PRB
-    # power at most the cap, and a noise power over the PRB that is finite and > 0.
-    tx_dbm = draw(DBM)
+    # power at most the cap, a noise power over the PRB that is finite and > 0, and
+    # a mean received power at each distance that is finite and > 0.
+    tx_dbm = draw(TX_DBM)
     bandwidth = draw(POSITIVE)
     density_lo = -3000.0 - 10.0 * math.log10(bandwidth)
     config = channel.ScenarioConfig(
@@ -45,7 +49,7 @@ def scenarios(draw):
         num_users=num_users,
         num_normal=draw(st.integers(0, num_users - 1)),
         distance_min_m=lo,
-        distance_max_m=draw(st.floats(min_value=lo, allow_infinity=False)),
+        distance_max_m=draw(st.floats(lo, 1e30)),
         tx_power_per_prb_dbm=tx_dbm,
         max_power_per_connection_dbm=draw(st.floats(min_value=tx_dbm, max_value=3000.0)),
         noise_density_dbm_hz=draw(st.floats(density_lo, density_lo + 6000.0)),
@@ -54,7 +58,7 @@ def scenarios(draw):
     )
     distances = None
     if draw(st.booleans()):
-        cells = draw(st.lists(POSITIVE, min_size=num_users * num_bs, max_size=num_users * num_bs))
+        cells = draw(st.lists(DISTANCE, min_size=num_users * num_bs, max_size=num_users * num_bs))
         distances = np.array(cells).reshape(num_users, num_bs)
     ops = st.sampled_from(config.op_ids)
     levels = st.dictionaries(st.sampled_from(["f1", "f2", "f3", "f4"]), st.text(max_size=8))

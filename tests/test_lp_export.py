@@ -5,7 +5,7 @@ import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import channel, lp_export
-from prballoc.errors import DataError
+from prballoc.errors import DataError, UsageError
 
 from test_exact import hand_instance
 
@@ -84,6 +84,14 @@ class TestExport:
         assert len(frees) == 7
         # OPs enter the objective linearly with their weights
         assert "S_8" in lines[2] and "L_8" not in lines[2]
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_big_m_must_be_finite_and_positive(self, lam):
+        sc, pm = hand_instance()
+        with pytest.raises(UsageError, match="lambda"):
+            lp_export.export_milp(sc, pm, ex.SolverConfig(), lam=lam)
+        with pytest.raises(UsageError, match="lambda"):
+            ex.verify_linearization(ex.Assignment(slots={1: (1, 1)}), pm, lam=lam)
 
     def test_pf_without_pwl_rejected(self):
         sc, pm = baseline()

@@ -99,6 +99,17 @@ class TestCleanse:
         with pytest.raises(DataError, match="line 2"):
             med.load_raw_records(path)
 
+    def test_fractional_day_or_stroke_dropped(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(
+            "patient_id,day,sysbp,diabp,totchol,cigpday,stroke\n"
+            "p1,1,130,85,210,3,0.5\n"
+            "p1,2.7,130,85,210,3,1\n"
+            "p1,2,130,85,210,3,0\n"
+        )
+        kept = med.cleanse(med.load_raw_records(path))
+        assert [(r.day, r.stroke) for r in kept] == [(2, 0)]
+
     def test_idempotent(self):
         rows = [_row(), _row(day=2), _row(day=2, sysbp=1.0), _row(diabp=None, day=3)]
         once = med.cleanse(rows)
@@ -216,6 +227,10 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("row, message", [
         ("p1,1,Normal,Normal,Huge,Heavy,1", "line 2: unknown level 'Huge' for f3"),
         ("p1,x,Normal,Normal,High,Heavy,1", "line 2: invalid literal"),
+        ("p1,1,Normal,Normal,High,Heavy,yes", "line 2: want a day >= 1 and a stroke of 0 or 1"),
+        ("p1,0,Normal,Normal,High,Heavy,1", "line 2: want a day >= 1 and a stroke of 0 or 1"),
+        ("p1,1,Normal,Normal,High,Heavy,1\np1,1,Normal,Normal,High,Heavy,0",
+         "patient 'p1' repeats day 1"),
     ])
     def test_records_bad_cell_names_line(self, tmp_path, row, message):
         path = tmp_path / "records.csv"

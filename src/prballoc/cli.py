@@ -17,7 +17,7 @@ from . import allocator_exact as exact
 from . import allocator_heuristic as heur
 from . import channel, lp_export, medrecords, metrics, risk
 from .errors import DataError, InfeasibleError, PrballocError, UsageError
-from .fileio import read_text, write_csv, write_text_atomic
+from .fileio import atomic_open, read_text, write_csv, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -334,7 +334,9 @@ def _cmd_heuristic(args):
 def _cmd_export_lp(args):
     scenario, pm = _read_scenario_and_map(args)
     config = _solver_config(args, piecewise=args.objective == "pf")
-    write_text_atomic(args.output, lp_export.export_milp(scenario, pm, config))
+    rows = lp_export.milp_rows(scenario, pm, config)  # checks the inputs before any file exists
+    with atomic_open(args.output) as fh:
+        fh.writelines(rows)
     print(f"wrote LP model to {args.output}")
 
 

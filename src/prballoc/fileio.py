@@ -11,6 +11,10 @@ import os
 
 from .errors import DataError
 
+# write_text_atomic hands its text to the file in slices of this many
+# characters, so encoding never holds more than one slice's bytes.
+WRITE_SLICE = 64 * 1024
+
 
 @contextlib.contextmanager
 def atomic_open(path):
@@ -36,7 +40,8 @@ def atomic_open(path):
 def write_text_atomic(path, text):
     """Replace the file at `path` with `text`."""
     with atomic_open(path) as fh:
-        fh.write(text)
+        for start in range(0, len(text), WRITE_SLICE):
+            fh.write(text[start:start + WRITE_SLICE])
 
 
 def write_csv(path, header, rows):

@@ -45,26 +45,30 @@ def _phi_indices(K, N, B):
                         yield m, n, k, w, b
 
 
-def export_milp(scenario, power_map, config, lam=None):
-    """Complete LP-format model text; byte-identical across runs.
+def milp_rows(scenario, power_map, config, lam=None):
+    """The LP-format model as an iterator of text pieces, byte-identical across runs.
 
-    The user weights enter as precomputed constants.  Rows are streamed into
-    one text buffer, so no per-row string outlives its own write.
+    The checks run before this returns, so a bad lambda or a PF config without a
+    PwlSpec raises before any output exists.  Each piece is one row, except
+    that the c13, c14 and c15 rows of one PHI index form one piece; the user
+    weights enter as precomputed constants.
     """
+    lam = big_m(power_map, lam)
+    if config.objective == "pf" and config.pwl is None:
+        raise UsageError("PF export requires a PwlSpec")
+    weights = priorities_for(scenario, config)
+    return _rows(scenario, power_map, config, lam, weights)
+
+
+def _rows(scenario, power_map, config, lam, weights):
     cfg = scenario.config
     K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
-    lam = big_m(power_map, lam)
-    weights = priorities_for(scenario, config)
     pf = config.objective == "pf"
-    if pf and config.pwl is None:
-        raise UsageError("PF export requires a PwlSpec")
     ops = prioritized(scenario, config.prioritization)
     log_users = [k for k in cfg.user_ids if k not in ops] if pf else []
     lam_s, neg_lam_s = _num(lam), _num(-lam)
 
-    out = io.StringIO()
-    write = out.write
-    write("\\ prballoc MILP export\nMaximize\n")
+    yield "\\ prballoc MILP export\nMaximize\n"
     if not pf:
         terms = []
         for k in cfg.user_ids:
@@ -73,14 +77,14 @@ def export_milp(scenario, power_map, config, lam=None):
                     terms.append(f"+ {_num(weights[k])} T_{k}_{n}_{b}")
     else:
         terms = [f"+ L_{k}" for k in log_users] + [f"+ {_num(weights[k])} S_{k}" for k in ops]
-    write(" obj: " + " ".join(terms) + "\n")
+    yield " obj: " + " ".join(terms) + "\n"
 
-    write("Subject To\n")
+    yield "Subject To\n"
     for m, n, k, w, b in _phi_indices(K, N, B):
         idx = f"{m}_{n}_{k}_{w}_{b}"
-        write(f" c13_{idx}: PHI_{idx} - {lam_s} X_{m}_{n}_{w} <= 0\n")
-        write(f" c14_{idx}: PHI_{idx} - T_{k}_{n}_{b} <= 0\n")
-        write(
+        yield (
+            f" c13_{idx}: PHI_{idx} - {lam_s} X_{m}_{n}_{w} <= 0\n"
+            f" c14_{idx}: PHI_{idx} - T_{k}_{n}_{b} <= 0\n"
             f" c15_{idx}: PHI_{idx} - {lam_s} X_{m}_{n}_{w} - T_{k}_{n}_{b}"
             f" >= {neg_lam_s}\n"
         )
@@ -88,44 +92,51 @@ def export_milp(scenario, power_map, config, lam=None):
         for n in range(1, N + 1):
             for b in range(1, B + 1):
                 phis, t_coef, x_coef = balance_row(power_map, k, n, b)
-                write(f" c16_{k}_{n}_{b}:")
-                for m, w, q in phis:
-                    write(f" + {_num(q)} PHI_{m}_{n}_{k}_{w}_{b}")
-                write(f" + {_num(t_coef)} T_{k}_{n}_{b} - {_num(x_coef)} X_{k}_{n}_{b} = 0\n")
+                yield (
+                    f" c16_{k}_{n}_{b}:"
+                    + "".join(f" + {_num(q)} PHI_{m}_{n}_{k}_{w}_{b}" for m, w, q in phis)
+                    + f" + {_num(t_coef)} T_{k}_{n}_{b} - {_num(x_coef)} X_{k}_{n}_{b} = 0\n"
+                )
     p_w = dbm_to_mw(cfg.tx_power_per_prb_dbm) / 1000.0
     pm_w = dbm_to_mw(cfg.max_power_per_connection_dbm) / 1000.0
     for k in cfg.user_ids:
         for b in range(1, B + 1):
             terms = [f"+ {_num(p_w)} X_{k}_{n}_{b}" for n in range(1, N + 1)]
-            write(f" c17_{k}_{b}: " + " ".join(terms) + f" <= {_num(pm_w)}\n")
+            yield f" c17_{k}_{b}: " + " ".join(terms) + f" <= {_num(pm_w)}\n"
     for n in range(1, N + 1):
         for b in range(1, B + 1):
             terms = [f"+ X_{k}_{n}_{b}" for k in cfg.user_ids]
-            write(f" c18_{n}_{b}: " + " ".join(terms) + " <= 1\n")
+            yield f" c18_{n}_{b}: " + " ".join(terms) + " <= 1\n"
     for k in cfg.user_ids:
         terms = [
             f"+ X_{k}_{n}_{b}" for b in range(1, B + 1) for n in range(1, N + 1)
         ]
-        write(f" c19_{k}: " + " ".join(terms) + " >= 1\n")
+        yield f" c19_{k}: " + " ".join(terms) + " >= 1\n"
     if pf:
         for k in cfg.user_ids:
             terms = [
                 f"- T_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)
             ]
-            write(f" c21_{k}: S_{k} " + " ".join(terms) + " = 0\n")
+            yield f" c21_{k}: S_{k} " + " ".join(terms) + " = 0\n"
         for k in log_users:
             for y, (m_y, h_y) in enumerate(config.pwl.segments, start=1):
-                write(f" c24_{k}_{y}: L_{k} - {_num(m_y)} S_{k} <= {_num(h_y)}\n")
+                yield f" c24_{k}_{y}: L_{k} - {_num(m_y)} S_{k} <= {_num(h_y)}\n"
 
-    write("Bounds\n")
+    yield "Bounds\n"
     for k in log_users:
-        write(f" L_{k} free\n")
-    write("Binary\n")
+        yield f" L_{k} free\n"
+    yield "Binary\n"
     for k in cfg.user_ids:
         for n in range(1, N + 1):
             for b in range(1, B + 1):
-                write(f" X_{k}_{n}_{b}\n")
-    write("End\n")
+                yield f" X_{k}_{n}_{b}\n"
+    yield "End\n"
+
+
+def export_milp(scenario, power_map, config, lam=None):
+    """Complete LP-format model text: the pieces of `milp_rows`, joined."""
+    out = io.StringIO()
+    out.writelines(milp_rows(scenario, power_map, config, lam))
     return out.getvalue()
 
 
@@ -162,8 +173,11 @@ def _value(text, line_no):
 
 
 def parse_solution_text(text):
+    """The reported objective (None if absent) and each variable's value.
+    A malformed line or a variable given twice raises DataError."""
     reported = None
     values = {}
+    lines = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -176,7 +190,11 @@ def parse_solution_text(text):
         parts = line.split()
         if len(parts) != 2:
             raise DataError(f"solution line {line_no}: expected 'name value'")
-        values[parts[0]] = _value(parts[1], line_no)
+        name = parts[0]
+        if name in lines:
+            raise DataError(f"solution lines {lines[name]} and {line_no} both give {name}")
+        lines[name] = line_no
+        values[name] = _value(parts[1], line_no)
     return reported, values
 
 

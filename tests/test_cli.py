@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,25 @@ class TestWriteTextAtomic:
             cli.write_text_atomic(str(path), "lone surrogate \ud800")
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_large_text_written_in_bounded_slices(self, tmp_path):
+        path = tmp_path / "out.txt"
+        text = "0123456789abcde\n" * (2_000_000 // 16)
+        tracemalloc.start()
+        try:
+            cli.write_text_atomic(str(path), text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+        assert path.read_text() == text
+
+    def test_multibyte_char_across_slice_boundary(self, tmp_path):
+        # slice 1 ends in a 3-byte character, whose UTF-8 bytes run past byte 2**16
+        path = tmp_path / "out.txt"
+        text = "a" * (fileio.WRITE_SLICE - 1) + "\u20ac\U0001f600\r\n" + "z" * fileio.WRITE_SLICE
+        cli.write_text_atomic(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
 
     @pytest.mark.parametrize(
         "rows, error",
@@ -138,6 +158,43 @@ class TestSolveAndExport:
             "--solution", str(sol), "--objective", "pf",
         ]) == 0
         assert "objective_match=True is_optimal=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["seed3", "three_bs"])
+    @pytest.mark.parametrize("objective", ["wsrmax", "pf"])
+    def test_export_lp_writes_export_milp_text(self, scenario_dir, tmp_path, where, objective):
+        from prballoc import allocator_exact as ex, lp_export
+
+        d = str(scenario_dir) if where == "seed3" else THREE_BS
+        pf = objective == "pf"
+        out = tmp_path / "model.lp"
+        assert run([
+            "export-lp", "--scenario", f"{d}/scenario.json", "--power-map",
+            f"{d}/power_map_000.csv", "--output", str(out),
+            *(["--prioritize", "--objective", "pf"] if pf else []),
+        ]) == 0
+        with open(f"{d}/scenario.json") as fh:
+            sc = channel.scenario_from_json(fh.read())
+        pm = channel.read_power_map_csv(f"{d}/power_map_000.csv", sc.config.noise_w)
+        cfg = ex.SolverConfig(
+            objective=objective, prioritization=pf, pf_log_mode="piecewise" if pf else "exact_log",
+            pwl=ex.PwlSpec.default() if pf else None,
+        )
+        assert out.read_bytes() == lp_export.export_milp(sc, pm, cfg).encode("utf-8")
+
+    def test_export_lp_holds_no_model_in_memory(self, tmp_path):
+        scn = tmp_path / "k40"
+        assert run(["generate", "--output", str(scn), "--users", "40", "--normal", "37",
+                    "--prbs", "20", "--realizations", "1"]) == 0
+        out = tmp_path / "model.lp"
+        argv = ["export-lp", "--scenario", str(scn / "scenario.json"), "--power-map",
+                str(scn / "power_map_000.csv"), "--output", str(out)]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(out) / 8
 
     def test_missing_file_exit_code(self, scenario_dir, tmp_path):
         code = run([
@@ -513,6 +570,8 @@ MALFORMED = [
     ("solution-prb-outside", _solution("X_10_9_9 1"), VALIDATE, 4, "X_10_9_9"),
     ("solution-shared-slot", _solution("X_10_1_1 1"), VALIDATE, 4, "more than one user"),
     ("solution-nan-value", _solution("X_10_5_2 nan"), VALIDATE, 4, "non-integral"),
+    ("solution-repeated-variable", _solution("X_10_5_2 1", "X_1_1_1 1"), VALIDATE, 4,
+     "lines 1 and 11 both give X_1_1_1"),
     ("solution-not-utf8", _append_bytes("solution.txt", b"\xff\n"), VALIDATE, 4, "cannot read"),
     ("solve-nan-alpha", None, SOLVE + ["--prioritize", "--alpha", "nan"], 2, "alpha"),
     ("solve-negative-alpha", None, SOLVE + ["--prioritize", "--alpha", "-1000"], 2, "alpha"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prballoc import allocator_exact as ex
-from prballoc import channel, lp_export
+from prballoc import channel, cli, lp_export
 from prballoc.errors import DataError, UsageError
 
 from test_exact import hand_instance
@@ -16,6 +16,27 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 def baseline():
     sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
     return sc, pm
+
+
+def export_lp_before_output(tmp_path, monkeypatch, capsys, *argv):
+    """Run `export-lp` on the baseline's files with `argv` added, failing if it opens
+    its output; return its exit code and stderr."""
+    sc, pm = baseline()
+    (tmp_path / "scenario.json").write_text(channel.scenario_to_json(sc))
+    channel.write_power_map_csv(pm, str(tmp_path / "map.csv"))
+
+    def opened(path):
+        raise AssertionError(f"export-lp opened {path} before its checks")
+
+    monkeypatch.setattr(cli, "atomic_open", opened)
+    capsys.readouterr()
+    code = cli.main([
+        "export-lp", "--scenario", str(tmp_path / "scenario.json"),
+        "--power-map", str(tmp_path / "map.csv"), "--output", str(tmp_path / "model.lp"),
+        *argv,
+    ])
+    assert sorted(os.listdir(tmp_path)) == ["map.csv", "scenario.json"]
+    return code, capsys.readouterr().err
 
 
 class TestExport:
@@ -86,18 +107,29 @@ class TestExport:
         assert "S_8" in lines[2] and "L_8" not in lines[2]
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
-    def test_big_m_must_be_finite_and_positive(self, lam):
+    def test_big_m_must_be_finite_and_positive(self, lam, tmp_path, monkeypatch, capsys):
         sc, pm = hand_instance()
         with pytest.raises(UsageError, match="lambda"):
             lp_export.export_milp(sc, pm, ex.SolverConfig(), lam=lam)
         with pytest.raises(UsageError, match="lambda"):
+            lp_export.milp_rows(sc, pm, ex.SolverConfig(), lam=lam)  # not iterated
+        with pytest.raises(UsageError, match="lambda"):
             ex.verify_linearization(ex.Assignment(slots={1: (1, 1)}), pm, lam=lam)
+        # the streamed path: big_m's own check, given `lam` in place of the default
+        monkeypatch.setattr(lp_export, "big_m", lambda power_map, _=None: ex.big_m(power_map, lam))
+        code, err = export_lp_before_output(tmp_path, monkeypatch, capsys)
+        assert code == 2 and "lambda" in err
 
-    def test_pf_without_pwl_rejected(self):
+    def test_pf_without_pwl_rejected(self, tmp_path, monkeypatch, capsys):
         sc, pm = baseline()
         cfg = ex.SolverConfig(objective="pf")
-        with pytest.raises(Exception):
+        with pytest.raises(UsageError, match="PwlSpec"):
             lp_export.export_milp(sc, pm, cfg)
+        with pytest.raises(UsageError, match="PwlSpec"):
+            lp_export.milp_rows(sc, pm, cfg)  # not iterated
+        monkeypatch.setattr(cli, "_solver_config", lambda args, piecewise=False: cfg)
+        code, err = export_lp_before_output(tmp_path, monkeypatch, capsys, "--objective", "pf")
+        assert code == 2 and "PwlSpec" in err
 
 
 class TestValidation:
@@ -145,3 +177,8 @@ class TestValidation:
     def test_malformed_line(self):
         with pytest.raises(DataError, match="line 1"):
             lp_export.parse_solution_text("X_1_1_1\n")
+
+    @pytest.mark.parametrize("text", ["X_1_1_1 0\n\nX_1_1_1 1\n", "X_1_1_1 1\n\nX_1_1_1 0\n"])
+    def test_repeated_variable_names_both_lines(self, text):
+        with pytest.raises(DataError, match="lines 1 and 3 both give X_1_1_1"):
+            lp_export.parse_solution_text(text)

@@ -23,10 +23,6 @@ class PfUndefinedError(ValueError):
     """PF objective requested a log of a zero SINR."""
 
 
-class LambdaTooSmallError(ValueError):
-    """Big-M constant below an SINR it must dominate."""
-
-
 @dataclass
 class PwlSpec:
     """Tangent lines of ln at the given points: slope 1/s0, intercept ln(s0)-1.
@@ -238,47 +234,6 @@ def _search_subset_dp(scenario, power_map, config, weights):
     _, slots = dp[(1 << K) - 1]
     placed = sorted(range(K), key=lambda i: (slots[i][1], i))  # PRB-major, users ascending
     return Assignment(slots={i + 1: slots[i] for i in placed})
-
-
-def default_lambda(power_map):
-    """10x the largest interference-free SINR; a tight yet safe big-M."""
-    return 10.0 * float(power_map.q.max()) / power_map.noise_w
-
-
-def big_m(power_map, lam=None):
-    """The big-M constant of rows c13 and c15: `lam`, or default_lambda when None."""
-    if lam is None:
-        return default_lambda(power_map)
-    if not 0 < lam < math.inf:  # nan fails too
-        raise UsageError(f"lambda must be a finite number > 0, got {lam!r}")
-    return lam
-
-
-def balance_row(power_map, k, n, b):
-    """c16 of user k on (bs b, prb n): the PHI terms (m, w, q[m,n,b]) of every other user m
-    at every other BS w, m then w ascending, and the T (noise) and X (q[k,n,b]) coefficients."""
-    heard = power_map.q[:, n - 1, b - 1].tolist()
-    phis = [(m, w, q) for m, q in enumerate(heard, start=1) if m != k
-            for w in range(1, power_map.q.shape[2] + 1) if w != b]
-    return phis, power_map.noise_w, heard[k - 1]
-
-
-def verify_linearization(assignment, power_map, lam=None):
-    """Largest residual of the assigned users' c16 rows, each over its X coefficient.
-
-    X is the assignment, T each user's SINR (`sinr_of`) and PHI = T X, the product rows
-    c13-c15 pin.  Raises when an SINR exceeds lam: c13 or c15 then cut the point off.
-    """
-    lam = big_m(power_map, lam)
-    sinr = sinr_of(assignment, power_map)
-    worst = 0.0
-    for k, (b, n) in assignment.slots.items():
-        if sinr[k] > lam:
-            raise LambdaTooSmallError(f"lambda {lam} below SINR {sinr[k]} of user {k}; big-M binds")
-        phis, t_coef, x_coef = balance_row(power_map, k, n, b)
-        value = sum(q * sinr[k] for m, w, q in phis if assignment.slots.get(m) == (w, n))
-        worst = max(worst, abs(value + t_coef * sinr[k] - x_coef) / x_coef)
-    return worst
 
 
 def write_result_csv(assignment, report, path):

@@ -3,21 +3,23 @@
 The export carries the big-M linearization of the SINR balance (product of a
 continuous SINR and a binary assignment becomes a bounded auxiliary variable)
 and, for the PF objective, tangent-line rows standing in for the natural log.
+The balance rows are in noise units, and each user takes exactly one slot
+(c19 = 1), as in the exact DP, so the model's optimum is the DP's.
 Variable names: X_k_n_b (binary assignment), T_k_n_b (per-slot SINR),
 PHI_m_n_k_w_b (linearization product), S_k (per-user SINR), L_k (log SINR).
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 from .allocator_exact import (
     Assignment,
     PfUndefinedError,
-    balance_row,
-    big_m,
     evaluate_assignment,
     prioritized,
     priorities_for,
+    sinr_of,
     solve_exact,
 )
 from .channel import dbm_to_mw
@@ -28,8 +30,53 @@ FRACTIONAL_TOL = 1e-6
 PARITY_TOL = 1e-9
 
 
+class LambdaTooSmallError(ValueError):
+    """Big-M constant below an SINR it must dominate."""
+
+
 def _num(x):
     return repr(float(x))
+
+
+def big_m(power_map, lam=None):
+    """The big-M constant of rows c13 and c15, a finite number > 0: `lam`, or by default
+    10x the largest interference-free SINR, a tight yet safe bound.  A bad `lam` raises
+    UsageError, a bad default DataError, since the power map is then at fault."""
+    error, origin = UsageError, ""
+    if lam is None:
+        lam = 10.0 * float(power_map.q.max()) / power_map.noise_w
+        error, origin = DataError, " (10x the power map's largest power over the noise)"
+    if not 0 < lam < math.inf:  # nan fails too
+        raise error(f"lambda must be a finite number > 0, got {lam!r}{origin}")
+    return lam
+
+
+def balance_row(power_map, k, n, b):
+    """c16 of user k on (bs b, prb n) in noise units, so T's coefficient is 1: the PHI terms
+    (m, w, q[m,n,b] / noise) of every other user m at every other BS w, m then w ascending,
+    and the X coefficient q[k,n,b] / noise."""
+    heard = (power_map.q[:, n - 1, b - 1] / power_map.noise_w).tolist()
+    phis = [(m, w, q) for m, q in enumerate(heard, start=1) if m != k
+            for w in range(1, power_map.q.shape[2] + 1) if w != b]
+    return phis, heard[k - 1]
+
+
+def verify_linearization(assignment, power_map, lam=None):
+    """Largest residual of the assigned users' c16 rows, each over its X coefficient.
+
+    X is the assignment, T each user's SINR (`sinr_of`) and PHI = T X, the product rows
+    c13-c15 pin.  Raises when an SINR exceeds lam: c13 or c15 then cut the point off.
+    """
+    lam = big_m(power_map, lam)
+    sinr = sinr_of(assignment, power_map)
+    worst = 0.0
+    for k, (b, n) in assignment.slots.items():
+        if sinr[k] > lam:
+            raise LambdaTooSmallError(f"lambda {lam} below SINR {sinr[k]} of user {k}; big-M binds")
+        phis, x_coef = balance_row(power_map, k, n, b)
+        value = sum(q * sinr[k] for m, w, q in phis if assignment.slots.get(m) == (w, n))
+        worst = max(worst, abs(value + sinr[k] - x_coef) / x_coef)
+    return worst
 
 
 def _phi_indices(K, N, B):
@@ -70,11 +117,8 @@ def _rows(scenario, power_map, config, lam, weights):
 
     yield "\\ prballoc MILP export\nMaximize\n"
     if not pf:
-        terms = []
-        for k in cfg.user_ids:
-            for n in range(1, N + 1):
-                for b in range(1, B + 1):
-                    terms.append(f"+ {_num(weights[k])} T_{k}_{n}_{b}")
+        terms = [f"+ {_num(weights[k])} T_{k}_{n}_{b}"
+                 for k in cfg.user_ids for n in range(1, N + 1) for b in range(1, B + 1)]
     else:
         terms = [f"+ L_{k}" for k in log_users] + [f"+ {_num(weights[k])} S_{k}" for k in ops]
     yield " obj: " + " ".join(terms) + "\n"
@@ -91,11 +135,11 @@ def _rows(scenario, power_map, config, lam, weights):
     for k in cfg.user_ids:
         for n in range(1, N + 1):
             for b in range(1, B + 1):
-                phis, t_coef, x_coef = balance_row(power_map, k, n, b)
+                phis, x_coef = balance_row(power_map, k, n, b)
                 yield (
                     f" c16_{k}_{n}_{b}:"
                     + "".join(f" + {_num(q)} PHI_{m}_{n}_{k}_{w}_{b}" for m, w, q in phis)
-                    + f" + {_num(t_coef)} T_{k}_{n}_{b} - {_num(x_coef)} X_{k}_{n}_{b} = 0\n"
+                    + f" + 1.0 T_{k}_{n}_{b} - {_num(x_coef)} X_{k}_{n}_{b} = 0\n"
                 )
     p_w = dbm_to_mw(cfg.tx_power_per_prb_dbm) / 1000.0
     pm_w = dbm_to_mw(cfg.max_power_per_connection_dbm) / 1000.0
@@ -108,15 +152,11 @@ def _rows(scenario, power_map, config, lam, weights):
             terms = [f"+ X_{k}_{n}_{b}" for k in cfg.user_ids]
             yield f" c18_{n}_{b}: " + " ".join(terms) + " <= 1\n"
     for k in cfg.user_ids:
-        terms = [
-            f"+ X_{k}_{n}_{b}" for b in range(1, B + 1) for n in range(1, N + 1)
-        ]
-        yield f" c19_{k}: " + " ".join(terms) + " >= 1\n"
+        terms = [f"+ X_{k}_{n}_{b}" for b in range(1, B + 1) for n in range(1, N + 1)]
+        yield f" c19_{k}: " + " ".join(terms) + " = 1\n"
     if pf:
         for k in cfg.user_ids:
-            terms = [
-                f"- T_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)
-            ]
+            terms = [f"- T_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)]
             yield f" c21_{k}: S_{k} " + " ".join(terms) + " = 0\n"
         for k in log_users:
             for y, (m_y, h_y) in enumerate(config.pwl.segments, start=1):

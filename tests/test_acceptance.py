@@ -179,11 +179,11 @@ def test_criterion_4_linearization(capsys):
             )
             t_linearized = pm.power(k, n, b) / (interference + pm.noise_w)
             worst = max(worst, abs(t_linearized - direct[k]) / direct[k])
-        worst = max(worst, ex.verify_linearization(assignment, pm))
+        worst = max(worst, lp_export.verify_linearization(assignment, pm))
         max_t = max(direct.values())
         try:
-            ex.verify_linearization(assignment, pm, lam=max_t * 0.9)
-        except ex.LambdaTooSmallError:
+            lp_export.verify_linearization(assignment, pm, lam=max_t * 0.9)
+        except lp_export.LambdaTooSmallError:
             detections += 1
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and detections == 100 and elapsed < 30.0

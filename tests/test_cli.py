@@ -619,6 +619,7 @@ MALFORMED = [
      "per-connection cap"),
     ("export-lp-power-above-cap", _set_scenario(tx_power_per_prb_dbm=24.0), EXPORT, 3,
      "per-connection cap"),
+    ("export-lp-lambda-overflow", _set_power_cell("1e300", line=2), EXPORT, 4, "lambda"),
     ("solution-pf-zero-sinr", _zero_sinr_solution, VALIDATE + ["--objective", "pf"], 4,
      "zero SINR"),
 ]

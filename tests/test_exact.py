@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prballoc import allocator_exact as ex
-from prballoc import channel
+from prballoc import channel, lp_export
 from prballoc.errors import UsageError
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
@@ -251,31 +251,32 @@ class TestLinearization:
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=6), op_ps=REF_PS)
         pm = channel.generate_power_map(sc, 0)
         assignment, report = ex.solve_exact(sc, pm, ex.SolverConfig())
-        assert ex.verify_linearization(assignment, pm) < 1e-9
+        assert lp_export.verify_linearization(assignment, pm) < 1e-9
         max_t = max(report.sinr.values())
-        with pytest.raises(ex.LambdaTooSmallError):
-            ex.verify_linearization(assignment, pm, lam=max_t * 0.5)
+        with pytest.raises(lp_export.LambdaTooSmallError):
+            lp_export.verify_linearization(assignment, pm, lam=max_t * 0.5)
 
     def test_evaluates_the_balance_rows(self, monkeypatch):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
         pm = channel.generate_power_map(sc, 0)
         assignment, _ = ex.solve_exact(sc, pm, ex.SolverConfig())
-        assert ex.verify_linearization(assignment, pm) < 1e-9
-        balance_row = ex.balance_row
+        assert lp_export.verify_linearization(assignment, pm) < 1e-9
+        balance_row = lp_export.balance_row
 
         def heard_at_own_bs(power_map, k, n, b):
-            phis, t_coef, x_coef = balance_row(power_map, k, n, b)
-            return [(m, w, power_map.power(m, n, w)) for m, w, _ in phis], t_coef, x_coef
+            phis, x_coef = balance_row(power_map, k, n, b)
+            own = [(m, w, power_map.power(m, n, w) / power_map.noise_w) for m, w, _ in phis]
+            return own, x_coef
 
-        monkeypatch.setattr(ex, "balance_row", heard_at_own_bs)
-        assert ex.verify_linearization(assignment, pm) > 1e-3
+        monkeypatch.setattr(lp_export, "balance_row", heard_at_own_bs)
+        assert lp_export.verify_linearization(assignment, pm) > 1e-3
 
     def test_no_interferers_degenerates(self):
         sc, pm = hand_instance()
         lone = ex.Assignment(slots={1: (1, 1)})
-        assert ex.verify_linearization(lone, pm) == 0.0
+        assert lp_export.verify_linearization(lone, pm) == 0.0
 
     def test_default_lambda_dominates(self):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=6), op_ps=REF_PS)
         pm = channel.generate_power_map(sc, 0)
-        assert ex.default_lambda(pm) > float(pm.q.max()) / pm.noise_w
+        assert lp_export.big_m(pm) > float(pm.q.max()) / pm.noise_w

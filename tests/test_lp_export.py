@@ -18,10 +18,11 @@ def baseline():
     return sc, pm
 
 
-def export_lp_before_output(tmp_path, monkeypatch, capsys, *argv):
-    """Run `export-lp` on the baseline's files with `argv` added, failing if it opens
-    its output; return its exit code and stderr."""
+def export_lp_before_output(tmp_path, monkeypatch, capsys, *argv, power_map=None):
+    """Run `export-lp` on the baseline's files, its map replaced by `power_map` if given,
+    with `argv` added, failing if it opens its output; return its exit code and stderr."""
     sc, pm = baseline()
+    pm = pm if power_map is None else power_map
     (tmp_path / "scenario.json").write_text(channel.scenario_to_json(sc))
     channel.write_power_map_csv(pm, str(tmp_path / "map.csv"))
 
@@ -114,11 +115,26 @@ class TestExport:
         with pytest.raises(UsageError, match="lambda"):
             lp_export.milp_rows(sc, pm, ex.SolverConfig(), lam=lam)  # not iterated
         with pytest.raises(UsageError, match="lambda"):
-            ex.verify_linearization(ex.Assignment(slots={1: (1, 1)}), pm, lam=lam)
+            lp_export.verify_linearization(ex.Assignment(slots={1: (1, 1)}), pm, lam=lam)
         # the streamed path: big_m's own check, given `lam` in place of the default
-        monkeypatch.setattr(lp_export, "big_m", lambda power_map, _=None: ex.big_m(power_map, lam))
+        big_m = lp_export.big_m
+        monkeypatch.setattr(lp_export, "big_m", lambda power_map, _=None: big_m(power_map, lam))
         code, err = export_lp_before_output(tmp_path, monkeypatch, capsys)
         assert code == 2 and "lambda" in err
+
+    @pytest.mark.parametrize("power", [0.0, 1e300])
+    def test_big_m_from_a_bad_map_is_a_data_error(self, power, tmp_path, monkeypatch, capsys):
+        # the default lambda, 10x the largest power over the noise, is 0 or overflows
+        sc, pm = baseline()
+        q = pm.q.copy() if power else np.zeros_like(pm.q)
+        q[0, 0, 0] = power
+        bad = channel.PowerMap(q=q, noise_w=pm.noise_w)
+        with pytest.raises(DataError, match="lambda"):
+            lp_export.milp_rows(sc, bad, ex.SolverConfig())  # not iterated
+        with pytest.raises(DataError, match="lambda"):
+            lp_export.verify_linearization(ex.Assignment(slots={1: (1, 1)}), bad)
+        code, err = export_lp_before_output(tmp_path, monkeypatch, capsys, power_map=bad)
+        assert code == 4 and "power map" in err
 
     def test_pf_without_pwl_rejected(self, tmp_path, monkeypatch, capsys):
         sc, pm = baseline()

@@ -6,8 +6,10 @@ the best achievable SINR (interferer chosen with minimum interfering power);
 one pool entry is picked uniformly at random and the chosen interferer is
 assigned the co-channel slot at the same time.  Improvement: best-improvement
 swaps of two slots' occupants (`SwapSearch`) raise the weighted SINR sum
-until no swap gains.  An iteration harness averages over randomized admission
-orders and over power-map realizations.
+until no swap gains.  Both phases search the exact solver's feasible set, one
+user per slot; prioritization acts only through the serve order and the
+weights.  An iteration harness averages over randomized admission orders and
+over power-map realizations.
 """
 
 import math
@@ -60,13 +62,6 @@ def serve_order(scenario, config, rng):
     return first + [rest[i] for i in rng.permutation(len(rest))]
 
 
-def _op_mask(scenario, on):
-    """(K + 1,) mask of the prioritized outpatients by user index, then nobody."""
-    mask = np.zeros(scenario.config.num_users + 1, dtype=bool)
-    mask[[k - 1 for k in prioritized(scenario, on)]] = True
-    return mask
-
-
 def best_sinr_pool(user_id, allowed, candidates, power_map):
     """One (slot, interferer, sinr) entry per allowed slot, in (bs, prb) order.
 
@@ -106,8 +101,7 @@ class SwapSearch:
     so a user can also move into a free slot.  Each step applies the swap that
     most raises the weighted SINR sum under `weights` (ties go to the pair
     first in (prb, bs) slot order), and the search stops once no swap gains
-    more than SWAP_RTOL of the current objective.  With prioritization on,
-    an outpatient never enters a PRB index that holds another outpatient.
+    more than SWAP_RTOL of the current objective.
 
     Interference never crosses PRB indices, so a swap changes only the
     columns of its two PRBs, and after each swap only the gains that involve
@@ -117,14 +111,12 @@ class SwapSearch:
     keeps those of the states it has met.
     """
 
-    def __init__(self, scenario, power_map, weights, prioritization):
+    def __init__(self, scenario, power_map, weights):
         cfg = scenario.config
         self.num_bs, self.num_prbs, self.nobody = cfg.num_bs, cfg.prbs_per_bs, cfg.num_users
         self.q, self.noise = power_map.q, power_map.noise_w
         # user index num_users is nobody: an empty slot, with no power and no weight
         self.w = np.array([weights[k] for k in cfg.user_ids] + [0.0])
-        is_op = _op_mask(scenario, prioritization)
-        self.is_op = is_op if is_op.any() else None  # None: no column needs the outpatient rule
         bs = np.arange(self.num_bs)
         self.other = bs[:, None] != bs
         pair_a, pair_b = np.nonzero(np.triu(self.other))
@@ -151,10 +143,8 @@ class SwapSearch:
         the column stays put (its share of a swap with a slot on another PRB);
         and (C, P), the change when the column's occupants are rearranged by
         each of `perms` (P, B), one per pair of BSs swapping inside the column.
-        With prioritization on, an outpatient may not enter a column that holds
-        an outpatient at another BS: that gain is -inf.
         """
-        q, w, other, perms, is_op = self.q, self.w, self.other, self.perms, self.is_op
+        q, w, other, perms = self.q, self.w, self.other, self.perms
         cand = np.zeros((len(prbs), len(w), len(other)))  # (C, U, v): each user heard at v
         cand[:, : len(q)] = q[:, prbs].transpose(1, 0, 2)
         p = cand[np.arange(len(prbs))[:, None], occ_cols]  # (C, x, v): occupant at x heard at v
@@ -169,10 +159,6 @@ class SwapSearch:
         gains = (others_own / others_heard).sum(axis=3)
         gains += (w[:, None] * cand / interference[:, None, :]).transpose(0, 2, 1)
         gains -= values[:, None, None]
-        if is_op is not None:
-            ops_in = is_op[occ_cols]
-            op_elsewhere = ops_in.sum(axis=1, keepdims=True) > ops_in
-            gains[op_elsewhere[:, :, None] & is_op] = -np.inf
         moved = p[:, perms, np.arange(len(other))]  # (C, P, v): each rearrangement's signals
         own_moved = w[occ_cols[:, perms]] * moved
         within = (own_moved / (heard_total[:, None, :] - moved)).sum(axis=2) - values[:, None]
@@ -242,8 +228,6 @@ class SwapSearch:
 def run_iteration(scenario, power_map, config, rng, improver=None):
     """Serve every user once, then improve by swaps; returns the trace.
 
-    With prioritization on, the construction puts each outpatient on a PRB
-    index that holds no other outpatient while such a PRB has a free slot.
     `at_assignment_sinr` holds each user's SINR when the construction placed
     it; `slots` is the assignment after the improvement phase, and
     `final_sinr` is recomputed on it, since later admissions and swaps change
@@ -256,7 +240,6 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     order = serve_order(scenario, config, rng)
     nobody = cfg.num_users
     ids = np.arange(1, nobody + 1)
-    is_op = _op_mask(scenario, config.prioritization)  # the outpatients kept apart
     occ = np.full((cfg.prbs_per_bs, cfg.num_bs), nobody)  # occupant index of each (prb, bs)
     unserved = np.ones(nobody, dtype=bool)
     at_sinr, pool_sizes = {}, []
@@ -264,12 +247,7 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
         if not unserved[user - 1]:
             continue  # already placed as someone's interferer
         unserved[user - 1] = False
-        candidates, allowed = unserved, occ == nobody
-        if is_op[user - 1]:
-            candidates = unserved & ~is_op[:nobody]
-            apart = allowed & ~is_op[occ].any(axis=1, keepdims=True)  # PRBs without outpatients
-            allowed = apart if apart.any() else allowed
-        pool = best_sinr_pool(user, allowed, ids[candidates], power_map)
+        pool = best_sinr_pool(user, occ == nobody, ids[unserved], power_map)
         pool_sizes.append(len(pool))
         (b, n), m, at_sinr[user] = semi_greedy_pick(pool, rng)
         occ[n - 1, b - 1] = user - 1
@@ -281,8 +259,7 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
                 power_map.power(user, n, co) + power_map.noise_w
             )
     if improver is None:
-        weights = priorities_for(scenario, config)
-        improver = SwapSearch(scenario, power_map, weights, config.prioritization)
+        improver = SwapSearch(scenario, power_map, priorities_for(scenario, config))
     swaps = improver.improve(occ)
     num_bs = cfg.num_bs
     slot_of = {k: (s % num_bs + 1, s // num_bs + 1) for s, k in enumerate(occ.reshape(-1).tolist())}
@@ -305,7 +282,7 @@ def run_file(scenario, power_map, config, file_index=0):
     weights = priorities_for(scenario, config)
     sums = {k: 0.0 for k in cfg.user_ids}
     objectives = []
-    search = SwapSearch(scenario, power_map, weights, config.prioritization)
+    search = SwapSearch(scenario, power_map, weights)
     for it in range(config.iterations):
         rng = np.random.default_rng(derive_seed(config.seed, file_index, it))
         trace = run_iteration(scenario, power_map, config, rng, search)

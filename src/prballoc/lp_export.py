@@ -4,7 +4,9 @@ The export carries the big-M linearization of the SINR balance (product of a
 continuous SINR and a binary assignment becomes a bounded auxiliary variable)
 and, for the PF objective, tangent-line rows standing in for the natural log.
 The balance rows are in noise units, and each user takes exactly one slot
-(c19 = 1), as in the exact DP, so the model's optimum is the DP's.
+(c19 = 1), as in the exact DP, so the model's optimum is the DP's.  For PF,
+row zero_k keeps log user k off the slots where its own power is 0: the DP,
+which cannot take ln 0, never puts it there.
 Variable names: X_k_n_b (binary assignment), T_k_n_b (per-slot SINR),
 PHI_m_n_k_w_b (linearization product), S_k (per-user SINR), L_k (log SINR).
 """
@@ -24,7 +26,6 @@ from .allocator_exact import (
 )
 from .channel import dbm_to_mw
 from .errors import DataError, UsageError
-from .fileio import write_text_atomic
 
 FRACTIONAL_TOL = 1e-6
 PARITY_TOL = 1e-9
@@ -161,6 +162,11 @@ def _rows(scenario, power_map, config, lam, weights):
         for k in log_users:
             for y, (m_y, h_y) in enumerate(config.pwl.segments, start=1):
                 yield f" c24_{k}_{y}: L_{k} - {_num(m_y)} S_{k} <= {_num(h_y)}\n"
+            # ln 0 is undefined, so, as in the DP, a log user takes no slot of zero own power
+            dead = [f"+ X_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)
+                    if power_map.q[k - 1, n - 1, b - 1] == 0]
+            if dead:
+                yield f" zero_{k}: " + " ".join(dead) + " = 0\n"
 
     yield "Bounds\n"
     for k in log_users:
@@ -196,13 +202,6 @@ class ParityReport:
     internal_optimum: float
     objective_match: bool
     is_optimal: bool
-
-
-def write_solution_file(assignment, objective, path):
-    """Serialize a solution in the validator's `name value` format."""
-    lines = [f"# objective {_num(objective)}\n"]
-    lines += [f"X_{k}_{n}_{b} 1\n" for k, (b, n) in sorted(assignment.slots.items())]
-    write_text_atomic(path, "".join(lines))
 
 
 def _value(text, line_no):

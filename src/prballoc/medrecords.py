@@ -263,22 +263,3 @@ def read_records_csv(path):
         records.append(MedicalRecord(patient_id=pid, days=entries))
     return records
 
-
-def synthesize_raw_records(num_patients, days, rng, stroke_rate=0.1):
-    """Generate synthetic raw rows in the ingestion schema (for demos/tests)."""
-    rows = []
-    for p in range(1, num_patients + 1):
-        pid = f"p{p}"
-        for d in range(1, days + 1):
-            rows.append(
-                RawRecordRow(
-                    patient_id=pid,
-                    day=d,
-                    sysbp=float(rng.uniform(95, 180)),
-                    diabp=float(rng.uniform(60, 110)),
-                    totchol=float(rng.uniform(150, 300)),
-                    cigpday=float(rng.integers(0, 40)),
-                    stroke=int(rng.random() < stroke_rate),
-                )
-            )
-    return rows

@@ -19,6 +19,7 @@ from prballoc import allocator_heuristic as heur
 from prballoc import channel, cli, lp_export, metrics, risk
 from prballoc.medrecords import FEATURES, LEVEL_NAMES, DayEntry, MedicalRecord
 
+from helpers import write_solution_file
 from test_exact import hand_instance, oracle_best
 
 ACCEPTANCE_SEED = 3
@@ -320,7 +321,7 @@ def test_criterion_9_lp_round_trip(capsys, tmp_path):
         golden_ok = text1 == fh.read()
     assignment, rep = ex.solve_exact(sc, pm, config)
     sol = tmp_path / "solution.txt"
-    lp_export.write_solution_file(assignment, rep.objective_value, sol)
+    write_solution_file(assignment, rep.objective_value, sol)
     parity = lp_export.validate_external_solution(sol.read_text(), sc, pm, config)
     parity_ok = (
         parity.objective_match

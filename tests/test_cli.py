@@ -9,6 +9,7 @@ import pytest
 
 from prballoc import channel, cli, fileio, medrecords, risk
 from prballoc.errors import UsageError
+from helpers import synthesize_raw_records, write_solution_file
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "before_after_seed3.json")
 THREE_BS = os.path.join(os.path.dirname(__file__), "data", "three_bs")
@@ -124,7 +125,7 @@ class TestSolveAndExport:
         assert lp_out.read_text().startswith("\\ prballoc MILP export")
 
         # serialize the exact solution and validate it back
-        from prballoc import allocator_exact as ex, lp_export
+        from prballoc import allocator_exact as ex
 
         with open(scenario) as fh:
             sc = channel.scenario_from_json(fh.read())
@@ -132,7 +133,7 @@ class TestSolveAndExport:
         cfg = ex.SolverConfig(prioritization=True)
         assignment, report = ex.solve_exact(sc, power_map, cfg)
         sol = tmp_path / "solution.txt"
-        lp_export.write_solution_file(assignment, report.objective_value, sol)
+        write_solution_file(assignment, report.objective_value, sol)
         assert run([
             "validate-solution", "--scenario", scenario, "--power-map", pm,
             "--solution", str(sol), "--prioritize",
@@ -141,7 +142,7 @@ class TestSolveAndExport:
     def test_validate_pf_judges_the_exported_piecewise_model(self, scenario_dir, tmp_path, capsys):
         """`export-lp --objective pf` writes the piecewise model, so the validator
         must find that model's optimum to be optimal and its objective matched."""
-        from prballoc import allocator_exact as ex, lp_export
+        from prballoc import allocator_exact as ex
 
         scenario = str(scenario_dir / "scenario.json")
         pm = str(scenario_dir / "power_map_000.csv")
@@ -151,7 +152,7 @@ class TestSolveAndExport:
         cfg = ex.SolverConfig(objective="pf", pf_log_mode="piecewise", pwl=ex.PwlSpec.default())
         assignment, report = ex.solve_exact(sc, power_map, cfg)
         sol = tmp_path / "solution.txt"
-        lp_export.write_solution_file(assignment, report.objective_value, sol)
+        write_solution_file(assignment, report.objective_value, sol)
         capsys.readouterr()
         assert run([
             "validate-solution", "--scenario", scenario, "--power-map", pm,
@@ -212,7 +213,7 @@ def _ingest(tmp_path, num_patients):
     """Raw rows of `num_patients` synthetic patients (ids p1, p2, ...), ingested."""
     raw = tmp_path / "raw.csv"
     rng = np.random.default_rng(0)
-    rows = medrecords.synthesize_raw_records(num_patients, 35, rng, stroke_rate=0.3)
+    rows = synthesize_raw_records(num_patients, 35, rng, stroke_rate=0.3)
     with open(raw, "w") as fh:
         fh.write(",".join(medrecords.CSV_COLUMNS) + "\n")
         for r in rows:

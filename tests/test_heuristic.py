@@ -66,29 +66,14 @@ class TestPool:
             want = pm.power(1, n, b) / (cands[interferer] + pm.noise_w)
             assert sinr == pytest.approx(want, rel=1e-12)
 
-    def test_op_with_only_ops_unserved_is_interference_free(self, monkeypatch):
+    def test_op_with_only_ops_unserved_is_interference_free(self):
         sc, pm = baseline()
         free = {(1, 1), (2, 1)}
-        # an outpatient's candidates are the unserved normal users: none here
+        # no candidate interferers: every entry is interference-free
         pool = heur.best_sinr_pool(8, free_mask(free), np.array([], dtype=int), pm)
         for (b, n), interferer, sinr in pool:
             assert interferer is None
             assert sinr == pytest.approx(pm.power(8, n, b) / pm.noise_w, rel=1e-12)
-        # run_iteration gives an outpatient only normal users as candidates
-        calls = []
-        pool_of = heur.best_sinr_pool
-
-        def recorded(user_id, allowed, candidates, power_map):
-            calls.append((user_id, candidates.tolist()))
-            return pool_of(user_id, allowed, candidates, power_map)
-
-        monkeypatch.setattr(heur, "best_sinr_pool", recorded)
-        config = heur.HeuristicConfig(prioritization=True)
-        heur.run_iteration(sc, pm, config, np.random.default_rng(0))
-        ops = [(user, candidates) for user, candidates in calls if user in (8, 9, 10)]
-        assert sorted(user for user, _ in ops) == [8, 9, 10]
-        for _, candidates in ops:
-            assert candidates and not set(candidates) & {8, 9, 10}
 
     def test_no_free_slot_errors(self):
         sc, pm = baseline()
@@ -136,28 +121,26 @@ class TestRunIteration:
         assert len(set(trace.slots.values())) == 10
         assert sorted(trace.serve_order) == list(range(1, 11))
 
-    @pytest.mark.parametrize(
-        "cfg, realizations, seeds",
-        [
-            (channel.ScenarioConfig(seed=3), 1, 30),
-            # with 3 BSs an outpatient's PRB keeps a free slot after its interferer
-            (
-                channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=5, num_normal=2, seed=1),
-                5,
-                40,
-            ),
-        ],
-        ids=["baseline", "three-cells"],
-    )
-    def test_ops_never_share_prb_index(self, cfg, realizations, seeds):
-        sc, _ = channel.generate_scenario(cfg, op_ps=REF_PS)
+    def test_prioritized_outpatients_may_share_a_prb(self):
+        """The heuristic searches the DP's feasible set: with prioritization on,
+        both outpatients may take PRB 1, where each is strong at its own BS."""
+        cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=2, num_users=2, num_normal=0)
+        sc = channel.Scenario(config=cfg, op_ps={1: 0.003, 2: 0.006})
+        q = np.full((2, 2, 2), 0.01)  # (user, prb, bs)
+        q[0, 0, 0] = q[1, 0, 1] = 10.0
+        q[:, 1, :] = 0.1
+        pm = channel.PowerMap(q=q, noise_w=1.0)
         config = heur.HeuristicConfig(prioritization=True)
-        for r in range(realizations):
-            pm = channel.generate_power_map(sc, r)
-            for s in range(seeds):
-                trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
-                prbs = [trace.slots[k][1] for k in cfg.op_ids]
-                assert len(set(prbs)) == len(prbs)
+        _, optimum = ex.solve_exact(sc, pm, ex.SolverConfig(prioritization=True))
+        weights = optimum.priorities
+        best = max(
+            sum(weights[k] * s for k, s in trace.final_sinr.items())
+            for trace in (
+                heur.run_iteration(sc, pm, config, np.random.default_rng(i)) for i in range(20)
+            )
+        )
+        assert best == pytest.approx(optimum.objective_value, rel=1e-12)
+        assert optimum.objective_value == pytest.approx(64.356, abs=1e-3)
 
     def test_final_sinrs_match_recomputation(self):
         sc, pm = baseline()
@@ -227,29 +210,18 @@ def weighted_objective(slots, pm, weights):
     return sum(weights[k] * sinrs[k] for k in slots)
 
 
-def improving_swaps(slots, pm, sc, weights, prioritization, tol=1e-12):
-    """Brute force: every allowed swap of two slots' occupants that gains."""
+def improving_swaps(slots, pm, sc, weights, tol=1e-12):
+    """Brute force: every swap of two slots' occupants that gains."""
     cfg = sc.config
     all_slots = [(b, n) for n in range(1, cfg.prbs_per_bs + 1) for b in range(1, cfg.num_bs + 1)]
     holder = {slot: k for k, slot in slots.items()}
     base = weighted_objective(slots, pm, weights)
-
-    def blocked(user, slot, leaving):
-        # an outpatient may not join a PRB that holds another outpatient
-        if not (prioritization and user is not None and sc.is_outpatient(user)):
-            return False
-        return any(
-            sc.is_outpatient(k) and s[1] == slot[1] and k != leaving
-            for k, s in slots.items()
-        )
 
     found = []
     for i, s1 in enumerate(all_slots):
         for s2 in all_slots[i + 1:]:
             u1, u2 = holder.get(s1), holder.get(s2)
             if u1 is None and u2 is None:
-                continue
-            if s1[1] != s2[1] and (blocked(u1, s2, u2) or blocked(u2, s1, u1)):
                 continue
             moved = dict(slots)
             if u1 is not None:
@@ -291,7 +263,7 @@ class TestSwapImprovement:
             pm = channel.generate_power_map(sc, r)
             trace = heur.run_iteration(sc, pm, config, np.random.default_rng(r))
             assert trace.swaps > 0
-            assert improving_swaps(trace.slots, pm, sc, weights, prio) == []
+            assert improving_swaps(trace.slots, pm, sc, weights) == []
 
     def test_no_improving_swap_left_three_cells(self):
         cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
@@ -302,19 +274,7 @@ class TestSwapImprovement:
             for s in range(3):
                 trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
                 assert len(set(trace.slots.values())) == 8
-                assert improving_swaps(trace.slots, pm, sc, weights, prio) == []
-
-    def test_ops_stay_on_distinct_prbs(self):
-        sc, _ = baseline()
-        config = heur.HeuristicConfig(prioritization=True)
-        swaps = 0
-        for r in range(5):
-            pm = channel.generate_power_map(sc, r)
-            for s in range(10):
-                trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
-                swaps += trace.swaps
-                assert len({trace.slots[k][1] for k in (8, 9, 10)}) == 3
-        assert swaps > 0
+                assert improving_swaps(trace.slots, pm, sc, weights) == []
 
     def test_user_moves_into_free_slot(self):
         cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=2, num_users=2, num_normal=1)
@@ -323,7 +283,7 @@ class TestSwapImprovement:
         q[0, 1, 1] = 10.0  # user 1 is strong at BS 2 on PRB 2
         q[1, 0, 0] = 10.0  # user 2 is strong at BS 1 on PRB 1
         pm = channel.PowerMap(q=q, noise_w=1.0)
-        search = heur.SwapSearch(sc, pm, {1: 1.0, 2: 1.0}, prioritization=False)
+        search = heur.SwapSearch(sc, pm, {1: 1.0, 2: 1.0})
         occ = occupants({1: (1, 1), 2: (2, 1)}, cfg)
         swaps = search.improve(occ)
         slots = slots_of(occ, (1, 2))
@@ -335,7 +295,7 @@ class TestSwapImprovement:
         sc, pm = baseline()
         for prio in (False, True):
             config = heur.HeuristicConfig(prioritization=prio)
-            shared = heur.SwapSearch(sc, pm, ex.priorities_for(sc, config), prio)
+            shared = heur.SwapSearch(sc, pm, ex.priorities_for(sc, config))
             for s in range(5):
                 a = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
                 b = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
@@ -348,10 +308,10 @@ class TestSwapImprovement:
         weights = ex.priorities_for(sc, config)
         built = heur.run_iteration(sc, pm, config, np.random.default_rng(4), _Unchanged())
         want = occupants(built.slots, sc.config)
-        want_swaps = heur.SwapSearch(sc, pm, weights, True).improve(want)
+        want_swaps = heur.SwapSearch(sc, pm, weights).improve(want)
         monkeypatch.setattr(heur, "BATCH_FLOATS", 1)  # one column per batch
         monkeypatch.setattr(heur, "MEMO_FLOATS", 0)  # nothing kept
-        search = heur.SwapSearch(sc, pm, weights, True)
+        search = heur.SwapSearch(sc, pm, weights)
         occ = occupants(built.slots, sc.config)
         assert search.improve(occ) == want_swaps
         assert want_swaps > 0

@@ -33,15 +33,12 @@ def slots_of(occ, users):
     return {k: slot_of[k] for k in users}
 
 
-def reference_pool(user_id, free_slots, unserved, power_map, scenario, prioritization):
+def reference_pool(user_id, free_slots, unserved, power_map, scenario):
     """One (slot, interferer, sinr) entry per free slot, in (bs, prb) order."""
     free_slots = set(free_slots)
     if not free_slots:
         raise InfeasibleError("no free slot available")
-    candidates = [m for m in unserved if m != user_id]
-    if prioritization and scenario.is_outpatient(user_id):
-        candidates = [m for m in candidates if not scenario.is_outpatient(m)]
-    candidates.sort()
+    candidates = sorted(m for m in unserved if m != user_id)
     noise = power_map.noise_w
     if candidates:
         cand_q = power_map.q[np.array(candidates) - 1]  # (C, N, B)
@@ -70,21 +67,14 @@ def reference_iteration(scenario, power_map, config, rng, improver):
     slots = {}
     at_sinr = {}
     pool_sizes = []
-    op_prbs = set()  # PRB indices holding an outpatient
     for user in order:
         if user in slots:
             continue  # already placed as someone's interferer
         unserved = [m for m in order if m not in slots and m != user]
-        is_op = config.prioritization and scenario.is_outpatient(user)
-        allowed = free
-        if is_op:
-            allowed = {slot for slot in free if slot[1] not in op_prbs} or free
-        pool = reference_pool(user, allowed, unserved, power_map, scenario, config.prioritization)
+        pool = reference_pool(user, free, unserved, power_map, scenario)
         pool_sizes.append(len(pool))
         slot, interferer, sinr = pool[int(rng.integers(len(pool)))]
         b, n = slot
-        if is_op:
-            op_prbs.add(n)
         slots[user] = slot
         free.discard(slot)
         at_sinr[user] = sinr
@@ -125,8 +115,8 @@ def check_against_reference(sc, maps, seeds, prio):
     config = heur.HeuristicConfig(prioritization=prio)
     weights = ex.priorities_for(sc, config)
     for pm in maps:
-        search = heur.SwapSearch(sc, pm, weights, prio)
-        reference_search = heur.SwapSearch(sc, pm, weights, prio)
+        search = heur.SwapSearch(sc, pm, weights)
+        reference_search = heur.SwapSearch(sc, pm, weights)
         for s in seeds:
             trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s), search)
             want = reference_iteration(sc, pm, config, np.random.default_rng(s), reference_search)

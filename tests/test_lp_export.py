@@ -7,6 +7,7 @@ from prballoc import allocator_exact as ex
 from prballoc import channel, cli, lp_export
 from prballoc.errors import DataError, UsageError
 
+from helpers import write_solution_file
 from test_exact import hand_instance
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
@@ -154,7 +155,7 @@ class TestValidation:
         cfg = ex.SolverConfig(objective="wsrmax", prioritization=True)
         assignment, report = ex.solve_exact(sc, pm, cfg)
         path = tmp_path / "solution.txt"
-        lp_export.write_solution_file(assignment, report.objective_value, path)
+        write_solution_file(assignment, report.objective_value, path)
         parity = lp_export.validate_external_solution(path.read_text(), sc, pm, cfg)
         assert parity.objective_match and parity.is_optimal
         # user iteration order may differ, so only bit-near equality holds
@@ -167,7 +168,7 @@ class TestValidation:
         cfg = ex.SolverConfig()
         bad = ex.Assignment(slots={1: (2, 1), 2: (1, 1)})
         path = tmp_path / "bad.txt"
-        lp_export.write_solution_file(bad, 0.2, path)
+        write_solution_file(bad, 0.2, path)
         parity = lp_export.validate_external_solution(path.read_text(), sc, pm, cfg)
         assert parity.objective_match and not parity.is_optimal
 

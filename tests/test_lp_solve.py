@@ -13,6 +13,7 @@ optimize = pytest.importorskip("scipy.optimize")
 
 from prballoc import allocator_exact as ex  # noqa: E402
 from prballoc import channel, lp_export  # noqa: E402
+from prballoc.errors import InfeasibleError  # noqa: E402
 
 REL_TOL = 1e-6
 
@@ -72,8 +73,9 @@ def parse_lp(text):
     return objective, rows, free, binary
 
 
-def solve_lp(text):
-    """HiGHS's optimum of an LP-format maximization and its value of each variable."""
+def highs(text):
+    """`scipy.optimize.milp`'s result for an LP-format maximization, and the
+    variable of each of its columns."""
     objective, rows, free, binary = parse_lp(text)
     names = sorted(set(objective).union(*(row for row, _, _ in rows)))
     col = {name: j for j, name in enumerate(names)}
@@ -99,6 +101,12 @@ def solve_lp(text):
         ),
         options={"mip_rel_gap": 0},
     )
+    return res, names
+
+
+def solve_lp(text):
+    """HiGHS's optimum of an LP-format maximization and its value of each variable."""
+    res, names = highs(text)
     assert res.status == 0, res.message
     return -res.fun, dict(zip(names, res.x))
 
@@ -137,3 +145,30 @@ def test_binding_big_m_cuts_off_the_optimum():
         lp_export.verify_linearization(assignment, pm, lam=lam)
     value, _ = solve_lp(lp_export.export_milp(sc, pm, WSRMAX, lam=lam))
     assert value < optimum.objective_value * (1 - REL_TOL)
+
+
+def zero_power_instance(q):
+    """PF log user 1 and outpatient 2 on one PRB of 2 BSs, noise 1 W, powers q (user, prb,
+    bs) with zeros, which generated maps never hold."""
+    cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=1, num_users=2, num_normal=1)
+    sc = channel.Scenario(config=cfg, op_ps={2: 0.0064})
+    return sc, channel.PowerMap(q=np.array(q), noise_w=1.0)
+
+
+def test_log_user_stays_off_its_zero_power_slot():
+    # at SINR 0 user 1's L would be capped only by the lowest tangent's intercept
+    sc, pm = zero_power_instance([[[0.0, 4.0]], [[0.1, 20.0]]])
+    assignment, optimum = ex.solve_exact(sc, pm, PF_ON)
+    assert assignment.slots[1] == (2, 1)
+    assert optimum.objective_value == pytest.approx(-1.237, abs=1e-3)
+    value, values = solve_lp(lp_export.export_milp(sc, pm, PF_ON))
+    assert value == pytest.approx(optimum.objective_value, rel=REL_TOL)
+    assert assignment_of(values).slots == assignment.slots
+
+
+def test_log_user_without_power_is_infeasible():
+    sc, pm = zero_power_instance([[[0.0, 0.0]], [[0.1, 20.0]]])
+    with pytest.raises(InfeasibleError):
+        ex.solve_exact(sc, pm, PF_ON)
+    res, _ = highs(lp_export.export_milp(sc, pm, PF_ON))
+    assert res.status == 2, res.message  # infeasible

@@ -4,6 +4,7 @@ import pytest
 from prballoc import medrecords as med
 from prballoc.risk import CurrentState
 from prballoc.errors import DataError
+from helpers import synthesize_raw_records
 
 
 def _row(pid="p1", day=1, sysbp=120.0, diabp=80.0, totchol=200.0, cigpday=5.0, stroke=0):
@@ -190,7 +191,7 @@ class TestCsvRoundTrip:
 
     def test_records_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        rows = med.cleanse(med.synthesize_raw_records(3, 10, rng))
+        rows = med.cleanse(synthesize_raw_records(3, 10, rng))
         records = med.segment(rows)
         path = tmp_path / "records.csv"
         med.write_records_csv(records, path)

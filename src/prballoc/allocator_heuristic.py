@@ -1,15 +1,14 @@
 """Real-time semi-greedy PRB assignment with OP-first ordering.
 
 An iteration has two phases, as in GRASP (Feo & Resende, J. Glob. Optim.
-1995).  Construction: each admitted user gets a pool holding, per free slot,
-the best achievable SINR (interferer chosen with minimum interfering power);
-one pool entry is picked uniformly at random and the chosen interferer is
-assigned the co-channel slot at the same time.  Improvement: best-improvement
-swaps of two slots' occupants (`SwapSearch`) raise the weighted SINR sum
-until no swap gains.  Both phases search the exact solver's feasible set, one
-user per slot; prioritization acts only through the serve order and the
-weights.  An iteration harness averages over randomized admission orders and
-over power-map realizations.
+1995).  Construction: each admitted user draws a free slot uniformly and takes
+the best SINR it can get there (interferer chosen with minimum interfering
+power); the chosen interferer gets the co-channel slot at once.  Improvement:
+best-improvement swaps of two slots' occupants (`SwapSearch`) raise the
+weighted SINR sum until no swap gains.  Both phases search the exact solver's
+feasible set, one user per slot; prioritization acts only through the serve
+order and the weights.  An iteration harness averages over randomized
+admission orders and over power-map realizations.
 """
 
 import math
@@ -62,36 +61,28 @@ def serve_order(scenario, config, rng):
     return first + [rest[i] for i in rng.permutation(len(rest))]
 
 
-def best_sinr_pool(user_id, allowed, candidates, power_map):
-    """One (slot, interferer, sinr) entry per allowed slot, in (bs, prb) order.
+def best_sinr_pool(user_id, free, candidates, power_map, rng):
+    """Draw one entry of the user's pool: ((bs, prb), interferer, sinr), 1-based.
 
-    `allowed` is the (N, B) mask of the slots the user may take; `candidates`
-    holds the ids, ascending, of the users that may interfere with it.  Where
-    the slot's PRB has another allowed slot, the minimum-interfering-power
-    candidate (ties by user id) is the interferer and the entry carries the
-    SINR it leaves; otherwise, or without candidates, the entry is
-    interference-free (interferer None).  A slot is (bs, prb), 1-based.
+    The pool holds one entry per free slot of the (N, B) mask `free`, in
+    (bs, prb) order; the draw is uniform, so only the drawn entry is computed.
+    `candidates` holds the ids, ascending, of the users that may interfere.
+    Where the slot's PRB has another free slot, the minimum-interfering-power
+    candidate (ties by user id) is the interferer; otherwise, or without
+    candidates, the entry is interference-free (interferer None).
     """
-    bs, prb = np.nonzero(allowed.T)
+    bs, prb = np.nonzero(free.T)
     if not len(bs):
         raise InfeasibleError("no free slot available")
-    paired = allowed.sum(axis=1)[prb] > 1  # a co-channel slot is left for the interferer
-    interference = np.zeros(len(bs))
-    interferer = np.zeros(len(bs), dtype=int)  # 0: none
-    if len(candidates):
-        heard = power_map.q[candidates[:, None] - 1, prb[paired], bs[paired]]  # (C, P)
-        interference[paired] = heard.min(axis=0)
-        interferer[paired] = candidates[heard.argmin(axis=0)]
-    sinr = power_map.q[user_id - 1, prb, bs] / (interference + power_map.noise_w)
-    slots = zip((bs + 1).tolist(), (prb + 1).tolist())
-    return list(zip(slots, [m or None for m in interferer.tolist()], sinr.tolist()))
-
-
-def semi_greedy_pick(pool, rng):
-    """Uniformly random entry from the pool of per-slot best SINRs."""
-    if not pool:
-        raise InfeasibleError("empty pool")
-    return pool[int(rng.integers(len(pool)))]
+    i = rng.integers(len(bs))
+    b, n = int(bs[i]), int(prb[i])
+    interferer, interference = None, 0.0
+    if len(candidates) and np.count_nonzero(free[n]) > 1:
+        heard = power_map.q[candidates - 1, n, b]
+        j = heard.argmin()
+        interferer, interference = int(candidates[j]), heard[j]
+    sinr = power_map.q[user_id - 1, n, b] / (interference + power_map.noise_w)
+    return (b + 1, n + 1), interferer, float(sinr)
 
 
 class SwapSearch:
@@ -232,9 +223,10 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     it; `slots` is the assignment after the improvement phase, and
     `final_sinr` is recomputed on it, since later admissions and swaps change
     the interference.  All three list the users in placement order: each
-    admitted user, then its interferer.  `improver` is a SwapSearch built for
-    this scenario, power map and config; passing one to every iteration on a
-    map lets it reuse column gains, and None builds a fresh one.
+    admitted user, then its interferer.  `pool_sizes` holds each admission's
+    number of free slots.  `improver` is a SwapSearch built for this
+    scenario, power map and config; passing one to every iteration on a map
+    lets it reuse column gains, and None builds a fresh one.
     """
     cfg = scenario.config
     order = serve_order(scenario, config, rng)
@@ -247,9 +239,9 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
         if not unserved[user - 1]:
             continue  # already placed as someone's interferer
         unserved[user - 1] = False
-        pool = best_sinr_pool(user, occ == nobody, ids[unserved], power_map)
-        pool_sizes.append(len(pool))
-        (b, n), m, at_sinr[user] = semi_greedy_pick(pool, rng)
+        free = occ == nobody
+        pool_sizes.append(int(np.count_nonzero(free)))
+        (b, n), m, at_sinr[user] = best_sinr_pool(user, free, ids[unserved], power_map, rng)
         occ[n - 1, b - 1] = user - 1
         if m is not None:
             co = occ[n - 1].tolist().index(nobody) + 1  # the lowest free co-channel BS

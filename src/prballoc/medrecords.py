@@ -199,7 +199,7 @@ def segment(rows, window=DEFAULT_OBSERVATION_DAYS, all_patient_ids=None):
     `all_patient_ids` may list patients seen before cleansing, so that patients
     who lost every day can be warned about.
     """
-    if window is not None and window < 1:
+    if window < 1:
         raise UsageError("window must be >= 1")
     by_patient = {}
     for row in rows:
@@ -211,9 +211,8 @@ def segment(rows, window=DEFAULT_OBSERVATION_DAYS, all_patient_ids=None):
     records = []
     for pid, patient_rows in by_patient.items():
         patient_rows.sort(key=lambda r: r.day)
-        if window is not None:
-            patient_rows = patient_rows[:window]
-        records.append(MedicalRecord(patient_id=pid, days=[generalize(r) for r in patient_rows]))
+        days = [generalize(r) for r in patient_rows[:window]]
+        records.append(MedicalRecord(patient_id=pid, days=days))
     return records
 
 

@@ -5,7 +5,7 @@ from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
 from prballoc import channel
 from prballoc.errors import InfeasibleError
-from test_heuristic_reference import occupants, slots_of
+from test_heuristic_reference import occupants, reference_pool, slots_of
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 
@@ -48,68 +48,99 @@ def free_mask(slots, n=5, b=2):
     return mask
 
 
+def draw(user_id, free, candidates, pm, seed=0):
+    """best_sinr_pool with a fresh Generator; candidates as a list of ids."""
+    return heur.best_sinr_pool(
+        user_id, free_mask(free), np.array(candidates, dtype=int), pm, np.random.default_rng(seed)
+    )
+
+
 class TestPool:
     def test_one_entry_per_free_slot(self):
         sc, pm = baseline()
-        free = {(b, n) for b in (1, 2) for n in range(1, 6)}
-        pool = heur.best_sinr_pool(1, free_mask(free), np.arange(2, 11), pm)
-        assert len(pool) == len(free)
-        assert [slot for slot, _, _ in pool] == sorted(free)
+        free = {(1, 1), (2, 1), (2, 3), (1, 5)}
+        drawn = {draw(1, free, range(2, 11), pm, seed)[0] for seed in range(100)}
+        assert drawn == free
 
     def test_argmin_interferer(self):
         sc, pm = baseline()
         free = {(1, 1), (2, 1)}
-        pool = heur.best_sinr_pool(1, free_mask(free), np.array([2, 3]), pm)
-        for (b, n), interferer, sinr in pool:
+        for seed in range(10):
+            (b, n), interferer, sinr = draw(1, free, [2, 3], pm, seed)
             cands = {m: pm.power(m, n, b) for m in (2, 3)}
             assert interferer == min(cands, key=cands.get)
-            want = pm.power(1, n, b) / (cands[interferer] + pm.noise_w)
-            assert sinr == pytest.approx(want, rel=1e-12)
+            assert sinr == pm.power(1, n, b) / (cands[interferer] + pm.noise_w)
 
-    def test_op_with_only_ops_unserved_is_interference_free(self):
+    def test_ties_go_to_the_lowest_id(self):
+        pm = channel.PowerMap(q=np.ones((4, 1, 2)), noise_w=1.0)
+        for seed in range(10):
+            _, interferer, sinr = draw(4, {(1, 1), (2, 1)}, [1, 2, 3], pm, seed)
+            assert (interferer, sinr) == (1, 0.5)
+
+    def test_no_candidates_is_interference_free(self):
         sc, pm = baseline()
         free = {(1, 1), (2, 1)}
-        # no candidate interferers: every entry is interference-free
-        pool = heur.best_sinr_pool(8, free_mask(free), np.array([], dtype=int), pm)
-        for (b, n), interferer, sinr in pool:
+        for seed in range(10):
+            (b, n), interferer, sinr = draw(8, free, [], pm, seed)
             assert interferer is None
-            assert sinr == pytest.approx(pm.power(8, n, b) / pm.noise_w, rel=1e-12)
+            assert sinr == pm.power(8, n, b) / pm.noise_w
 
     def test_no_free_slot_errors(self):
         sc, pm = baseline()
         with pytest.raises(InfeasibleError):
-            heur.best_sinr_pool(1, free_mask(set()), np.array([2]), pm)
+            draw(1, set(), [2], pm)
 
     def test_no_co_channel_free_slot_is_interference_free(self):
         sc, pm = baseline()
-        pool = heur.best_sinr_pool(1, free_mask({(1, 1)}), np.array([2, 3]), pm)
-        ((slot, interferer, _),) = pool
-        assert slot == (1, 1)
+        slot, interferer, sinr = draw(1, {(1, 1), (2, 2)}, [2, 3], pm, 4)
         assert interferer is None
+        assert sinr == pm.power(1, slot[1], slot[0]) / pm.noise_w
 
 
 class TestSemiGreedyPick:
+    """The pool pick: one uniform draw over the free slots."""
+
     def test_singleton_and_determinism(self):
-        entries = [((1, i), None, float(i)) for i in range(4)]
-        assert heur.semi_greedy_pick(entries[:1], np.random.default_rng(0)) is entries[0]
-        a = heur.semi_greedy_pick(entries, np.random.default_rng(5))
-        b = heur.semi_greedy_pick(entries, np.random.default_rng(5))
-        assert a is b
+        sc, pm = baseline()
+        assert {draw(1, {(2, 3)}, [2], pm, seed)[0] for seed in range(10)} == {(2, 3)}
+        free = {(b, n) for b in (1, 2) for n in range(1, 6)}
+        assert draw(1, free, [2, 3], pm, 5) == draw(1, free, [2, 3], pm, 5)
 
     def test_uniformity(self):
-        entries = [((1, i), None, 1.0) for i in range(4)]
+        sc, pm = baseline()
+        free = free_mask({(1, n) for n in range(1, 5)})
+        none = np.array([], dtype=int)
         rng = np.random.default_rng(42)
         counts = [0, 0, 0, 0]
         n = 100_000
         for _ in range(n):
-            (_, prb), _, _ = heur.semi_greedy_pick(entries, rng)
-            counts[prb] += 1
+            (_, prb), _, _ = heur.best_sinr_pool(1, free, none, pm, rng)
+            counts[prb - 1] += 1
         for c in counts:
             assert abs(c / n - 0.25) < 0.01
 
-    def test_empty_pool(self):
-        with pytest.raises(InfeasibleError):
-            heur.semi_greedy_pick([], np.random.default_rng(0))
+    @pytest.mark.parametrize("num_bs", [2, 3])
+    @pytest.mark.parametrize("with_candidates", [True, False], ids=["candidates", "alone"])
+    def test_draw_is_the_reference_pool_entry(self, num_bs, with_candidates):
+        """The entry drawn equals the scalar reference pool's entry at the same
+        draw, and both Generators end in the same state."""
+        cfg = channel.ScenarioConfig(
+            num_bs=num_bs, prbs_per_bs=4, num_users=4 * num_bs, num_normal=4 * num_bs - 2, seed=1
+        )
+        sc, pm = channel.generate_scenario(cfg)
+        setup = np.random.default_rng(num_bs)
+        for seed in range(200):
+            free = setup.random((cfg.prbs_per_bs, num_bs)) < setup.uniform(0.1, 0.9)
+            free.flat[setup.integers(free.size)] = True
+            user = int(setup.integers(1, cfg.num_users + 1))
+            others = [m for m in cfg.user_ids if m != user] if with_candidates else []
+            candidates = sorted(m for m in others if setup.random() < 0.5)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = heur.best_sinr_pool(user, free, np.array(candidates, dtype=int), pm, rng)
+            free_slots = {(b + 1, n + 1) for n, b in zip(*np.nonzero(free))}
+            pool = reference_pool(user, free_slots, candidates, pm, sc)
+            assert got == pool[int(twin.integers(len(pool)))]
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestRunIteration:

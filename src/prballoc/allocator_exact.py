@@ -17,6 +17,7 @@ from .fileio import write_csv
 from .risk import check_alpha, priority
 
 DEFAULT_ALPHA = 500.0
+OBJECTIVES = ("wsrmax", "pf")  # SolverConfig's names, the CLI's --objective choices
 
 
 class PfUndefinedError(ValueError):
@@ -57,19 +58,21 @@ class PwlSpec:
 
 @dataclass
 class SolverConfig:
-    objective: str = "wsrmax"  # "wsrmax" | "pf"
+    objective: str = "wsrmax"  # one of OBJECTIVES
     prioritization: bool = False
     alpha: float = DEFAULT_ALPHA
     pf_log_mode: str = "exact_log"  # "exact_log" | "piecewise"
-    pwl: PwlSpec | None = None
+    pwl: PwlSpec | None = None  # the tangents of "piecewise"; None there means the default
 
     def __post_init__(self):
-        if self.objective not in ("wsrmax", "pf"):
+        if self.objective not in OBJECTIVES:
             raise UsageError(f"unknown objective {self.objective!r}")
         if self.pf_log_mode not in ("exact_log", "piecewise"):
             raise UsageError(f"unknown pf_log_mode {self.pf_log_mode!r}")
+        if self.pf_log_mode == "exact_log" and self.pwl is not None:
+            raise UsageError("a PwlSpec needs pf_log_mode 'piecewise', not 'exact_log'")
         if self.pf_log_mode == "piecewise" and self.pwl is None:
-            raise UsageError("piecewise mode requires a PwlSpec")
+            self.pwl = PwlSpec.default()
         check_alpha(self.alpha)
 
     def log_value(self, s):

@@ -9,6 +9,7 @@ integrated over one PRB's bandwidth.  All optimizer math is in watts.
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -42,9 +43,7 @@ def dbm_to_mw(x_dbm):
 
 
 def noise_power_w(density_dbm_hz, bandwidth_hz):
-    """AWGN power over one PRB, in watts."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
+    """AWGN power over one PRB, in watts; a bandwidth <= 0 raises ValueError."""
     return dbm_to_mw(density_dbm_hz + 10.0 * math.log10(bandwidth_hz)) / 1000.0
 
 
@@ -109,20 +108,42 @@ class ScenarioConfig:
             return math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A config and its per-user data, checked here once; `dataclasses.replace` checks again."""
     config: ScenarioConfig
     # Explicit distances (meters, (num_users, num_bs)) pin the geometry for
     # every realization; None means each realization draws its own.
     distances: np.ndarray | None = None
-    op_ps: dict = field(default_factory=dict)  # user_id -> stroke posterior
-    current_states: dict = field(default_factory=dict)  # user_id -> level tokens
+    op_ps: dict = field(default_factory=dict)  # outpatient id -> stroke posterior
+    current_states: dict = field(default_factory=dict)  # outpatient id -> level tokens
 
-    def is_outpatient(self, user_id):
-        return user_id > self.config.num_normal
+    def __post_init__(self):
+        cfg = self.config
+        if self.distances is not None:
+            try:
+                distances = np.array(self.distances, dtype=float)
+                ok = distances.shape == (cfg.num_users, cfg.num_bs) and all(
+                    0 < d < math.inf and 0 < cfg.mean_received_w(d) < math.inf
+                    for d in distances.flat)
+            except (TypeError, ValueError, OverflowError):  # not a rectangular array of floats
+                ok = False
+            if not ok:
+                raise UsageError(f"distances must be {cfg.num_users} x {cfg.num_bs} meters > 0,"
+                                 " each with a mean received power of finite watts > 0")
+            distances.flags.writeable = False
+            object.__setattr__(self, "distances", distances)
+        for key, users in (("op_ps", self.op_ps), ("current_states", self.current_states)):
+            strangers = sorted(set(users) - set(cfg.op_ids), key=repr)
+            if strangers:
+                raise UsageError(f"{key} names user {strangers[0]}, which is not an outpatient"
+                                 f" (users {cfg.num_normal + 1}-{cfg.num_users})")
+        for k, ps in self.op_ps.items():
+            if not (isinstance(ps, numbers.Real) and 0.0 <= ps <= 1.0):  # nan fails too
+                raise UsageError(f"op_ps of user {k} is {ps!r}, outside [0, 1]")
 
     def ps_of(self, user_id):
-        return self.op_ps.get(user_id, 0.0) if self.is_outpatient(user_id) else 0.0
+        return self.op_ps.get(user_id, 0.0)
 
 
 @dataclass
@@ -151,9 +172,8 @@ def generate_power_map(scenario, realization=0):
     """
     cfg = scenario.config
     rng = np.random.default_rng(derive_seed(cfg.seed, 1, realization))
-    if scenario.distances is not None:
-        distances = np.asarray(scenario.distances, dtype=float)
-    else:
+    distances = scenario.distances
+    if distances is None:
         distances = rng.uniform(
             cfg.distance_min_m, cfg.distance_max_m, size=(cfg.num_users, cfg.num_bs)
         )
@@ -193,30 +213,14 @@ def scenario_from_json(text):
                     or isinstance(value, float) and not math.isfinite(value)):
                 raise DataError(f"bad scenario JSON: {name} must be a finite {kind.__name__},"
                                 f" got {value!r}")
-        config = ScenarioConfig(**{k: payload[k] for k in config_fields})
-        op_ps = {int(k): float(v) for k, v in payload.get("op_ps", {}).items()}
-        states = {int(k): v for k, v in payload.get("current_states", {}).items()}
-        distances = None
-        if "distances" in payload:
-            distances = np.array([[float(d) for d in row] for row in payload["distances"]])
-    except (ValueError, TypeError, AttributeError, UsageError) as exc:
+        return Scenario(
+            config=ScenarioConfig(**{k: payload[k] for k in config_fields}),
+            distances=payload["distances"] if "distances" in payload else None,
+            op_ps={int(k): float(v) for k, v in payload.get("op_ps", {}).items()},
+            current_states={int(k): v for k, v in payload.get("current_states", {}).items()},
+        )
+    except (ValueError, TypeError, AttributeError, OverflowError, UsageError) as exc:
         raise DataError(f"bad scenario JSON: {exc}") from exc
-    if distances is not None:
-        if distances.shape != (config.num_users, config.num_bs):
-            raise DataError("distances shape does not match config")
-        if not all(0 < d < math.inf and 0 < config.mean_received_w(d) < math.inf
-                   for d in distances.flat):
-            raise DataError("distances must be finite and positive, with a mean received power"
-                            " of finite watts > 0")
-    for key, users in (("op_ps", op_ps), ("current_states", states)):
-        strangers = sorted(set(users) - set(config.op_ids))
-        if strangers:
-            raise DataError(f"bad scenario JSON: {key} names user {strangers[0]}, which is not"
-                            f" an outpatient (users {config.num_normal + 1}-{config.num_users})")
-    for k, ps in op_ps.items():
-        if not 0.0 <= ps <= 1.0:
-            raise DataError(f"op_ps of user {k} is {ps!r}, outside [0, 1]")
-    return Scenario(config=config, distances=distances, op_ps=op_ps, current_states=states)
 
 
 def write_power_map_csv(power_map, path):

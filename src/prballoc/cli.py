@@ -9,7 +9,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class ExperimentSpec:
             raise UsageError("alpha sweep needs a non-empty alpha list")
         _check_counts(self, "realizations", "iterations", "runs")
         for alpha in (self.alpha, *self.alphas):
-            risk.check_alpha(alpha)
+            exact.SolverConfig(objective=self.objective, alpha=alpha)
 
 
 def _read_scenario(path):
@@ -169,7 +169,7 @@ def run_alpha_sweep(spec, scenario=None, power_maps=None):
     scenario, power_maps = _inputs(spec, scenario, power_maps)
     os.makedirs(spec.output_dir, exist_ok=True)
     cfg = scenario.config
-    healthy = [k for k in cfg.user_ids if not scenario.is_outpatient(k)]
+    healthy = [k for k in cfg.user_ids if k not in cfg.op_ids]
     table = []
     for alpha in sorted(spec.alphas):
         config = exact.SolverConfig(objective=spec.objective, prioritization=True, alpha=alpha)
@@ -247,9 +247,8 @@ def _cmd_risk(args):
     The i-th outpatient is scored from the i-th record id in string order."""
     records = {r.patient_id: r for r in medrecords.read_records_csv(args.records)}
     scenario = _read_scenario(args.scenario)
-    if not scenario.current_states:
-        raise DataError("scenario has no current_states for the outpatients")
     ordered_patients = sorted(records)
+    posteriors = {}
     for rank, uid in enumerate(scenario.config.op_ids):
         state_tokens = scenario.current_states.get(uid)
         if state_tokens is None:
@@ -261,9 +260,10 @@ def _cmd_risk(args):
         if rank >= len(ordered_patients):
             raise DataError("fewer patient records than outpatients")
         record = records[ordered_patients[rank]]
-        scenario.op_ps[uid] = risk.posterior_stroke(record, state, smoothing=args.smoothing)
-    write_text_atomic(args.output, channel.scenario_to_json(scenario))
-    print(f"wrote the posteriors of {len(scenario.op_ps)} outpatients to {args.output}")
+        posteriors[uid] = risk.posterior_stroke(record, state, smoothing=args.smoothing)
+    scored = replace(scenario, op_ps=posteriors)
+    write_text_atomic(args.output, channel.scenario_to_json(scored))
+    print(f"wrote the posteriors of {len(posteriors)} outpatients to {args.output}")
 
 
 def _cmd_generate(args):
@@ -299,14 +299,8 @@ def _read_scenario_and_map(args):
 
 
 def _solver_config(args, piecewise=False):
-    pwl = exact.PwlSpec.default() if piecewise else None
-    return exact.SolverConfig(
-        objective=args.objective,
-        prioritization=args.prioritize,
-        alpha=args.alpha,
-        pf_log_mode="piecewise" if piecewise else "exact_log",
-        pwl=pwl,
-    )
+    return exact.SolverConfig(args.objective, args.prioritize, args.alpha,
+                              pf_log_mode="piecewise" if piecewise else "exact_log")
 
 
 def _cmd_solve(args):
@@ -387,7 +381,7 @@ def _add_instance_args(p):
     """The options that _read_scenario_and_map and _solver_config read."""
     p.add_argument("--scenario", required=True)
     p.add_argument("--power-map", required=True)
-    p.add_argument("--objective", choices=["wsrmax", "pf"], default="wsrmax")
+    p.add_argument("--objective", choices=exact.OBJECTIVES, default="wsrmax")
     p.add_argument("--prioritize", action="store_true")
     p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
 
@@ -398,7 +392,7 @@ def _add_experiment_args(p):
     SUPPRESS, so an option not given keeps the field's default."""
     p.add_argument("--output", dest="output_dir", required=True)
     p.add_argument("--scenario", dest="scenario_path")
-    p.add_argument("--objective", choices=["wsrmax", "pf"])
+    p.add_argument("--objective", choices=exact.OBJECTIVES)
     p.add_argument("--realizations", type=int)
     p.add_argument("--seed", type=int)
 

@@ -96,14 +96,14 @@ def _phi_indices(K, N, B):
 def milp_rows(scenario, power_map, config, lam=None):
     """The LP-format model as an iterator of text pieces, byte-identical across runs.
 
-    The checks run before this returns, so a bad lambda or a PF config without a
-    PwlSpec raises before any output exists.  Each piece is one row, except
+    The checks run before this returns, so a bad lambda or a PF config without the
+    piecewise log raises before any output exists.  Each piece is one row, except
     that the c13, c14 and c15 rows of one PHI index form one piece; the user
     weights enter as precomputed constants.
     """
     lam = big_m(power_map, lam)
-    if config.objective == "pf" and config.pwl is None:
-        raise UsageError("PF export requires a PwlSpec")
+    if config.objective == "pf" and config.pf_log_mode != "piecewise":
+        raise UsageError("PF export needs pf_log_mode 'piecewise', the tangents of a PwlSpec")
     weights = priorities_for(scenario, config)
     return _rows(scenario, power_map, config, lam, weights)
 
@@ -213,28 +213,27 @@ def _value(text, line_no):
 
 def parse_solution_text(text):
     """The reported objective (None if absent) and each variable's value.
-    A malformed line or a variable given twice raises DataError."""
-    reported = None
-    values = {}
-    lines = {}
+    A malformed line, or a variable or the objective given twice, raises DataError."""
+    values, lines = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "objective":
-                reported = _value(parts[1], line_no)
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"solution line {line_no}: expected 'name value'")
-        name = parts[0]
+            if len(parts) != 2 or parts[0] != "objective":
+                continue  # a comment
+            name = "# objective"  # no variable name starts with '#'
+        else:
+            parts = line.split()
+            if len(parts) != 2:
+                raise DataError(f"solution line {line_no}: expected 'name value'")
+            name = parts[0]
         if name in lines:
             raise DataError(f"solution lines {lines[name]} and {line_no} both give {name}")
         lines[name] = line_no
         values[name] = _value(parts[1], line_no)
-    return reported, values
+    return values.pop("# objective", None), values
 
 
 def validate_external_solution(text, scenario, power_map, config):

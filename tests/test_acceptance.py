@@ -226,7 +226,7 @@ def test_criterion_5b_pf_exceeds_wsrmax(capsys, dataset):
 
 def test_criterion_5c_fairness_bands(capsys, dataset):
     sc = dataset["scenario"]
-    healthy = [k for k in sc.config.user_ids if not sc.is_outpatient(k)]
+    healthy = [k for k in sc.config.user_ids if k <= sc.config.num_normal]
     sds = {}
     for objective in ("wsrmax", "pf"):
         after = dataset["exact"][(objective, True)]

@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,14 @@ from prballoc import channel
 from prballoc.errors import DataError, InfeasibleError, UsageError
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
+STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
+
+
+def one_distance(distance):
+    """10 x 2 distances of 400 m, except user 10's at BS 2."""
+    distances = np.full((10, 2), 400.0)
+    distances[9, 1] = distance
+    return distances
 
 
 def recompute(cfg, realization, distances=None):
@@ -127,6 +136,47 @@ class TestScenarioConfig:
         assert cfg.num_users == 10
 
 
+class TestScenario:
+    """`Scenario` checks its per-user data when built, in code as from a file."""
+
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param({"op_ps": {3: 0.5}}, "op_ps names user 3", id="ps-normal-user"),
+        pytest.param({"op_ps": {11: 0.5}}, "op_ps names user 11", id="ps-unknown-user"),
+        pytest.param({"op_ps": {8: 1.5}}, "outside", id="ps-above-one"),
+        pytest.param({"op_ps": {8: -0.1}}, "outside", id="ps-negative"),
+        pytest.param({"op_ps": {8: math.nan}}, "outside", id="ps-nan"),
+        pytest.param({"current_states": {3: STATE}}, "current_states names user 3",
+                     id="state-normal-user"),
+        pytest.param({"distances": np.zeros((10, 2))}, "distances", id="distances-zero"),
+        pytest.param({"distances": np.full((3, 3), 400.0)}, "distances", id="distances-3x3"),
+        pytest.param({"distances": one_distance(-400.0)}, "distances", id="distance-negative"),
+        pytest.param({"distances": one_distance(math.inf)}, "distances", id="distance-inf"),
+        pytest.param({"distances": one_distance(math.nan)}, "distances", id="distance-nan"),
+        # the mean received power overflows at 1e-300 m and is 0 W at 1e200 m
+        pytest.param({"distances": one_distance(1e-300)}, "mean received power",
+                     id="distance-1e-300"),
+        pytest.param({"distances": one_distance(1e200)}, "mean received power",
+                     id="distance-1e200"),
+        pytest.param({"distances": [[400.0, 400.0]] * 9 + [[400.0]]}, "distances",
+                     id="distances-ragged"),
+    ])
+    def test_bad_user_data_rejected(self, fields, message):
+        with pytest.raises(UsageError, match=message):
+            channel.Scenario(config=channel.ScenarioConfig(), **fields)
+        valid = channel.Scenario(config=channel.ScenarioConfig(), distances=one_distance(400.0),
+                                 op_ps=dict(REF_PS), current_states={8: STATE})
+        with pytest.raises(UsageError, match=message):
+            replace(valid, **fields)
+
+    def test_frozen_with_read_only_distances(self):
+        sc = channel.Scenario(config=channel.ScenarioConfig(), distances=one_distance(400.0))
+        with pytest.raises(FrozenInstanceError):
+            sc.op_ps = {3: 0.5}
+        with pytest.raises(ValueError):
+            sc.distances[0, 0] = 0.0
+        assert sc.distances.dtype == float and sc.distances[0, 0] == 400.0
+
+
 class TestGeneration:
     def test_cardinality_positivity_and_determinism(self):
         cfg = channel.ScenarioConfig(seed=42)
@@ -202,11 +252,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("distance", [1e-300, 1e200])
     def test_explicit_distance_out_of_received_power_range(self, distance):
-        distances = np.full((10, 2), 400.0)
-        distances[9, 1] = distance
-        sc = channel.Scenario(config=channel.ScenarioConfig(), distances=distances)
+        sc = channel.Scenario(config=channel.ScenarioConfig(), distances=one_distance(400.0))
+        payload = json.loads(channel.scenario_to_json(sc))
+        payload["distances"][9][1] = repr(distance)
         with pytest.raises(DataError, match="mean received power"):
-            channel.scenario_from_json(channel.scenario_to_json(sc))
+            channel.scenario_from_json(json.dumps(payload))
 
     def test_scenario_json_without_distances(self):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=11), op_ps=REF_PS)

@@ -328,7 +328,7 @@ class TestExperiments:
 
     @pytest.mark.parametrize("field, value", [
         ("iterations", 0), ("alpha", math.nan), ("alpha", -1000.0), ("alpha", math.inf),
-        ("alphas", (500.0, 0.0)), ("alphas", (math.nan,)),
+        ("alphas", (500.0, 0.0)), ("alphas", (math.nan,)), ("objective", "maxmin"),
     ])
     def test_bad_settings_fail_before_any_output(self, tmp_path, field, value):
         out = tmp_path / "out"
@@ -574,6 +574,9 @@ MALFORMED = [
     ("solution-repeated-variable", _solution("X_10_5_2 1", "X_1_1_1 1"), VALIDATE, 4,
      "lines 1 and 11 both give X_1_1_1"),
     ("solution-not-utf8", _append_bytes("solution.txt", b"\xff\n"), VALIDATE, 4, "cannot read"),
+    ("solution-repeated-objective",
+     _solution("X_10_5_2 1", "# objective 1.0", "# objective 2.0"), VALIDATE, 4,
+     "lines 11 and 12 both give # objective"),
     ("solve-nan-alpha", None, SOLVE + ["--prioritize", "--alpha", "nan"], 2, "alpha"),
     ("solve-negative-alpha", None, SOLVE + ["--prioritize", "--alpha", "-1000"], 2, "alpha"),
     ("heuristic-zero-alpha", None, HEURISTIC + ["--prioritize", "--alpha", "0"], 2, "alpha"),
@@ -584,6 +587,10 @@ MALFORMED = [
     ("power-repeated-row", _append_bytes("power_map_000.csv", b"1,1,1,1.0\r\n"), SOLVE, 4,
      "repeated"),
     ("scenario-distance-inf", _set_scenario(distances=INF_DISTANCES), SOLVE, 4, "distances"),
+    # integers past the largest float
+    ("scenario-distance-huge-int", _set_scenario(distances=[[400, 400]] * 9 + [[10**400, 400]]),
+     SOLVE, 4, "distances"),
+    ("scenario-op-ps-huge-int", _set_scenario(op_ps={"8": 10**400}), SOLVE, 4, "too large"),
     ("before-after-distance-inf", _set_scenario(distances=INF_DISTANCES), BEFORE_AFTER, 4,
      "distances"),
     ("risk-unknown-level", _risk_inputs({**STATE, "f1": "Bogus"}), RISK, 4, "outpatient 8"),

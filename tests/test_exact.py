@@ -57,13 +57,13 @@ def oracle_optimum(scenario, pm, config, log=math.log):
     slots = [(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)]
     weights = {}
     for k in users:
-        if config.prioritization and scenario.is_outpatient(k):
+        if config.prioritization and k > cfg.num_normal:
             weights[k] = 1.0 + config.alpha * scenario.ps_of(k)
         else:
             weights[k] = 1.0
     logged = set()  # users whose PF term is ln(SINR)
     if config.objective == "pf":
-        logged = {k for k in users if not (config.prioritization and scenario.is_outpatient(k))}
+        logged = {k for k in users if not (config.prioritization and k > cfg.num_normal)}
     best = None
     for perm in itertools.permutations(slots, len(users)):
         placed = dict(zip(users, perm))
@@ -242,8 +242,11 @@ class TestSolveExact:
     def test_config_validation(self):
         with pytest.raises(UsageError):
             ex.SolverConfig(objective="maxmin")
-        with pytest.raises(UsageError):
-            ex.SolverConfig(objective="pf", pf_log_mode="piecewise")
+        # the piecewise log without tangents takes the default ones
+        assert ex.SolverConfig(objective="pf", pf_log_mode="piecewise").pwl == ex.PwlSpec.default()
+        # tangents with the exact log would be ignored by the DP
+        with pytest.raises(UsageError, match="PwlSpec"):
+            ex.SolverConfig("pf", True, pf_log_mode="exact_log", pwl=ex.PwlSpec.default())
 
 
 class TestLinearization:

@@ -4,9 +4,11 @@ Hypothesis draws the scenarios and the powers; `derandomize=True` keeps every
 run on the same examples.
 """
 
+import json
 import math
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prballoc import channel  # noqa: E402
+from prballoc.errors import DataError, UsageError  # noqa: E402
 
 # No shrinking: a failure reports the example that found it at once.
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -81,6 +84,56 @@ def test_scenario_json_round_trip(scenario):
         assert back.distances.tobytes() == scenario.distances.tobytes()
     assert back.op_ps == scenario.op_ps
     assert back.current_states == scenario.current_states
+
+
+# Valid distances next to 0, negative, infinite and NaN ones and ones whose mean
+# received power overflows (1e-300 m) or is 0 W (1e200 m) at the default config.
+CELL = st.floats(100.0, 1e4) | st.sampled_from([0.0, -0.0, -400.0, math.inf, math.nan,
+                                                 1e-300, 1e200])
+POSTERIOR = st.floats(-0.5, 1.5) | st.just(math.nan)
+
+
+@st.composite
+def user_data(draw):
+    """A default-physics config and per-user data, valid or not: keys over all users,
+    posteriors in [-0.5, 1.5] or NaN, distances of any sign, inf, NaN or the wrong shape."""
+    num_bs, prbs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    num_users = draw(st.integers(1, num_bs * prbs))
+    config = channel.ScenarioConfig(num_bs=num_bs, prbs_per_bs=prbs, num_users=num_users,
+                                    num_normal=draw(st.integers(0, num_users - 1)))
+    distances = None
+    if draw(st.booleans()):
+        rows = num_users + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        cols = num_bs + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        cells = draw(st.lists(CELL, min_size=rows * cols, max_size=rows * cols))
+        distances = np.array(cells, dtype=float).reshape(rows, cols)
+    users = st.integers(1, num_users)
+    states = st.dictionaries(users, st.just({"f1": "Normal", "f2": "Low", "f3": "High",
+                                             "f4": "Heavy"}), max_size=2)
+    return config, distances, draw(st.dictionaries(users, POSTERIOR)), draw(states)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(user_data())
+def test_constructor_and_parser_keep_one_rule(data):
+    config, distances, op_ps, states = data
+    payload = asdict(config)
+    if distances is not None:
+        payload["distances"] = [[repr(float(d)) for d in row] for row in distances]
+    payload["op_ps"] = {str(k): repr(v) for k, v in op_ps.items()}
+    payload["current_states"] = {str(k): v for k, v in states.items()}
+    try:
+        built = channel.Scenario(config=config, distances=distances, op_ps=op_ps,
+                                 current_states=states)
+    except UsageError:
+        built = None
+    try:
+        parsed = channel.scenario_from_json(json.dumps(payload))
+    except DataError:
+        parsed = None
+    assert (built is None) == (parsed is None)
+    if built is not None:
+        assert channel.scenario_to_json(built) == channel.scenario_to_json(parsed)
 
 
 @settings(PROPERTY, max_examples=100)

@@ -139,10 +139,10 @@ class TestExport:
 
     def test_pf_without_pwl_rejected(self, tmp_path, monkeypatch, capsys):
         sc, pm = baseline()
-        cfg = ex.SolverConfig(objective="pf")
-        with pytest.raises(UsageError, match="PwlSpec"):
+        cfg = ex.SolverConfig(objective="pf")  # pf_log_mode "exact_log"
+        with pytest.raises(UsageError, match="piecewise"):
             lp_export.export_milp(sc, pm, cfg)
-        with pytest.raises(UsageError, match="PwlSpec"):
+        with pytest.raises(UsageError, match="piecewise"):
             lp_export.milp_rows(sc, pm, cfg)  # not iterated
         monkeypatch.setattr(cli, "_solver_config", lambda args, piecewise=False: cfg)
         code, err = export_lp_before_output(tmp_path, monkeypatch, capsys, "--objective", "pf")
@@ -199,3 +199,9 @@ class TestValidation:
     def test_repeated_variable_names_both_lines(self, text):
         with pytest.raises(DataError, match="lines 1 and 3 both give X_1_1_1"):
             lp_export.parse_solution_text(text)
+
+    def test_repeated_objective_names_both_lines(self):
+        with pytest.raises(DataError, match="lines 1 and 2 both give # objective"):
+            lp_export.parse_solution_text("# objective 1.0\n# objective 2.0\nX_1_1_1 1")
+        assert lp_export.parse_solution_text("#objective 2.5\n# a comment\nX_1_1_1 1") == (
+            2.5, {"X_1_1_1": 1.0})

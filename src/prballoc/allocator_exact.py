@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import check_map_shape
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
 from .risk import check_alpha, priority
@@ -45,10 +46,10 @@ class PwlSpec:
         self.segments = tuple((1.0 / p, math.log(p) - 1.0) for p in pts)
 
     @classmethod
-    def default(cls, count=10, lo=0.1, hi=20.0):
-        """Geometrically spaced tangents covering the observed SINR range."""
-        ratio = (hi / lo) ** (1.0 / (count - 1))
-        return cls(tuple(lo * ratio**i for i in range(count)))
+    def default(cls):
+        """Ten geometrically spaced tangents from 0.1 to 20, the observed SINR range."""
+        ratio = (20.0 / 0.1) ** (1.0 / 9)
+        return cls(tuple(0.1 * ratio**i for i in range(10)))
 
     def value(self, s):
         if s < 0:
@@ -154,6 +155,7 @@ def user_terms(scenario, config, weights):
 
 def evaluate_assignment(assignment, power_map, scenario, config, priorities=None):
     """Recompute SINRs and the configured objective for a feasible assignment."""
+    check_map_shape(scenario, power_map)
     if priorities is None:
         priorities = priorities_for(scenario, config)
     terms = user_terms(scenario, config, priorities)
@@ -171,6 +173,7 @@ def solve_exact(scenario, power_map, config):
     Ties between equal-valued optima break to the lexicographically smallest
     assignment (users in id order, slots ordered by (bs, prb)).
     """
+    check_map_shape(scenario, power_map)
     weights = priorities_for(scenario, config)
     assignment = _search_subset_dp(scenario, power_map, config, weights)
     report = evaluate_assignment(assignment, power_map, scenario, config, weights)

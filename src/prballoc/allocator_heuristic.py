@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator_exact import DEFAULT_ALPHA, Assignment, prioritized, priorities_for, sinr_of
-from .channel import derive_seed
+from .channel import check_map_shape, derive_seed
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
 from .metrics import summarize
@@ -228,6 +228,7 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     scenario, power map and config; passing one to every iteration on a map
     lets it reuse column gains, and None builds a fresh one.
     """
+    check_map_shape(scenario, power_map)
     cfg = scenario.config
     order = serve_order(scenario, config, rng)
     nobody = cfg.num_users
@@ -295,7 +296,7 @@ class HeuristicReport:
 def run_heuristic(scenario, power_maps, config):
     """Average the heuristic over files; 95% CIs are across files."""
     if not power_maps:
-        raise ValueError("need at least one power map")
+        raise UsageError("need at least one power map")
     per_file_means = []
     per_file_objectives = []
     for i, pm in enumerate(power_maps):

@@ -11,11 +11,13 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DataError, InfeasibleError, UsageError
 from .fileio import open_csv, write_csv
+from .medrecords import FEATURES, shared_levels
 
 POWER_MAP_COLUMNS = ["user", "prb", "bs", "power_watts"]
 
@@ -63,6 +65,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # an int field takes an integer, a float field a finite real
+            value = getattr(self, f.name)
+            whole = isinstance(value, numbers.Integral)  # numpy's too; stored as an int
+            if isinstance(value, bool) or not (whole or f.type is float and isinstance(
+                    value, numbers.Real) and math.isfinite(value)):
+                raise UsageError(f"{f.name} must be a finite {f.type.__name__}, got {value!r}")
+            object.__setattr__(self, f.name, int(value) if whole else float(value))
         if min(self.num_bs, self.prbs_per_bs) < 1 or not 0 <= self.num_normal < self.num_users:
             raise UsageError("want num_bs, prbs_per_bs >= 1 and 0 <= num_normal < num_users")
         if not 0 < self.distance_min_m <= self.distance_max_m:
@@ -110,13 +119,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A config and its per-user data, checked here once; `dataclasses.replace` checks again."""
+    """A config and its per-user data, checked once and stored read-only; `replace` checks again."""
     config: ScenarioConfig
     # Explicit distances (meters, (num_users, num_bs)) pin the geometry for
     # every realization; None means each realization draws its own.
     distances: np.ndarray | None = None
-    op_ps: dict = field(default_factory=dict)  # outpatient id -> stroke posterior
-    current_states: dict = field(default_factory=dict)  # outpatient id -> level tokens
+    op_ps: MappingProxyType = field(default_factory=dict)  # outpatient id -> stroke posterior
+    current_states: MappingProxyType = field(default_factory=dict)  # outpatient id -> levels
 
     def __post_init__(self):
         cfg = self.config
@@ -141,9 +150,28 @@ class Scenario:
         for k, ps in self.op_ps.items():
             if not (isinstance(ps, numbers.Real) and 0.0 <= ps <= 1.0):  # nan fails too
                 raise UsageError(f"op_ps of user {k} is {ps!r}, outside [0, 1]")
+        states = {}
+        for k, state in self.current_states.items():
+            try:
+                if sorted(state) != list(FEATURES):
+                    raise ValueError(f"want exactly the features {', '.join(FEATURES)}")
+                states[k] = shared_levels(tuple(state[f] for f in FEATURES))
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"current state of outpatient {k}: {exc}") from None
+        object.__setattr__(self, "op_ps", MappingProxyType(dict(self.op_ps)))
+        object.__setattr__(self, "current_states", MappingProxyType(states))
 
     def ps_of(self, user_id):
         return self.op_ps.get(user_id, 0.0)
+
+
+def check_map_shape(scenario, power_map, source="power map"):
+    """DataError unless `power_map` holds the scenario's (users, PRBs, BSs)."""
+    cfg = scenario.config
+    want = (cfg.num_users, cfg.prbs_per_bs, cfg.num_bs)
+    if power_map.q.shape != want:
+        raise DataError(f"{source}: (users, PRBs, BSs) {power_map.q.shape} do not match"
+                        f" the scenario's {want}")
 
 
 @dataclass
@@ -159,7 +187,7 @@ class PowerMap:
 
 def generate_scenario(config, op_ps=None):
     """A scenario plus its first power-map realization, deterministically."""
-    scenario = Scenario(config=config, op_ps=dict(op_ps or {}))
+    scenario = Scenario(config=config, op_ps=op_ps or {})
     return scenario, generate_power_map(scenario, realization=0)
 
 
@@ -194,7 +222,7 @@ def scenario_to_json(scenario):
     if scenario.distances is not None:
         payload["distances"] = [[repr(float(d)) for d in row] for row in scenario.distances]
     payload["op_ps"] = {str(k): repr(float(v)) for k, v in scenario.op_ps.items()}
-    payload["current_states"] = {str(k): v for k, v in scenario.current_states.items()}
+    payload["current_states"] = {str(k): dict(v) for k, v in scenario.current_states.items()}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -203,18 +231,12 @@ def scenario_from_json(text):
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise DataError("bad scenario JSON: want an object")
-        config_fields = {f.name: f.type for f in fields(ScenarioConfig) if f.name in payload}
-        unknown = set(payload) - set(config_fields) - {"distances", "op_ps", "current_states"}
+        config_keys = {f.name for f in fields(ScenarioConfig)} & set(payload)
+        unknown = set(payload) - config_keys - {"distances", "op_ps", "current_states"}
         if unknown:
             raise DataError(f"bad scenario JSON: unknown key {min(unknown)!r}")
-        for name, kind in config_fields.items():  # every field is an int or a float
-            value, allowed = payload[name], int if kind is int else (int, float)
-            if (isinstance(value, bool) or not isinstance(value, allowed)
-                    or isinstance(value, float) and not math.isfinite(value)):
-                raise DataError(f"bad scenario JSON: {name} must be a finite {kind.__name__},"
-                                f" got {value!r}")
         return Scenario(
-            config=ScenarioConfig(**{k: payload[k] for k in config_fields}),
+            config=ScenarioConfig(**{k: payload[k] for k in config_keys}),
             distances=payload["distances"] if "distances" in payload else None,
             op_ps={int(k): float(v) for k, v in payload.get("op_ps", {}).items()},
             current_states={int(k): v for k, v in payload.get("current_states", {}).items()},

@@ -6,7 +6,6 @@ import hashlib
 import json
 import logging
 import os
-import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -72,7 +71,7 @@ def _inputs(spec, scenario, power_maps):
         scenario = _read_scenario(spec.scenario_path)
     elif scenario is None:
         config = channel.ScenarioConfig(seed=spec.seed)
-        scenario = channel.Scenario(config=config, op_ps=dict(REFERENCE_OP_PS))
+        scenario = channel.Scenario(config=config, op_ps=REFERENCE_OP_PS)
     if power_maps is None:
         power_maps = [channel.generate_power_map(scenario, realization=i)
                       for i in range(spec.realizations)]
@@ -219,7 +218,7 @@ def run_scalability(spec):
             start = time.perf_counter()
             heur.run_iteration(scenario, pm, hconfig, rng)
             times.append(time.perf_counter() - start)
-        rows.append((bandwidth_mhz, prbs, users, statistics.median(times)))
+        rows.append((bandwidth_mhz, prbs, users, float(np.median(times))))
     write_csv(
         os.path.join(spec.output_dir, "scalability.csv"),
         ["bandwidth_mhz", "prbs", "users", "seconds"],
@@ -250,13 +249,9 @@ def _cmd_risk(args):
     ordered_patients = sorted(records)
     posteriors = {}
     for rank, uid in enumerate(scenario.config.op_ids):
-        state_tokens = scenario.current_states.get(uid)
-        if state_tokens is None:
+        if uid not in scenario.current_states:
             raise DataError(f"no current state for outpatient {uid}")
-        try:
-            state = risk.CurrentState(**state_tokens)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"bad current state for outpatient {uid}: {exc}") from None
+        state = risk.CurrentState(**scenario.current_states[uid])
         if rank >= len(ordered_patients):
             raise DataError("fewer patient records than outpatients")
         record = records[ordered_patients[rank]]
@@ -283,13 +278,8 @@ def _cmd_generate(args):
 
 
 def _read_power_map(path, scenario):
-    cfg = scenario.config
-    pm = channel.read_power_map_csv(path, cfg.noise_w)
-    want = (cfg.num_users, cfg.prbs_per_bs, cfg.num_bs)
-    if pm.q.shape != want:
-        raise DataError(
-            f"{path}: (users, PRBs, BSs) {pm.q.shape} do not match the scenario's {want}"
-        )
+    pm = channel.read_power_map_csv(path, scenario.config.noise_w)
+    channel.check_map_shape(scenario, pm, path)
     return pm
 
 

@@ -24,7 +24,7 @@ from .allocator_exact import (
     sinr_of,
     solve_exact,
 )
-from .channel import dbm_to_mw
+from .channel import check_map_shape, dbm_to_mw
 from .errors import DataError, UsageError
 
 FRACTIONAL_TOL = 1e-6
@@ -101,6 +101,7 @@ def milp_rows(scenario, power_map, config, lam=None):
     that the c13, c14 and c15 rows of one PHI index form one piece; the user
     weights enter as precomputed constants.
     """
+    check_map_shape(scenario, power_map)
     lam = big_m(power_map, lam)
     if config.objective == "pf" and config.pf_log_mode != "piecewise":
         raise UsageError("PF export needs pf_log_mode 'piecewise', the tangents of a PwlSpec")

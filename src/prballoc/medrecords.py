@@ -83,11 +83,11 @@ def level_of(feature, value):
     raise AssertionError("level table not total")
 
 
-def _shared_levels(tokens):
-    """The shared read-only mapping for the (f1, f2, f3, f4) level tokens."""
+def shared_levels(tokens):
+    """The shared read-only mapping of the (f1, f2, f3, f4) tokens; ValueError if one is unknown."""
     try:
         return _LEVEL_MAPPINGS[tokens]
-    except KeyError:
+    except (KeyError, TypeError):
         for feat, token in zip(FEATURES, tokens):
             if token not in LEVEL_NAMES[feat]:
                 raise ValueError(f"unknown level {token!r} for {feat}") from None
@@ -183,7 +183,7 @@ def cleanse(rows):
 
 def generalize(row):
     """Discretize one cleansed row into a DayEntry of severity levels."""
-    levels = _shared_levels((
+    levels = shared_levels((
         level_of("f1", row.sysbp),
         level_of("f2", row.diabp),
         level_of("f3", row.totchol),
@@ -244,7 +244,7 @@ def read_records_csv(path):
             try:
                 entry = DayEntry(
                     day=int(day),
-                    levels=_shared_levels((f1, f2, f3, f4)),
+                    levels=shared_levels((f1, f2, f3, f4)),
                     stroke=stroke == "1",
                 )
             except ValueError as exc:

@@ -40,12 +40,7 @@ def improvement_pct(before, after):
 
 
 def fairness_sd(values):
-    """Sample SD of a subset's mean SINRs; lower means fairer."""
-    values = list(values)
-    if not values:
-        raise ValueError("empty subset")
-    if len(values) == 1:
-        return None
+    """Sample SD of a subset's mean SINRs, by `summarize`'s rules; lower means fairer."""
     return summarize(values).sd
 
 

@@ -11,11 +11,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError, UsageError
-from .medrecords import FEATURES, LEVEL_NAMES
+from .medrecords import FEATURES, LEVEL_NAMES, shared_levels
 
 log = logging.getLogger(__name__)
 
-NUM_LEVELS = 3  # every feature has exactly three severity levels
 SMOOTHING_MODES = ("off", "laplace")
 
 
@@ -43,10 +42,7 @@ class CurrentState:
     f4: str
 
     def __post_init__(self):
-        for feat in FEATURES:
-            token = getattr(self, feat)
-            if token not in LEVEL_NAMES[feat]:
-                raise ValueError(f"unknown level {token!r} for {feat}")
+        shared_levels((self.f1, self.f2, self.f3, self.f4))  # ValueError for an unknown level
 
     def level(self, feature):
         return getattr(self, feature)
@@ -67,7 +63,7 @@ def conditional_probability(record, feature, level, smoothing="off"):
     stroke_days = [e for e in record.days if e.stroke]
     joint = sum(1 for e in stroke_days if e.levels[feature] == level)
     if smoothing == "laplace":
-        return (joint + 1) / (len(stroke_days) + NUM_LEVELS)
+        return (joint + 1) / (len(stroke_days) + len(LEVEL_NAMES[feature]))
     if not stroke_days:
         raise DataError(f"patient {record.patient_id}: undefined conditional, no stroke days")
     return joint / len(stroke_days)

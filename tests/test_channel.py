@@ -5,7 +5,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from prballoc import channel
+from prballoc import allocator_exact as ex
+from prballoc import allocator_heuristic as heur
+from prballoc import channel, lp_export
 from prballoc.errors import DataError, InfeasibleError, UsageError
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
@@ -129,6 +131,29 @@ class TestScenarioConfig:
         with pytest.raises(InfeasibleError, match="cap"):
             channel.ScenarioConfig(tx_power_per_prb_dbm=23.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("prbs_per_bs", 5.0), ("num_bs", True), ("num_bs", "5"), ("seed", None),
+        ("noise_density_dbm_hz", math.nan), ("prb_bandwidth_hz", math.inf),
+        ("distance_min_m", False), ("tx_power_per_prb_dbm", "17.0"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, field, value):
+        """The type rule comes before every other, with the message a scenario file gets."""
+        with pytest.raises(UsageError, match=f"{field} must be a finite"):
+            channel.ScenarioConfig(**{field: value})
+
+    def test_numpy_numbers_accepted_as_plain_ones(self):
+        cfg = channel.ScenarioConfig(prbs_per_bs=np.int64(5), seed=np.int64(3),
+                                     distance_max_m=np.float64(600.0),
+                                     tx_power_per_prb_dbm=np.float32(17.0))
+        assert cfg == channel.ScenarioConfig(seed=3)
+        assert [type(getattr(cfg, f.name)) for f in fields(cfg)] == [int] * 4 + [float] * 6 + [int]
+        # an integer in a float field stays whole, as 300 in a scenario file does
+        assert type(channel.ScenarioConfig(distance_min_m=np.int64(300)).distance_min_m) is int
+        scenario, pm = channel.generate_scenario(cfg, op_ps=REF_PS)
+        assert channel.scenario_to_json(scenario) == channel.scenario_to_json(
+            channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)[0])
+        assert pm.q.shape == (10, 5, 2)
+
     def test_frozen(self):
         cfg = channel.ScenarioConfig()
         with pytest.raises(FrozenInstanceError):
@@ -147,6 +172,13 @@ class TestScenario:
         pytest.param({"op_ps": {8: math.nan}}, "outside", id="ps-nan"),
         pytest.param({"current_states": {3: STATE}}, "current_states names user 3",
                      id="state-normal-user"),
+        pytest.param({"current_states": {8: {**STATE, "f1": "Bogus"}}},
+                     "outpatient 8: unknown level 'Bogus' for f1", id="state-unknown-level"),
+        pytest.param({"current_states": {9: {"f1": "Normal"}}}, "outpatient 9: want exactly",
+                     id="state-only-f1"),
+        pytest.param({"current_states": {9: {**STATE, "f5": "High"}}},
+                     "outpatient 9: want exactly", id="state-extra-key"),
+        pytest.param({"current_states": {10: None}}, "outpatient 10", id="state-none"),
         pytest.param({"distances": np.zeros((10, 2))}, "distances", id="distances-zero"),
         pytest.param({"distances": np.full((3, 3), 400.0)}, "distances", id="distances-3x3"),
         pytest.param({"distances": one_distance(-400.0)}, "distances", id="distance-negative"),
@@ -175,6 +207,42 @@ class TestScenario:
         with pytest.raises(ValueError):
             sc.distances[0, 0] = 0.0
         assert sc.distances.dtype == float and sc.distances[0, 0] == 400.0
+
+    def test_read_only_maps_over_copies(self):
+        op_ps, state = dict(REF_PS), dict(STATE)
+        sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=op_ps,
+                              current_states={8: state})
+        with pytest.raises(TypeError):
+            sc.op_ps[8] = 5.0
+        with pytest.raises(TypeError):
+            sc.current_states[9] = STATE
+        with pytest.raises(TypeError):
+            sc.current_states[8]["f1"] = "Bogus"
+        op_ps[8], state["f1"] = 5.0, "Bogus"  # the caller's dicts are not the scenario's
+        assert sc.op_ps == REF_PS and sc.current_states == {8: STATE}
+        changed = replace(sc, op_ps={**sc.op_ps, 8: 0.5})
+        assert changed.op_ps[8] == 0.5 and sc.op_ps[8] == REF_PS[8]
+
+
+def test_every_allocator_refuses_a_mismatched_map():
+    """A map built in code for 5 of the scenario's 10 users is a DataError everywhere."""
+    scenario, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
+    small = channel.PowerMap(q=pm.q[:5], noise_w=pm.noise_w)
+    assignment, _ = ex.solve_exact(scenario, pm, ex.SolverConfig())
+    calls = {
+        "solve_exact": lambda: ex.solve_exact(scenario, small, ex.SolverConfig()),
+        "evaluate_assignment": lambda: ex.evaluate_assignment(
+            assignment, small, scenario, ex.SolverConfig()),
+        "run_iteration": lambda: heur.run_iteration(
+            scenario, small, heur.HeuristicConfig(iterations=1), np.random.default_rng(0)),
+        "run_heuristic": lambda: heur.run_heuristic(
+            scenario, [pm, small], heur.HeuristicConfig(iterations=1)),
+        "milp_rows": lambda: lp_export.milp_rows(scenario, small, ex.SolverConfig()),
+        "export_milp": lambda: lp_export.export_milp(scenario, small, ex.SolverConfig()),
+    }
+    for call in calls.values():
+        with pytest.raises(DataError, match=r"\(5, 5, 2\) do not match the scenario's"):
+            call()
 
 
 class TestGeneration:

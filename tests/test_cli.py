@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,9 +260,10 @@ class TestIngestAndRisk:
 
         records = {r.patient_id: r for r in medrecords.read_records_csv(str(records_path))}
         scenario = channel.scenario_from_json(scenario_path.read_text())
-        for uid, pid in {8: "p1", 9: "p10", 10: "p11"}.items():
-            state = risk.CurrentState(**scenario.current_states[uid])
-            scenario.op_ps[uid] = risk.posterior_stroke(records[pid], state)
+        posteriors = {uid: risk.posterior_stroke(
+            records[pid], risk.CurrentState(**scenario.current_states[uid]))
+            for uid, pid in {8: "p1", 9: "p10", 10: "p11"}.items()}
+        scenario = replace(scenario, op_ps=posteriors)
         hand = tmp_path / "hand.json"
         hand.write_text(channel.scenario_to_json(scenario))
         assert channel.scenario_from_json(scored.read_text()).op_ps == scenario.op_ps
@@ -532,12 +534,23 @@ MALFORMED = [
     ("power-negative", _set_power_cell("-1e-13"), SOLVE, 4, "line 3"),
     ("power-extra-cell", _set_power_cell("1e-13,7"), HEURISTIC, 4, "line 3"),
     ("power-map-shape", _drop_last_user, HEURISTIC, 4, "do not match"),
+    ("solve-power-map-shape", _drop_last_user, SOLVE, 4,
+     "power_map_000.csv: (users, PRBs, BSs) (9, 5, 2) do not match the scenario's (10, 5, 2)"),
     ("scenario-op-ps-above-one", _set_scenario(op_ps={"8": 1.5}), SOLVE, 4, "op_ps"),
     ("scenario-op-ps-negative", _set_scenario(op_ps={"9": -0.1}), SOLVE, 4, "op_ps"),
     ("scenario-op-ps-normal-user", _set_scenario(op_ps={"3": "0.5"}), SOLVE, 4, "op_ps"),
     ("scenario-op-ps-unknown-user", _set_scenario(op_ps={"42": "0.9"}), SOLVE, 4, "op_ps"),
     ("scenario-state-normal-user", _set_scenario(current_states={"3": STATE}), SOLVE, 4,
      "current_states"),
+    ("scenario-state-unknown-level", _set_scenario(current_states={"8": {**STATE, "f1": "Bogus"}}),
+     SOLVE, 4, "outpatient 8: unknown level 'Bogus' for f1"),
+    ("scenario-state-only-f1", _set_scenario(current_states={"9": {"f1": "Normal"}}), SOLVE, 4,
+     "outpatient 9: want exactly the features"),
+    ("heuristic-state-unknown-level",
+     _set_scenario(current_states={"10": {**STATE, "f4": "None"}}), HEURISTIC, 4,
+     "outpatient 10: unknown level 'None' for f4"),
+    ("export-state-unknown-level", _set_scenario(current_states={"8": {**STATE, "f3": 1}}),
+     EXPORT, 4, "outpatient 8: unknown level 1 for f3"),
     ("scenario-distance-zero",
      _set_scenario(distances=[[400.0, 400.0]] * 9 + [[0.0, 400.0]]), BEFORE_AFTER, 4, "distances"),
     ("scenario-min-distance-negative", _set_scenario(distance_min_m=-1.0), BEFORE_AFTER, 4,

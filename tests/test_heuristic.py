@@ -4,7 +4,7 @@ import pytest
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
 from prballoc import channel
-from prballoc.errors import InfeasibleError
+from prballoc.errors import InfeasibleError, UsageError
 from test_heuristic_reference import occupants, reference_pool, slots_of
 
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
@@ -183,6 +183,11 @@ class TestRunIteration:
 
 
 class TestRunHeuristic:
+    def test_no_power_map_is_a_usage_error(self):
+        sc, _ = baseline()
+        with pytest.raises(UsageError, match="at least one power map"):
+            heur.run_heuristic(sc, [], heur.HeuristicConfig(iterations=1))
+
     def test_single_file_single_iteration_is_that_trace(self):
         sc, pm = baseline()
         config = heur.HeuristicConfig(iterations=1, seed=7)

@@ -8,7 +8,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from prballoc import channel  # noqa: E402
 from prballoc.errors import DataError, UsageError  # noqa: E402
+from prballoc.medrecords import FEATURES, LEVEL_NAMES  # noqa: E402
 
 # No shrinking: a failure reports the example that found it at once.
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -64,7 +65,7 @@ def scenarios(draw):
         cells = draw(st.lists(DISTANCE, min_size=num_users * num_bs, max_size=num_users * num_bs))
         distances = np.array(cells).reshape(num_users, num_bs)
     ops = st.sampled_from(config.op_ids)
-    levels = st.dictionaries(st.sampled_from(["f1", "f2", "f3", "f4"]), st.text(max_size=8))
+    levels = st.fixed_dictionaries({f: st.sampled_from(LEVEL_NAMES[f]) for f in FEATURES})
     return channel.Scenario(
         config=config,
         distances=distances,
@@ -91,16 +92,31 @@ def test_scenario_json_round_trip(scenario):
 CELL = st.floats(100.0, 1e4) | st.sampled_from([0.0, -0.0, -400.0, math.inf, math.nan,
                                                  1e-300, 1e200])
 POSTERIOR = st.floats(-0.5, 1.5) | st.just(math.nan)
+STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
+# a full state, an unknown level, a missing feature, an extra key
+STATES = st.sampled_from([STATE, {**STATE, "f1": "Bogus"}, {"f1": "Normal"},
+                          {**STATE, "f5": "High"}])
+# One config field's value recast as another kind: an int field takes an integer
+# (numpy's too), a float field any finite real; bools, text, NaN and inf are refused.
+KINDS = {
+    "int": int, "bool": bool, "integral float": float, "str": str,
+    "nan": lambda v: math.nan, "inf": lambda v: math.inf, "numpy int": np.int64,
+}
 
 
 @st.composite
 def user_data(draw):
-    """A default-physics config and per-user data, valid or not: keys over all users,
-    posteriors in [-0.5, 1.5] or NaN, distances of any sign, inf, NaN or the wrong shape."""
+    """Config settings and per-user data, valid or not: one field drawn as any kind,
+    keys over all users, posteriors in [-0.5, 1.5] or NaN, distances of any sign, inf,
+    NaN or the wrong shape and current states with bad or missing levels."""
     num_bs, prbs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     num_users = draw(st.integers(1, num_bs * prbs))
-    config = channel.ScenarioConfig(num_bs=num_bs, prbs_per_bs=prbs, num_users=num_users,
-                                    num_normal=draw(st.integers(0, num_users - 1)))
+    config_kw = asdict(channel.ScenarioConfig(
+        num_bs=num_bs, prbs_per_bs=prbs, num_users=num_users,
+        num_normal=draw(st.integers(0, num_users - 1))))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from([f.name for f in fields(channel.ScenarioConfig)]))
+        config_kw[name] = KINDS[draw(st.sampled_from(sorted(KINDS)))](config_kw[name])
     distances = None
     if draw(st.booleans()):
         rows = num_users + draw(st.sampled_from([0, 0, 0, -1, 1]))
@@ -108,23 +124,23 @@ def user_data(draw):
         cells = draw(st.lists(CELL, min_size=rows * cols, max_size=rows * cols))
         distances = np.array(cells, dtype=float).reshape(rows, cols)
     users = st.integers(1, num_users)
-    states = st.dictionaries(users, st.just({"f1": "Normal", "f2": "Low", "f3": "High",
-                                             "f4": "Heavy"}), max_size=2)
-    return config, distances, draw(st.dictionaries(users, POSTERIOR)), draw(states)
+    states = st.dictionaries(users, STATES, max_size=2)
+    return config_kw, distances, draw(st.dictionaries(users, POSTERIOR)), draw(states)
 
 
 @settings(PROPERTY, max_examples=300)
 @given(user_data())
 def test_constructor_and_parser_keep_one_rule(data):
-    config, distances, op_ps, states = data
-    payload = asdict(config)
+    config_kw, distances, op_ps, states = data
+    # JSON has no numpy integers: the file holds the plain integer
+    payload = {k: int(v) if isinstance(v, np.integer) else v for k, v in config_kw.items()}
     if distances is not None:
         payload["distances"] = [[repr(float(d)) for d in row] for row in distances]
     payload["op_ps"] = {str(k): repr(v) for k, v in op_ps.items()}
     payload["current_states"] = {str(k): v for k, v in states.items()}
     try:
-        built = channel.Scenario(config=config, distances=distances, op_ps=op_ps,
-                                 current_states=states)
+        built = channel.Scenario(config=channel.ScenarioConfig(**config_kw), distances=distances,
+                                 op_ps=op_ps, current_states=states)
     except UsageError:
         built = None
     try:

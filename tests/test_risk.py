@@ -5,7 +5,7 @@ import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
-from prballoc import risk
+from prballoc import channel, risk
 from prballoc.errors import DataError, UsageError
 from prballoc.medrecords import FEATURES, LEVEL_NAMES, DayEntry, MedicalRecord
 
@@ -34,6 +34,15 @@ def oracle_posterior(record, state):
         match = sum(1 for e in stroke_days if e.levels[feat] == state.level(feat))
         ps *= match / len(stroke_days)
     return ps
+
+
+def test_current_state_and_scenario_share_the_level_rule():
+    bad = {**_levels(), "f2": "Bogus"}
+    with pytest.raises(ValueError, match="unknown level 'Bogus' for f2"):
+        risk.CurrentState(**bad)
+    config = channel.ScenarioConfig()
+    with pytest.raises(UsageError, match="outpatient 8: unknown level 'Bogus' for f2"):
+        channel.Scenario(config=config, current_states={8: bad})
 
 
 class TestPrior:

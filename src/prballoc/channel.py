@@ -121,35 +121,24 @@ class ScenarioConfig:
 class Scenario:
     """A config and its per-user data, checked once and stored read-only; `replace` checks again."""
     config: ScenarioConfig
-    # Explicit distances (meters, (num_users, num_bs)) pin the geometry for
-    # every realization; None means each realization draws its own.
-    distances: np.ndarray | None = None
     op_ps: MappingProxyType = field(default_factory=dict)  # outpatient id -> stroke posterior
     current_states: MappingProxyType = field(default_factory=dict)  # outpatient id -> levels
 
     def __post_init__(self):
         cfg = self.config
-        if self.distances is not None:
-            try:
-                distances = np.array(self.distances, dtype=float)
-                ok = distances.shape == (cfg.num_users, cfg.num_bs) and all(
-                    0 < d < math.inf and 0 < cfg.mean_received_w(d) < math.inf
-                    for d in distances.flat)
-            except (TypeError, ValueError, OverflowError):  # not a rectangular array of floats
-                ok = False
-            if not ok:
-                raise UsageError(f"distances must be {cfg.num_users} x {cfg.num_bs} meters > 0,"
-                                 " each with a mean received power of finite watts > 0")
-            distances.flags.writeable = False
-            object.__setattr__(self, "distances", distances)
         for key, users in (("op_ps", self.op_ps), ("current_states", self.current_states)):
             strangers = sorted(set(users) - set(cfg.op_ids), key=repr)
             if strangers:
                 raise UsageError(f"{key} names user {strangers[0]}, which is not an outpatient"
                                  f" (users {cfg.num_normal + 1}-{cfg.num_users})")
+        posteriors = {}
         for k, ps in self.op_ps.items():
-            if not (isinstance(ps, numbers.Real) and 0.0 <= ps <= 1.0):  # nan fails too
-                raise UsageError(f"op_ps of user {k} is {ps!r}, outside [0, 1]")
+            try:  # a real, never a bool, stored as a float (an int past a float overflows)
+                posteriors[k] = float(ps) if isinstance(ps, numbers.Real) else math.nan
+            except OverflowError as exc:
+                raise UsageError(f"op_ps of user {k}: {exc}") from None
+            if isinstance(ps, bool) or not 0.0 <= posteriors[k] <= 1.0:  # nan fails too
+                raise UsageError(f"op_ps of user {k} is {ps!r}, not a number or outside [0, 1]")
         states = {}
         for k, state in self.current_states.items():
             try:
@@ -158,7 +147,7 @@ class Scenario:
                 states[k] = shared_levels(tuple(state[f] for f in FEATURES))
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"current state of outpatient {k}: {exc}") from None
-        object.__setattr__(self, "op_ps", MappingProxyType(dict(self.op_ps)))
+        object.__setattr__(self, "op_ps", MappingProxyType(posteriors))
         object.__setattr__(self, "current_states", MappingProxyType(states))
 
     def ps_of(self, user_id):
@@ -194,17 +183,13 @@ def generate_scenario(config, op_ps=None):
 def generate_power_map(scenario, realization=0):
     """One channel realization of the received-power map, in watts.
 
-    A realization samples both user-to-BS distances (uniform per (user, BS)
-    pair) and fading gains, unless the scenario carries explicit distances,
-    which then stay fixed while fading is redrawn.
+    A realization draws the user-to-BS distances (uniform per (user, BS) pair
+    over [distance_min_m, distance_max_m]), then the fading gains.
     """
     cfg = scenario.config
     rng = np.random.default_rng(derive_seed(cfg.seed, 1, realization))
-    distances = scenario.distances
-    if distances is None:
-        distances = rng.uniform(
-            cfg.distance_min_m, cfg.distance_max_m, size=(cfg.num_users, cfg.num_bs)
-        )
+    distances = rng.uniform(cfg.distance_min_m, cfg.distance_max_m,
+                            size=(cfg.num_users, cfg.num_bs))
     # The Exp(1) gains are drawn into the array that becomes q and scaled in
     # place, so a map costs one (K, N, B) array.
     q = rng.exponential(1.0, size=(cfg.num_users, cfg.prbs_per_bs, cfg.num_bs))
@@ -219,27 +204,36 @@ def generate_power_map(scenario, realization=0):
 
 def scenario_to_json(scenario):
     payload = asdict(scenario.config)
-    if scenario.distances is not None:
-        payload["distances"] = [[repr(float(d)) for d in row] for row in scenario.distances]
     payload["op_ps"] = {str(k): repr(float(v)) for k, v in scenario.op_ps.items()}
     payload["current_states"] = {str(k): dict(v) for k, v in scenario.current_states.items()}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def scenario_from_json(text):
-    try:
-        payload = json.loads(text)
+    def unique_keys(pairs):  # a JSON object; a key given twice is refused (json keeps the last)
+        keys = [key for key, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} given twice")
+        return dict(pairs)
+
+    def by_user(key):  # the object under `key` by user id, each written exactly as the id
+        aliases = [k for k in payload.get(key, {}) if str(int(k)) != k]  # "08", " 8", "1_0"
+        if aliases:
+            raise ValueError(f"{key} names user {aliases[0]!r}, which is not written as its id")
+        return {int(k): v for k, v in payload.get(key, {}).items()}
+
+    try:  # JSON syntax, keys and the writer's decimal-string posteriors; Scenario checks the rest
+        payload = json.loads(text, object_pairs_hook=unique_keys)
         if not isinstance(payload, dict):
             raise DataError("bad scenario JSON: want an object")
         config_keys = {f.name for f in fields(ScenarioConfig)} & set(payload)
-        unknown = set(payload) - config_keys - {"distances", "op_ps", "current_states"}
+        unknown = set(payload) - config_keys - {"op_ps", "current_states"}
         if unknown:
             raise DataError(f"bad scenario JSON: unknown key {min(unknown)!r}")
         return Scenario(
             config=ScenarioConfig(**{k: payload[k] for k in config_keys}),
-            distances=payload["distances"] if "distances" in payload else None,
-            op_ps={int(k): float(v) for k, v in payload.get("op_ps", {}).items()},
-            current_states={int(k): v for k, v in payload.get("current_states", {}).items()},
+            op_ps={k: float(v) if isinstance(v, str) else v for k, v in by_user("op_ps").items()},
+            current_states=by_user("current_states"),
         )
     except (ValueError, TypeError, AttributeError, OverflowError, UsageError) as exc:
         raise DataError(f"bad scenario JSON: {exc}") from exc

@@ -18,8 +18,6 @@ from . import channel, lp_export, medrecords, metrics, risk
 from .errors import DataError, InfeasibleError, PrballocError, UsageError
 from .fileio import atomic_open, read_text, write_csv, write_text_atomic
 
-log = logging.getLogger(__name__)
-
 DEFAULT_ALPHAS = (50.0, 100.0, 150.0, 250.0, 500.0)
 
 # Stroke posteriors reported for the three outpatients in the reference
@@ -32,7 +30,7 @@ SCALABILITY_CASES = ((1.4, 6), (3.0, 15), (5.0, 25), (10.0, 50), (15.0, 75), (20
 
 
 def _check_counts(settings, *names):
-    """The one rule for a count setting: it must be >= 1."""
+    """The rule for a count that no config type owns: it must be >= 1."""
     for name in names:
         if getattr(settings, name) < 1:
             raise UsageError(f"{name} must be >= 1")
@@ -55,7 +53,8 @@ class ExperimentSpec:
         self.alphas = tuple(self.alphas)
         if self.kind == "alpha_sweep" and not self.alphas:
             raise UsageError("alpha sweep needs a non-empty alpha list")
-        _check_counts(self, "realizations", "iterations", "runs")
+        _check_counts(self, "realizations", "runs")
+        heur.HeuristicConfig(iterations=self.iterations, alpha=self.alpha)
         for alpha in (self.alpha, *self.alphas):
             exact.SolverConfig(objective=self.objective, alpha=alpha)
 
@@ -209,9 +208,7 @@ def run_scalability(spec):
             seed=spec.seed,
         )
         scenario, pm = channel.generate_scenario(config)
-        hconfig = heur.HeuristicConfig(
-            iterations=1, prioritization=False, seed=spec.seed
-        )
+        hconfig = heur.HeuristicConfig(iterations=1, seed=spec.seed)
         times = []
         for r in range(spec.runs):
             rng = np.random.default_rng(channel.derive_seed(spec.seed, prbs, r))
@@ -391,7 +388,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="prballoc", description="Patient-priority OFDMA uplink PRB allocation"
     )
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="discretize raw medical records")
@@ -469,7 +465,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
+    logging.basicConfig(level=logging.INFO)
     try:
         args.func(args)
     except UsageError as exc:

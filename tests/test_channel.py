@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -14,24 +15,15 @@ REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
 
 
-def one_distance(distance):
-    """10 x 2 distances of 400 m, except user 10's at BS 2."""
-    distances = np.full((10, 2), 400.0)
-    distances[9, 1] = distance
-    return distances
-
-
-def recompute(cfg, realization, distances=None):
+def recompute(cfg, realization):
     """(distances, gains, q) of one realization, redrawn with plain numpy.
 
-    Draw order: distances (unless given), then the Exp(1) gains; powers from
-    the dBm budget, 128 + 37.6*log10(d_km) path loss, in watts.
+    Draw order: distances, then the Exp(1) gains; powers from the dBm budget,
+    128 + 37.6*log10(d_km) path loss, in watts.
     """
     rng = np.random.default_rng(channel.derive_seed(cfg.seed, 1, realization))
-    if distances is None:
-        distances = rng.uniform(
-            cfg.distance_min_m, cfg.distance_max_m, size=(cfg.num_users, cfg.num_bs)
-        )
+    distances = rng.uniform(cfg.distance_min_m, cfg.distance_max_m,
+                            size=(cfg.num_users, cfg.num_bs))
     gains = rng.exponential(1.0, size=(cfg.num_users, cfg.prbs_per_bs, cfg.num_bs))
     loss_db = 128.0 + 37.6 * np.log10(distances / 1000.0)
     q = gains * 10.0 ** ((cfg.tx_power_per_prb_dbm - 30.0 - loss_db) / 10.0)[:, None, :]
@@ -69,10 +61,10 @@ class TestConversions:
 
     def test_received_power_anchors(self):
         # Every user 300 m from both BSs: q / gain is the unit-gain power there.
-        cfg = channel.ScenarioConfig(seed=6)
-        sc = channel.Scenario(config=cfg, distances=np.full((10, 2), 300.0))
-        pm = channel.generate_power_map(sc, realization=2)
-        _, gains, _ = recompute(cfg, 2, sc.distances)
+        cfg = channel.ScenarioConfig(seed=6, distance_min_m=300.0, distance_max_m=300.0)
+        pm = channel.generate_power_map(channel.Scenario(config=cfg), realization=2)
+        distances, gains, _ = recompute(cfg, 2)
+        assert (distances == 300.0).all() and (pm.distances == 300.0).all()
         ratio = pm.q / gains
         assert ratio == pytest.approx(7.34e-13, rel=0.01)
         assert ratio == pytest.approx(ratio[0, 0, 0], rel=1e-12)  # linear in the gain
@@ -170,6 +162,7 @@ class TestScenario:
         pytest.param({"op_ps": {8: 1.5}}, "outside", id="ps-above-one"),
         pytest.param({"op_ps": {8: -0.1}}, "outside", id="ps-negative"),
         pytest.param({"op_ps": {8: math.nan}}, "outside", id="ps-nan"),
+        pytest.param({"op_ps": {8: True}}, "op_ps of user 8 is True", id="ps-bool"),
         pytest.param({"current_states": {3: STATE}}, "current_states names user 3",
                      id="state-normal-user"),
         pytest.param({"current_states": {8: {**STATE, "f1": "Bogus"}}},
@@ -179,39 +172,21 @@ class TestScenario:
         pytest.param({"current_states": {9: {**STATE, "f5": "High"}}},
                      "outpatient 9: want exactly", id="state-extra-key"),
         pytest.param({"current_states": {10: None}}, "outpatient 10", id="state-none"),
-        pytest.param({"distances": np.zeros((10, 2))}, "distances", id="distances-zero"),
-        pytest.param({"distances": np.full((3, 3), 400.0)}, "distances", id="distances-3x3"),
-        pytest.param({"distances": one_distance(-400.0)}, "distances", id="distance-negative"),
-        pytest.param({"distances": one_distance(math.inf)}, "distances", id="distance-inf"),
-        pytest.param({"distances": one_distance(math.nan)}, "distances", id="distance-nan"),
-        # the mean received power overflows at 1e-300 m and is 0 W at 1e200 m
-        pytest.param({"distances": one_distance(1e-300)}, "mean received power",
-                     id="distance-1e-300"),
-        pytest.param({"distances": one_distance(1e200)}, "mean received power",
-                     id="distance-1e200"),
-        pytest.param({"distances": [[400.0, 400.0]] * 9 + [[400.0]]}, "distances",
-                     id="distances-ragged"),
     ])
     def test_bad_user_data_rejected(self, fields, message):
         with pytest.raises(UsageError, match=message):
             channel.Scenario(config=channel.ScenarioConfig(), **fields)
-        valid = channel.Scenario(config=channel.ScenarioConfig(), distances=one_distance(400.0),
-                                 op_ps=dict(REF_PS), current_states={8: STATE})
+        valid = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(REF_PS),
+                                 current_states={8: STATE})
         with pytest.raises(UsageError, match=message):
             replace(valid, **fields)
-
-    def test_frozen_with_read_only_distances(self):
-        sc = channel.Scenario(config=channel.ScenarioConfig(), distances=one_distance(400.0))
-        with pytest.raises(FrozenInstanceError):
-            sc.op_ps = {3: 0.5}
-        with pytest.raises(ValueError):
-            sc.distances[0, 0] = 0.0
-        assert sc.distances.dtype == float and sc.distances[0, 0] == 400.0
 
     def test_read_only_maps_over_copies(self):
         op_ps, state = dict(REF_PS), dict(STATE)
         sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=op_ps,
                               current_states={8: state})
+        with pytest.raises(FrozenInstanceError):
+            sc.op_ps = {3: 0.5}
         with pytest.raises(TypeError):
             sc.op_ps[8] = 5.0
         with pytest.raises(TypeError):
@@ -289,15 +264,6 @@ class TestGeneration:
         assert not np.array_equal(pm0.distances, pm1.distances)
         assert np.array_equal(pm1.q, again.q)
 
-    def test_explicit_distances_stay_fixed(self):
-        cfg = channel.ScenarioConfig(seed=9)
-        distances = np.full((10, 2), 450.0)
-        sc = channel.Scenario(config=cfg, distances=distances)
-        pm0 = channel.generate_power_map(sc, realization=0)
-        pm1 = channel.generate_power_map(sc, realization=1)
-        assert np.array_equal(pm0.distances, pm1.distances)
-        assert not np.array_equal(pm0.q, pm1.q)  # fading still redrawn
-
     def test_distances_within_range(self):
         sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=4))
         assert (pm.distances >= 300.0).all() and (pm.distances <= 600.0).all()
@@ -306,33 +272,52 @@ class TestGeneration:
 class TestSerialization:
     def test_scenario_json_round_trip(self):
         cfg = channel.ScenarioConfig(seed=11)
-        sc = channel.Scenario(
-            config=cfg,
-            distances=np.random.default_rng(0).uniform(300, 600, (10, 2)),
-            op_ps=dict(REF_PS),
-            current_states={8: {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}},
-        )
+        sc = channel.Scenario(config=cfg, op_ps=dict(REF_PS), current_states={8: STATE})
         back = channel.scenario_from_json(channel.scenario_to_json(sc))
         assert back.config == sc.config
-        assert np.array_equal(back.distances, sc.distances)
         assert back.op_ps == sc.op_ps
         assert back.current_states == sc.current_states
-
-    @pytest.mark.parametrize("distance", [1e-300, 1e200])
-    def test_explicit_distance_out_of_received_power_range(self, distance):
-        sc = channel.Scenario(config=channel.ScenarioConfig(), distances=one_distance(400.0))
-        payload = json.loads(channel.scenario_to_json(sc))
-        payload["distances"][9][1] = repr(distance)
-        with pytest.raises(DataError, match="mean received power"):
-            channel.scenario_from_json(json.dumps(payload))
 
     def test_scenario_json_without_distances(self):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=11), op_ps=REF_PS)
         back = channel.scenario_from_json(channel.scenario_to_json(sc))
-        assert back.distances is None
         assert np.array_equal(
             channel.generate_power_map(back, 3).q, channel.generate_power_map(sc, 3).q
         )
+
+    def test_json_number_posteriors_read_as_floats(self):
+        sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(REF_PS))
+        payload = json.loads(channel.scenario_to_json(sc))
+        payload["op_ps"] = {"8": 0.5, "9": 1, "10": 0}
+        back = channel.scenario_from_json(json.dumps(payload))
+        assert back.op_ps == {8: 0.5, 9: 1.0, 10: 0.0}
+        assert {type(ps) for ps in back.op_ps.values()} == {float}
+
+    @pytest.mark.parametrize("old, new, message", [
+        pytest.param('"8": "0.0032"', '"8": true', "op_ps of user 8 is True", id="ps-bool"),
+        pytest.param('"8": "0.0032"', '"8": "0.1", "8": "0.7"', "key '8' given twice",
+                     id="ps-repeated-user"),
+        pytest.param("{", '{"seed": 4, ', "key 'seed' given twice", id="repeated-field"),
+        pytest.param('"f1": "Normal"', '"f1": "High", "f1": "Normal"', "key 'f1' given twice",
+                     id="state-repeated-feature"),
+        pytest.param('"8": "0.0032"', '"08": "0.0032"', "op_ps names user '08'",
+                     id="ps-zero-padded-id"),
+        pytest.param('"8": "0.0032"', '"8": "0.0032", "08": "0.7"', "op_ps names user '08'",
+                     id="ps-id-in-two-spellings"),
+        pytest.param('"10": "0.00208"', '"1_0": "0.00208"', "op_ps names user '1_0'",
+                     id="ps-underscored-id"),
+        pytest.param('"8": {', '"+8": {', "current_states names user '+8'",
+                     id="state-signed-id"),
+        pytest.param('"8": {', '" 8": {', "current_states names user ' 8'",
+                     id="state-spaced-id"),
+    ])
+    def test_file_names_each_value_once_in_one_spelling(self, old, new, message):
+        sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(REF_PS),
+                              current_states={8: STATE})
+        text = channel.scenario_to_json(sc)
+        assert old in text
+        with pytest.raises(DataError, match=re.escape(message)):
+            channel.scenario_from_json(text.replace(old, new, 1))
 
     def test_power_map_csv_round_trip_lossless(self, tmp_path):
         sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=2))

@@ -466,6 +466,18 @@ def _set_scenario(**fields):
     return edit
 
 
+def _replace_in_scenario(old, new):
+    """Replace the text `old` of scenario.json by `new`: edits that json.dumps cannot make."""
+
+    def edit(scn):
+        path = scn / "scenario.json"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+
+    return edit
+
+
 def _append_bytes(name, data):
     def edit(scn):
         with open(scn / name, "ab") as fh:
@@ -551,8 +563,12 @@ MALFORMED = [
      "outpatient 10: unknown level 'None' for f4"),
     ("export-state-unknown-level", _set_scenario(current_states={"8": {**STATE, "f3": 1}}),
      EXPORT, 4, "outpatient 8: unknown level 1 for f3"),
+    # a scenario file holds no distances, whatever their values
+    ("scenario-distances-key", _set_scenario(distances=[[400.0, 400.0]] * 10), BEFORE_AFTER, 4,
+     "unknown key 'distances'"),
     ("scenario-distance-zero",
-     _set_scenario(distances=[[400.0, 400.0]] * 9 + [[0.0, 400.0]]), BEFORE_AFTER, 4, "distances"),
+     _set_scenario(distances=[[400.0, 400.0]] * 9 + [[0.0, 400.0]]), BEFORE_AFTER, 4,
+     "unknown key 'distances'"),
     ("scenario-min-distance-negative", _set_scenario(distance_min_m=-1.0), BEFORE_AFTER, 4,
      "distance_min_m"),
     ("scenario-all-normal", _set_scenario(num_normal=10), SOLVE, 4, "num_normal"),
@@ -599,13 +615,25 @@ MALFORMED = [
      "alpha"),
     ("power-repeated-row", _append_bytes("power_map_000.csv", b"1,1,1,1.0\r\n"), SOLVE, 4,
      "repeated"),
-    ("scenario-distance-inf", _set_scenario(distances=INF_DISTANCES), SOLVE, 4, "distances"),
-    # integers past the largest float
+    ("scenario-distance-inf", _set_scenario(distances=INF_DISTANCES), SOLVE, 4,
+     "unknown key 'distances'"),
     ("scenario-distance-huge-int", _set_scenario(distances=[[400, 400]] * 9 + [[10**400, 400]]),
-     SOLVE, 4, "distances"),
+     SOLVE, 4, "unknown key 'distances'"),
+    # an integer past the largest float
     ("scenario-op-ps-huge-int", _set_scenario(op_ps={"8": 10**400}), SOLVE, 4, "too large"),
     ("before-after-distance-inf", _set_scenario(distances=INF_DISTANCES), BEFORE_AFTER, 4,
-     "distances"),
+     "unknown key 'distances'"),
+    ("scenario-op-ps-bool", _set_scenario(op_ps={"8": True}), SOLVE, 4,
+     "op_ps of user 8 is True"),
+    ("scenario-repeated-field", _replace_in_scenario("{", '{"seed": 4, '), SOLVE, 4,
+     "key 'seed' given twice"),
+    ("scenario-op-ps-repeated-user",
+     _replace_in_scenario('"8": "0.0032"', '"8": "0.1", "8": "0.7"'), HEURISTIC, 4,
+     "key '8' given twice"),
+    ("scenario-op-ps-zero-padded-id", _replace_in_scenario('"8": "0.0032"', '"08": "0.0032"'),
+     SOLVE, 4, "op_ps names user '08'"),
+    ("scenario-op-ps-underscored-id", _replace_in_scenario('"10": "0.00208"', '"1_0": "0.00208"'),
+     EXPORT, 4, "op_ps names user '1_0'"),
     ("risk-unknown-level", _risk_inputs({**STATE, "f1": "Bogus"}), RISK, 4, "outpatient 8"),
     ("risk-missing-feature", _risk_inputs({"f1": "Normal", "f2": "Normal", "f3": "High"}),
      RISK, 4, "outpatient 8"),
@@ -644,6 +672,14 @@ MALFORMED = [
     ("solution-pf-zero-sinr", _zero_sinr_solution, VALIDATE + ["--objective", "pf"], 4,
      "zero SINR"),
 ]
+
+
+def test_verbose_is_no_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--verbose", "generate", "--output", str(tmp_path / "g")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 class TestMalformedInput:

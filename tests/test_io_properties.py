@@ -60,15 +60,10 @@ def scenarios(draw):
         prb_bandwidth_hz=bandwidth,
         seed=draw(st.integers(0, 2**64 - 1)),
     )
-    distances = None
-    if draw(st.booleans()):
-        cells = draw(st.lists(DISTANCE, min_size=num_users * num_bs, max_size=num_users * num_bs))
-        distances = np.array(cells).reshape(num_users, num_bs)
     ops = st.sampled_from(config.op_ids)
     levels = st.fixed_dictionaries({f: st.sampled_from(LEVEL_NAMES[f]) for f in FEATURES})
     return channel.Scenario(
         config=config,
-        distances=distances,
         op_ps=draw(st.dictionaries(ops, st.floats(0.0, 1.0))),
         current_states=draw(st.dictionaries(ops, levels)),
     )
@@ -79,19 +74,12 @@ def scenarios(draw):
 def test_scenario_json_round_trip(scenario):
     back = channel.scenario_from_json(channel.scenario_to_json(scenario))
     assert repr(back.config) == repr(scenario.config)  # types and signed zeros too
-    if scenario.distances is None:
-        assert back.distances is None
-    else:
-        assert back.distances.tobytes() == scenario.distances.tobytes()
     assert back.op_ps == scenario.op_ps
     assert back.current_states == scenario.current_states
 
 
-# Valid distances next to 0, negative, infinite and NaN ones and ones whose mean
-# received power overflows (1e-300 m) or is 0 W (1e200 m) at the default config.
-CELL = st.floats(100.0, 1e4) | st.sampled_from([0.0, -0.0, -400.0, math.inf, math.nan,
-                                                 1e-300, 1e200])
-POSTERIOR = st.floats(-0.5, 1.5) | st.just(math.nan)
+# a bool is refused as a posterior, as in every config field
+POSTERIOR = st.floats(-0.5, 1.5) | st.just(math.nan) | st.booleans()
 STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
 # a full state, an unknown level, a missing feature, an extra key
 STATES = st.sampled_from([STATE, {**STATE, "f1": "Bogus"}, {"f1": "Normal"},
@@ -107,8 +95,8 @@ KINDS = {
 @st.composite
 def user_data(draw):
     """Config settings and per-user data, valid or not: one field drawn as any kind,
-    keys over all users, posteriors in [-0.5, 1.5] or NaN, distances of any sign, inf,
-    NaN or the wrong shape and current states with bad or missing levels."""
+    keys over all users, posteriors in [-0.5, 1.5], NaN or a bool and current states with
+    bad or missing levels."""
     num_bs, prbs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     num_users = draw(st.integers(1, num_bs * prbs))
     config_kw = asdict(channel.ScenarioConfig(
@@ -117,30 +105,22 @@ def user_data(draw):
     if draw(st.booleans()):
         name = draw(st.sampled_from([f.name for f in fields(channel.ScenarioConfig)]))
         config_kw[name] = KINDS[draw(st.sampled_from(sorted(KINDS)))](config_kw[name])
-    distances = None
-    if draw(st.booleans()):
-        rows = num_users + draw(st.sampled_from([0, 0, 0, -1, 1]))
-        cols = num_bs + draw(st.sampled_from([0, 0, 0, -1, 1]))
-        cells = draw(st.lists(CELL, min_size=rows * cols, max_size=rows * cols))
-        distances = np.array(cells, dtype=float).reshape(rows, cols)
     users = st.integers(1, num_users)
     states = st.dictionaries(users, STATES, max_size=2)
-    return config_kw, distances, draw(st.dictionaries(users, POSTERIOR)), draw(states)
+    return config_kw, draw(st.dictionaries(users, POSTERIOR)), draw(states)
 
 
 @settings(PROPERTY, max_examples=300)
 @given(user_data())
 def test_constructor_and_parser_keep_one_rule(data):
-    config_kw, distances, op_ps, states = data
-    # JSON has no numpy integers: the file holds the plain integer
+    config_kw, op_ps, states = data
+    # JSON has no numpy integers: the file holds the plain integer; a bool is JSON's own
     payload = {k: int(v) if isinstance(v, np.integer) else v for k, v in config_kw.items()}
-    if distances is not None:
-        payload["distances"] = [[repr(float(d)) for d in row] for row in distances]
-    payload["op_ps"] = {str(k): repr(v) for k, v in op_ps.items()}
+    payload["op_ps"] = {str(k): v if isinstance(v, bool) else repr(v) for k, v in op_ps.items()}
     payload["current_states"] = {str(k): v for k, v in states.items()}
     try:
-        built = channel.Scenario(config=channel.ScenarioConfig(**config_kw), distances=distances,
-                                 op_ps=op_ps, current_states=states)
+        built = channel.Scenario(config=channel.ScenarioConfig(**config_kw), op_ps=op_ps,
+                                 current_states=states)
     except UsageError:
         built = None
     try:

@@ -51,11 +51,6 @@ class PwlSpec:
         ratio = (20.0 / 0.1) ** (1.0 / 9)
         return cls(tuple(0.1 * ratio**i for i in range(10)))
 
-    def value(self, s):
-        if s < 0:
-            raise ValueError("SINR must be non-negative")
-        return min(m * s + h for m, h in self.segments)
-
 
 @dataclass
 class SolverConfig:
@@ -75,13 +70,6 @@ class SolverConfig:
         if self.pf_log_mode == "piecewise" and self.pwl is None:
             self.pwl = PwlSpec.default()
         check_alpha(self.alpha)
-
-    def log_value(self, s):
-        if s <= 0:
-            raise PfUndefinedError("PF undefined at zero SINR")
-        if self.pf_log_mode == "piecewise":
-            return self.pwl.value(s)
-        return math.log(s)
 
 
 @dataclass
@@ -136,21 +124,37 @@ def sinr_of(assignment, power_map):
     return {k: sinr[n - 1][b - 1] for k, (b, n) in assignment.slots.items()}
 
 
-def user_terms(scenario, config, weights):
-    """Each user's objective term as a function of its SINR; the objective is their sum.
+class Objective:
+    """Each user's objective term, over user index k - 1 plus index num_users for nobody (an
+    empty slot): `w`, the weights (0 for nobody), and `log`, whether the term is the log SINR,
+    as under PF for all but the prioritized outpatients.  The log is `math.log`, or under
+    "piecewise" the minimum over `segments`, the PwlSpec's (slope, intercept) rows."""
 
-    WSRMax weighs every SINR.  PF takes its log, except that after
-    prioritization an outpatient contributes its weighted SINR.  A PF log of
-    a zero SINR raises PfUndefinedError.
-    """
-    ops = prioritized(scenario, config.prioritization)
-    terms = {}
-    for k, w in weights.items():
-        if config.objective == "pf" and k not in ops:
-            terms[k] = config.log_value
+    def __init__(self, scenario, config, weights):
+        ids, ops = scenario.config.user_ids, prioritized(scenario, config.prioritization)
+        self.w = np.array([weights[k] for k in ids] + [0.0])
+        self.log = np.array([config.objective == "pf" and k not in ops for k in ids] + [False])
+        self.segments = None if config.pwl is None else np.array(config.pwl.segments)
+
+    def terms(self, users, sinr):
+        """Terms of 0-based `users` at `sinr`, like-shaped arrays; a log user at SINR 0 gets NaN."""
+        out = self.w[users] * sinr
+        log = self.log[users]
+        s = sinr[log]
+        if self.segments is None:
+            out[log] = [math.log(x) if x > 0 else math.nan for x in s.tolist()]
         else:
-            terms[k] = lambda s, w=w: w * s
-    return terms
+            slope, intercept = self.segments.T[:, :, None]
+            out[log] = np.where(s > 0, (slope * s + intercept).min(axis=0), math.nan)
+        return out
+
+    def value(self, sinrs):
+        """The objective of {user id: SINR}, summed in its order; PfUndefinedError at a NaN term."""
+        users = np.array(list(sinrs), dtype=int) - 1
+        terms = self.terms(users, np.array(list(sinrs.values()))).tolist()
+        if any(math.isnan(t) for t in terms):
+            raise PfUndefinedError("PF undefined at zero SINR")
+        return sum(terms)
 
 
 def evaluate_assignment(assignment, power_map, scenario, config, priorities=None):
@@ -158,13 +162,10 @@ def evaluate_assignment(assignment, power_map, scenario, config, priorities=None
     check_map_shape(scenario, power_map)
     if priorities is None:
         priorities = priorities_for(scenario, config)
-    terms = user_terms(scenario, config, priorities)
     sinrs = sinr_of(assignment, power_map)
-    value = sum(terms[k](s) for k, s in sinrs.items())
     log_sinr = {k: (math.log(s) if s > 0 else None) for k, s in sinrs.items()}
-    return SinrReport(
-        sinr=sinrs, log_sinr=log_sinr, priorities=dict(priorities), objective_value=value
-    )
+    return SinrReport(sinr=sinrs, log_sinr=log_sinr, priorities=dict(priorities),
+                      objective_value=Objective(scenario, config, priorities).value(sinrs))
 
 
 def solve_exact(scenario, power_map, config):
@@ -180,36 +181,32 @@ def solve_exact(scenario, power_map, config):
     return assignment, report
 
 
-def _prb_options(n, power_map, terms, num_bs):
+def _prb_options(n, power_map, objective, num_bs):
     """Every way to serve 0-based PRB `n`: users ascending on one BS order.
 
     Options are (user mask, contribution summed in user order, ((user index,
     (bs, prb)), ...)); a pick that leaves a PF log user at zero SINR is dropped.
     """
-    K = len(terms)
+    K = len(objective.w) - 1
     picks = [tuple(zip(users, order)) for s in range(num_bs + 1)
              for users in itertools.combinations(range(K), s)
              for order in itertools.permutations(range(num_bs), s)]
     occ = np.array([[dict((b, u) for u, b in pick).get(v, K) for v in range(num_bs)]
                     for pick in picks])
-    sinr = column_sinrs(power_map.q, power_map.noise_w, occ, np.full(len(picks), n)).tolist()
-    options = []
-    for pick, row in zip(picks, sinr):
-        try:
-            total = 0.0
-            for ui, bi in pick:
-                total += terms[ui + 1](row[bi])
-        except PfUndefinedError:
-            continue
-        mask = sum(1 << ui for ui, _ in pick)
-        options.append((mask, total, tuple((ui, (bi + 1, n + 1)) for ui, bi in pick)))
-    return options
+    sinr = column_sinrs(power_map.q, power_map.noise_w, occ, np.full(len(picks), n))
+    # each pick's BSs in user order, then its empty BSs, where nobody's term 0.0 adds nothing
+    seat = np.array([[b for _, b in pick] + sorted(set(range(num_bs)) - {b for _, b in pick})
+                     for pick in picks])
+    terms = objective.terms(occ, sinr)[np.arange(len(picks))[:, None], seat]
+    totals = np.add.accumulate(terms, axis=1)[:, -1]  # left to right, as a Python sum
+    return [(sum(1 << ui for ui, _ in pick), total, tuple((ui, (bi + 1, n + 1)) for ui, bi in pick))
+            for pick, total in zip(picks, totals.tolist()) if not math.isnan(total)]
 
 
 def _search_subset_dp(scenario, power_map, config, weights):
     cfg = scenario.config
     K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
-    terms = user_terms(scenario, config, weights)
+    objective = Objective(scenario, config, weights)
 
     # dp: mask of served users -> (value, K-tuple of slots, None if unserved).
     # On equal values the smaller slot tuple wins; completions are identical
@@ -217,7 +214,7 @@ def _search_subset_dp(scenario, power_map, config, weights):
     dp = {0: (0.0, (None,) * K)}
     for n in range(N):
         served_min = K - B * (N - n - 1)  # due by PRB n: later PRBs serve B users each at most
-        options = _prb_options(n, power_map, terms, B)
+        options = _prb_options(n, power_map, objective, B)
         new_dp = {}
         for mask, (value, slots) in dp.items():
             least = served_min - mask.bit_count()

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator_exact import DEFAULT_ALPHA, Assignment, prioritized, priorities_for, sinr_of
+from .allocator_exact import (
+    DEFAULT_ALPHA, Assignment, Objective, SolverConfig, prioritized, priorities_for, sinr_of)
 from .channel import check_map_shape, derive_seed
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
@@ -106,8 +107,7 @@ class SwapSearch:
         cfg = scenario.config
         self.num_bs, self.num_prbs, self.nobody = cfg.num_bs, cfg.prbs_per_bs, cfg.num_users
         self.q, self.noise = power_map.q, power_map.noise_w
-        # user index num_users is nobody: an empty slot, with no power and no weight
-        self.w = np.array([weights[k] for k in cfg.user_ids] + [0.0])
+        self.objective = Objective(scenario, SolverConfig(), weights)  # WSRMax under `weights`
         bs = np.arange(self.num_bs)
         self.other = bs[:, None] != bs
         pair_a, pair_b = np.nonzero(np.triu(self.other))
@@ -135,7 +135,7 @@ class SwapSearch:
         and (C, P), the change when the column's occupants are rearranged by
         each of `perms` (P, B), one per pair of BSs swapping inside the column.
         """
-        q, w, other, perms = self.q, self.w, self.other, self.perms
+        q, w, other, perms = self.q, self.objective.w, self.other, self.perms
         cand = np.zeros((len(prbs), len(w), len(other)))  # (C, U, v): each user heard at v
         cand[:, : len(q)] = q[:, prbs].transpose(1, 0, 2)
         p = cand[np.arange(len(prbs))[:, None], occ_cols]  # (C, x, v): occupant at x heard at v
@@ -271,15 +271,13 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
 def run_file(scenario, power_map, config, file_index=0):
     """All iterations on one power map: per-user mean final SINRs and the
     per-iteration weighted objectives."""
-    cfg = scenario.config
-    weights = priorities_for(scenario, config)
-    sums = {k: 0.0 for k in cfg.user_ids}
+    sums = {k: 0.0 for k in scenario.config.user_ids}
     objectives = []
-    search = SwapSearch(scenario, power_map, weights)
+    search = SwapSearch(scenario, power_map, priorities_for(scenario, config))
     for it in range(config.iterations):
         rng = np.random.default_rng(derive_seed(config.seed, file_index, it))
         trace = run_iteration(scenario, power_map, config, rng, search)
-        objectives.append(sum(trace.final_sinr[k] * weights[k] for k in trace.final_sinr))
+        objectives.append(search.objective.value(trace.final_sinr))
         for k, s in trace.final_sinr.items():
             sums[k] += s
     means = {k: sums[k] / config.iterations for k in sums}

@@ -126,21 +126,26 @@ class Scenario:
 
     def __post_init__(self):
         cfg = self.config
-        for key, users in (("op_ps", self.op_ps), ("current_states", self.current_states)):
-            strangers = sorted(set(users) - set(cfg.op_ids), key=repr)
-            if strangers:
-                raise UsageError(f"{key} names user {strangers[0]}, which is not an outpatient"
+
+        def outpatient(key, k):  # an integer id, never a bool, stored as an int; O(1) per key
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+                raise UsageError(f"{key} names user {k!r}, which is not an integer user id")
+            if not cfg.num_normal < k <= cfg.num_users:
+                raise UsageError(f"{key} names user {k}, which is not an outpatient"
                                  f" (users {cfg.num_normal + 1}-{cfg.num_users})")
+            return int(k)
+
+        users = [outpatient("op_ps", k) for k in self.op_ps]
+        states = {outpatient("current_states", k): state for k, state in self.current_states.items()}
         posteriors = {}
-        for k, ps in self.op_ps.items():
+        for k, ps in zip(users, self.op_ps.values()):
             try:  # a real, never a bool, stored as a float (an int past a float overflows)
                 posteriors[k] = float(ps) if isinstance(ps, numbers.Real) else math.nan
             except OverflowError as exc:
                 raise UsageError(f"op_ps of user {k}: {exc}") from None
             if isinstance(ps, bool) or not 0.0 <= posteriors[k] <= 1.0:  # nan fails too
                 raise UsageError(f"op_ps of user {k} is {ps!r}, not a number or outside [0, 1]")
-        states = {}
-        for k, state in self.current_states.items():
+        for k, state in states.items():
             try:
                 if sorted(state) != list(FEATURES):
                     raise ValueError(f"want exactly the features {', '.join(FEATURES)}")
@@ -167,7 +172,6 @@ def check_map_shape(scenario, power_map, source="power map"):
 class PowerMap:
     q: np.ndarray  # (num_users, prbs_per_bs, num_bs), watts
     noise_w: float
-    distances: np.ndarray | None = None  # meters per (user, bs), if generated
 
     def power(self, user_id, prb, bs):
         """Received power for 1-based (user, prb, bs)."""
@@ -196,7 +200,7 @@ def generate_power_map(scenario, realization=0):
     q *= dbm_to_mw(cfg.tx_power_per_prb_dbm)
     q *= 10.0 ** (-path_loss_db(distances) / 10.0)[:, None, :]
     q /= 1000.0
-    return PowerMap(q=q, noise_w=cfg.noise_w, distances=distances)
+    return PowerMap(q=q, noise_w=cfg.noise_w)
 
 
 # --- serialization ---------------------------------------------------------

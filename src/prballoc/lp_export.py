@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .allocator_exact import (
     Assignment,
+    Objective,
     PfUndefinedError,
     evaluate_assignment,
-    prioritized,
     priorities_for,
     sinr_of,
     solve_exact,
@@ -105,24 +105,24 @@ def milp_rows(scenario, power_map, config, lam=None):
     lam = big_m(power_map, lam)
     if config.objective == "pf" and config.pf_log_mode != "piecewise":
         raise UsageError("PF export needs pf_log_mode 'piecewise', the tangents of a PwlSpec")
-    weights = priorities_for(scenario, config)
-    return _rows(scenario, power_map, config, lam, weights)
+    objective = Objective(scenario, config, priorities_for(scenario, config))
+    return _rows(scenario, power_map, config, lam, objective)
 
 
-def _rows(scenario, power_map, config, lam, weights):
+def _rows(scenario, power_map, config, lam, objective):
     cfg = scenario.config
     K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
     pf = config.objective == "pf"
-    ops = prioritized(scenario, config.prioritization)
-    log_users = [k for k in cfg.user_ids if k not in ops] if pf else []
+    log_users = [k for k in cfg.user_ids if objective.log[k - 1]]
+    linear = [(k, _num(objective.w[k - 1])) for k in cfg.user_ids if not objective.log[k - 1]]
     lam_s, neg_lam_s = _num(lam), _num(-lam)
 
     yield "\\ prballoc MILP export\nMaximize\n"
     if not pf:
-        terms = [f"+ {_num(weights[k])} T_{k}_{n}_{b}"
-                 for k in cfg.user_ids for n in range(1, N + 1) for b in range(1, B + 1)]
+        terms = [f"+ {w} T_{k}_{n}_{b}"
+                 for k, w in linear for n in range(1, N + 1) for b in range(1, B + 1)]
     else:
-        terms = [f"+ L_{k}" for k in log_users] + [f"+ {_num(weights[k])} S_{k}" for k in ops]
+        terms = [f"+ L_{k}" for k in log_users] + [f"+ {w} S_{k}" for k, w in linear]
     yield " obj: " + " ".join(terms) + "\n"
 
     yield "Subject To\n"
@@ -161,7 +161,7 @@ def _rows(scenario, power_map, config, lam, weights):
             terms = [f"- T_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)]
             yield f" c21_{k}: S_{k} " + " ".join(terms) + " = 0\n"
         for k in log_users:
-            for y, (m_y, h_y) in enumerate(config.pwl.segments, start=1):
+            for y, (m_y, h_y) in enumerate(objective.segments.tolist(), start=1):
                 yield f" c24_{k}_{y}: L_{k} - {_num(m_y)} S_{k} <= {_num(h_y)}\n"
             # ln 0 is undefined, so, as in the DP, a log user takes no slot of zero own power
             dead = [f"+ X_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)

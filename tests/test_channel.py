@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestConversions:
         cfg = channel.ScenarioConfig(seed=6, distance_min_m=300.0, distance_max_m=300.0)
         pm = channel.generate_power_map(channel.Scenario(config=cfg), realization=2)
         distances, gains, _ = recompute(cfg, 2)
-        assert (distances == 300.0).all() and (pm.distances == 300.0).all()
+        assert (distances == 300.0).all()
         ratio = pm.q / gains
         assert ratio == pytest.approx(7.34e-13, rel=0.01)
         assert ratio == pytest.approx(ratio[0, 0, 0], rel=1e-12)  # linear in the gain
@@ -77,9 +78,10 @@ class TestFading:
         sc, pm = channel.generate_scenario(cfg)
         again = channel.generate_power_map(sc, realization=0)
         assert np.array_equal(pm.q, again.q)
-        loss_db = 128.0 + 37.6 * np.log10(pm.distances / 1000.0)
+        distances, drawn, _ = recompute(cfg, 0)
+        loss_db = 128.0 + 37.6 * np.log10(distances / 1000.0)
         gains = pm.q / (10.0 ** ((17.0 - 30.0 - loss_db) / 10.0))[:, None, :]
-        np.testing.assert_allclose(gains, recompute(cfg, 0)[1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gains, drawn, rtol=1e-12, atol=0)
         assert (gains >= 0).all()
         assert 0.997 <= gains.mean() <= 1.003
 
@@ -159,6 +161,15 @@ class TestScenario:
     @pytest.mark.parametrize("fields, message", [
         pytest.param({"op_ps": {3: 0.5}}, "op_ps names user 3", id="ps-normal-user"),
         pytest.param({"op_ps": {11: 0.5}}, "op_ps names user 11", id="ps-unknown-user"),
+        pytest.param({"op_ps": {3: 0.5}}, re.escape("op_ps names user 3, which is not an"
+                     " outpatient (users 8-10)"), id="ps-normal-user-message"),
+        # scenario_to_json would write "8.0" and "True", which no scenario file may hold
+        pytest.param({"op_ps": {8.0: 0.5}}, "op_ps names user 8.0, which is not an integer",
+                     id="ps-float-key"),
+        pytest.param({"op_ps": {True: 0.5}}, "op_ps names user True, which is not an integer",
+                     id="ps-bool-key"),
+        pytest.param({"current_states": {8.0: STATE}}, "current_states names user 8.0",
+                     id="state-float-key"),
         pytest.param({"op_ps": {8: 1.5}}, "outside", id="ps-above-one"),
         pytest.param({"op_ps": {8: -0.1}}, "outside", id="ps-negative"),
         pytest.param({"op_ps": {8: math.nan}}, "outside", id="ps-nan"),
@@ -180,6 +191,26 @@ class TestScenario:
                                  current_states={8: STATE})
         with pytest.raises(UsageError, match=message):
             replace(valid, **fields)
+
+    def test_numpy_ids_stored_as_ints(self):
+        sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps={np.int64(8): 0.5},
+                              current_states={np.int32(9): STATE})
+        assert [type(k) for k in (*sc.op_ps, *sc.current_states)] == [int, int]
+        assert channel.scenario_from_json(channel.scenario_to_json(sc)) == sc
+
+    def test_million_user_file_parses_in_constant_memory(self):
+        # every user an outpatient: each key is checked against num_normal and num_users,
+        # not against a set of every outpatient id
+        text = json.dumps({"num_bs": 2, "prbs_per_bs": 500_000, "num_users": 10**6,
+                           "num_normal": 0, "op_ps": {"1000000": "0.5"}})
+        tracemalloc.start()
+        try:
+            sc = channel.scenario_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sc.op_ps == {10**6: 0.5}
+        assert peak < 1 << 20
 
     def test_read_only_maps_over_copies(self):
         op_ps, state = dict(REF_PS), dict(STATE)
@@ -245,15 +276,14 @@ class TestGeneration:
             sc, _ = channel.generate_scenario(cfg)
             for r in (0, 1, 7):
                 pm = channel.generate_power_map(sc, realization=r)
-                distances, _, q = recompute(cfg, r)
-                assert np.array_equal(pm.distances, distances)
+                _, _, q = recompute(cfg, r)
                 np.testing.assert_allclose(pm.q, q, rtol=1e-12, atol=0)
 
     def test_power_map_holds_one_per_slot_array(self):
         # q is the only (K, N, B) array a generated map keeps.
         _, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3))
         arrays = {f.name for f in fields(pm) if isinstance(getattr(pm, f.name), np.ndarray)}
-        assert arrays == {"q", "distances"}
+        assert arrays == {"q"}
 
     def test_realizations_differ_and_are_reproducible(self):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=9))
@@ -261,12 +291,15 @@ class TestGeneration:
         pm1 = channel.generate_power_map(sc, realization=1)
         again = channel.generate_power_map(sc, realization=1)
         assert not np.array_equal(pm0.q, pm1.q)
-        assert not np.array_equal(pm0.distances, pm1.distances)
+        assert not np.array_equal(recompute(sc.config, 0)[0], recompute(sc.config, 1)[0])
         assert np.array_equal(pm1.q, again.q)
 
     def test_distances_within_range(self):
-        sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=4))
-        assert (pm.distances >= 300.0).all() and (pm.distances <= 600.0).all()
+        cfg = channel.ScenarioConfig(seed=4)
+        _, pm = channel.generate_scenario(cfg)
+        distances, _, q = recompute(cfg, 0)
+        np.testing.assert_allclose(pm.q, q, rtol=1e-12, atol=0)  # the map's own distances
+        assert (distances >= 300.0).all() and (distances <= 600.0).all()
 
 
 class TestSerialization:

@@ -83,14 +83,35 @@ def oracle_optimum(scenario, pm, config, log=math.log):
     return None if best is None else (best[0], dict(zip(users, best[1])))
 
 
+def two_users(config, weights):
+    """The Objective of user 1, a normal user, and user 2, an outpatient; weights default to 1."""
+    cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=1, num_users=2, num_normal=1)
+    return ex.Objective(channel.Scenario(config=cfg), config, {1: 1.0, 2: 1.0, **weights})
+
+
+def scalar_term(weight, logged, pwl, s):
+    """One term by the scalar rule: weight * SINR, or for a log user ln SINR (the minimum
+    over the tangents of `pwl` when given), NaN at SINR 0."""
+    if not logged:
+        return weight * s
+    if s == 0:
+        return math.nan
+    return math.log(s) if pwl is None else min(m * s + h for m, h in pwl.segments)
+
+
 class TestPwlSpec:
     def test_tangency_and_envelope(self):
         pwl = ex.PwlSpec((0.5, 1.0, 5.0))
-        assert pwl.value(1.0) == pytest.approx(0.0, abs=1e-15)
-        for s in np.linspace(0.05, 30, 200):
-            assert pwl.value(s) >= math.log(s) - 1e-12
-        for p in pwl.tangent_points:
-            assert pwl.value(p) == pytest.approx(math.log(p), abs=1e-12)
+        objective = two_users(ex.SolverConfig("pf", pf_log_mode="piecewise", pwl=pwl), {})
+
+        def value(s):  # user 1's PF terms at the SINRs s: the piecewise log
+            return objective.terms(np.zeros(len(s), dtype=int), s)
+
+        assert value(np.array([1.0])) == pytest.approx([0.0], abs=1e-15)
+        s = np.linspace(0.05, 30, 200)
+        assert (value(s) >= np.log(s) - 1e-12).all()
+        points = np.array(pwl.tangent_points)
+        assert value(points) == pytest.approx(np.log(points), abs=1e-12)
 
     def test_slopes_strictly_decreasing(self):
         pwl = ex.PwlSpec.default()
@@ -106,10 +127,10 @@ class TestPwlSpec:
 
 
 def objective_of(sinrs, weights, config):
-    """Sum of user_terms over `sinrs`; user 1 is a normal user, user 2 an outpatient."""
-    cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=1, num_users=2, num_normal=1)
-    terms = ex.user_terms(channel.Scenario(config=cfg), config, weights)
-    return sum(terms[k](s) for k, s in sinrs.items())
+    """Sum of Objective.terms over `sinrs`; user 1 is a normal user, user 2 an outpatient."""
+    users, sinr = np.array(list(sinrs)) - 1, np.array(list(sinrs.values()))
+    terms = two_users(config, weights).terms(users, sinr)
+    return sum(terms.tolist())
 
 
 class TestObjectives:
@@ -133,8 +154,65 @@ class TestObjectives:
 
     def test_pf_zero_sinr_undefined(self):
         cfg = ex.SolverConfig(objective="pf")
+        assert math.isnan(objective_of({1: 0.0}, {1: 1.0}, cfg))
         with pytest.raises(ex.PfUndefinedError):
-            objective_of({1: 0.0}, {1: 1.0}, cfg)
+            two_users(cfg, {}).value({1: 0.0})
+
+
+# the three term rules: the weighted SINR, the exact log and the piecewise log
+RULES = [("wsrmax", "exact_log"), ("pf", "exact_log"), ("pf", "piecewise")]
+RULE_IDS = ["wsrmax", "pf-exact", "pf-piecewise"]
+
+
+@pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
+@pytest.mark.parametrize("objective, mode", RULES, ids=RULE_IDS)
+def test_terms_match_the_scalar_rule_bit_for_bit(objective, mode, prio):
+    sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=REF_PS)
+    config = ex.SolverConfig(objective, prio, pf_log_mode=mode)
+    weights = ex.priorities_for(sc, config)
+    rng = np.random.default_rng(5)
+    # 0-based users, index 10 is nobody; enough log terms that np.log would differ in some
+    users = rng.integers(0, 11, size=(4000, 3))
+    sinr = rng.exponential(2.0, size=users.shape)
+    sinr[rng.random(users.shape) < 0.2] = 0.0
+    got = ex.Objective(sc, config, weights).terms(users, sinr)
+    want = [scalar_term(weights.get(u + 1, 0.0), objective == "pf" and u < 10
+                        and not (prio and u + 1 in sc.config.op_ids), config.pwl, s)
+            for u, s in zip(users.ravel().tolist(), sinr.ravel().tolist())]
+    assert got.shape == users.shape
+    assert [repr(t) for t in got.ravel().tolist()] == [repr(t) for t in want]
+    assert np.isnan(got).any() == (objective == "pf")
+
+
+@pytest.mark.parametrize("num_bs", [2, 3])
+def test_prb_options_sum_terms_in_user_order(num_bs):
+    """Each option's total is its users' terms summed in user order by plain Python; a pick
+    that leaves a log user at SINR 0 is dropped."""
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        sc, pm = random_instance(rng, num_bs)
+        pm.q[0, 0, 0] = 0.0  # user 1 has no power on (bs 1, prb 1)
+        K = sc.config.num_users
+        for (name, mode), prio in itertools.product(RULES, (False, True)):
+            config = ex.SolverConfig(name, prio, pf_log_mode=mode)
+            weights = ex.priorities_for(sc, config)
+            objective = ex.Objective(sc, config, weights)
+            logged = {k: name == "pf" and not (prio and k in sc.config.op_ids)
+                      for k in sc.config.user_ids}
+            for n in range(sc.config.prbs_per_bs):
+                want = []
+                for size in range(num_bs + 1):
+                    for users in itertools.combinations(range(1, K + 1), size):
+                        for order in itertools.permutations(range(1, num_bs + 1), size):
+                            slots = {k: (b, n + 1) for k, b in zip(users, order)}
+                            sinrs = ex.sinr_of(ex.Assignment(slots=slots), pm)
+                            total = 0.0
+                            for k in users:
+                                total += scalar_term(weights[k], logged[k], config.pwl, sinrs[k])
+                            if not math.isnan(total):
+                                want.append((sum(1 << (k - 1) for k in users), total,
+                                             tuple((k - 1, slots[k]) for k in users)))
+                assert ex._prb_options(n, pm, objective, num_bs) == want
 
 
 class TestSinrOf:

@@ -15,6 +15,7 @@ import numpy as np
 from .channel import check_map_shape
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
+from .metrics import left_sum
 from .risk import check_alpha, priority
 
 DEFAULT_ALPHA = 500.0
@@ -25,7 +26,7 @@ class PfUndefinedError(ValueError):
     """PF objective requested a log of a zero SINR."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PwlSpec:
     """Tangent lines of ln at the given points: slope 1/s0, intercept ln(s0)-1.
 
@@ -42,8 +43,8 @@ class PwlSpec:
             raise UsageError("tangent points must be positive")
         if len(set(pts)) != len(pts):
             raise UsageError("tangent points must be distinct")
-        self.tangent_points = pts
-        self.segments = tuple((1.0 / p, math.log(p) - 1.0) for p in pts)
+        object.__setattr__(self, "tangent_points", pts)
+        object.__setattr__(self, "segments", tuple((1.0 / p, math.log(p) - 1.0) for p in pts))
 
     @classmethod
     def default(cls):
@@ -52,7 +53,7 @@ class PwlSpec:
         return cls(tuple(0.1 * ratio**i for i in range(10)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     objective: str = "wsrmax"  # one of OBJECTIVES
     prioritization: bool = False
@@ -68,7 +69,7 @@ class SolverConfig:
         if self.pf_log_mode == "exact_log" and self.pwl is not None:
             raise UsageError("a PwlSpec needs pf_log_mode 'piecewise', not 'exact_log'")
         if self.pf_log_mode == "piecewise" and self.pwl is None:
-            self.pwl = PwlSpec.default()
+            object.__setattr__(self, "pwl", PwlSpec.default())
         check_alpha(self.alpha)
 
 
@@ -125,14 +126,15 @@ def sinr_of(assignment, power_map):
 
 
 class Objective:
-    """Each user's objective term, over user index k - 1 plus index num_users for nobody (an
-    empty slot): `w`, the weights (0 for nobody), and `log`, whether the term is the log SINR,
-    as under PF for all but the prioritized outpatients.  The log is `math.log`, or under
-    "piecewise" the minimum over `segments`, the PwlSpec's (slope, intercept) rows."""
+    """A solver or heuristic config's objective, as each user's term over user index k - 1 plus
+    index num_users for nobody (an empty slot): `w`, the `weights` of `priorities_for` (0 for
+    nobody), and `log`, whether the term is the log SINR, as under PF for all but the prioritized
+    outpatients.  The log is `math.log`, or under "piecewise" the minimum over `segments`."""
 
-    def __init__(self, scenario, config, weights):
+    def __init__(self, scenario, config):
         ids, ops = scenario.config.user_ids, prioritized(scenario, config.prioritization)
-        self.w = np.array([weights[k] for k in ids] + [0.0])
+        self.weights = priorities_for(scenario, config)
+        self.w = np.array([self.weights[k] for k in ids] + [0.0])
         self.log = np.array([config.objective == "pf" and k not in ops for k in ids] + [False])
         self.segments = None if config.pwl is None else np.array(config.pwl.segments)
 
@@ -154,18 +156,17 @@ class Objective:
         terms = self.terms(users, np.array(list(sinrs.values()))).tolist()
         if any(math.isnan(t) for t in terms):
             raise PfUndefinedError("PF undefined at zero SINR")
-        return sum(terms)
+        return left_sum(terms)
 
 
-def evaluate_assignment(assignment, power_map, scenario, config, priorities=None):
+def evaluate_assignment(assignment, power_map, scenario, config):
     """Recompute SINRs and the configured objective for a feasible assignment."""
     check_map_shape(scenario, power_map)
-    if priorities is None:
-        priorities = priorities_for(scenario, config)
+    objective = Objective(scenario, config)
     sinrs = sinr_of(assignment, power_map)
     log_sinr = {k: (math.log(s) if s > 0 else None) for k, s in sinrs.items()}
-    return SinrReport(sinr=sinrs, log_sinr=log_sinr, priorities=dict(priorities),
-                      objective_value=Objective(scenario, config, priorities).value(sinrs))
+    return SinrReport(sinr=sinrs, log_sinr=log_sinr, priorities=dict(objective.weights),
+                      objective_value=objective.value(sinrs))
 
 
 def solve_exact(scenario, power_map, config):
@@ -175,9 +176,8 @@ def solve_exact(scenario, power_map, config):
     assignment (users in id order, slots ordered by (bs, prb)).
     """
     check_map_shape(scenario, power_map)
-    weights = priorities_for(scenario, config)
-    assignment = _search_subset_dp(scenario, power_map, config, weights)
-    report = evaluate_assignment(assignment, power_map, scenario, config, weights)
+    assignment = _search_subset_dp(scenario, power_map, config)
+    report = evaluate_assignment(assignment, power_map, scenario, config)
     return assignment, report
 
 
@@ -203,10 +203,10 @@ def _prb_options(n, power_map, objective, num_bs):
             for pick, total in zip(picks, totals.tolist()) if not math.isnan(total)]
 
 
-def _search_subset_dp(scenario, power_map, config, weights):
+def _search_subset_dp(scenario, power_map, config):
     cfg = scenario.config
     K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
-    objective = Objective(scenario, config, weights)
+    objective = Objective(scenario, config)
 
     # dp: mask of served users -> (value, K-tuple of slots, None if unserved).
     # On equal values the smaller slot tuple wins; completions are identical

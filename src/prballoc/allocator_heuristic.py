@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator_exact import (
-    DEFAULT_ALPHA, Assignment, Objective, SolverConfig, prioritized, priorities_for, sinr_of)
+    DEFAULT_ALPHA, Assignment, Objective, prioritized, priorities_for, sinr_of)
 from .channel import check_map_shape, derive_seed
 from .errors import InfeasibleError, UsageError
 from .fileio import write_csv
@@ -29,8 +29,9 @@ MEMO_FLOATS = 1 << 16  # bound on the column gains a SwapSearch keeps (512 KB)
 BATCH_FLOATS = 1 << 13  # bound on the temporaries of one batch of columns (64 KB)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeuristicConfig:
+    objective, pwl = "wsrmax", None  # constants, not fields: SwapSearch maximizes w · SINR only
     iterations: int = 1000
     prioritization: bool = False
     alpha: float = DEFAULT_ALPHA
@@ -62,26 +63,27 @@ def serve_order(scenario, config, rng):
     return first + [rest[i] for i in rng.permutation(len(rest))]
 
 
-def best_sinr_pool(user_id, free, candidates, power_map, rng):
+def best_sinr_pool(user_id, occ, candidates, power_map, rng):
     """Draw one entry of the user's pool: ((bs, prb), interferer, sinr), 1-based.
 
-    The pool holds one entry per free slot of the (N, B) mask `free`, in
-    (bs, prb) order; the draw is uniform, so only the drawn entry is computed.
-    `candidates` holds the ids, ascending, of the users that may interfere.
-    Where the slot's PRB has another free slot, the minimum-interfering-power
-    candidate (ties by user id) is the interferer; otherwise, or without
-    candidates, the entry is interference-free (interferer None).
+    The pool holds one entry per empty slot of the (N, B) occupants `occ`
+    (num_users for nobody), in (bs, prb) order; the draw is uniform, so only
+    the drawn entry is computed.  `candidates` holds the ids, ascending, of the
+    users that may interfere.  Where the slot's PRB has another free slot, the
+    minimum-interfering-power candidate (ties by user id) is the interferer,
+    else None.  The SINR counts it and the PRB's users (only at 3+ BSs).
     """
+    free = occ == len(power_map.q)
     bs, prb = np.nonzero(free.T)
     if not len(bs):
         raise InfeasibleError("no free slot available")
     i = rng.integers(len(bs))
     b, n = int(bs[i]), int(prb[i])
-    interferer, interference = None, 0.0
+    interferer, interference = None, power_map.q[occ[n][~free[n]], n, b].sum()
     if len(candidates) and np.count_nonzero(free[n]) > 1:
         heard = power_map.q[candidates - 1, n, b]
         j = heard.argmin()
-        interferer, interference = int(candidates[j]), heard[j]
+        interferer, interference = int(candidates[j]), interference + heard[j]
     sinr = power_map.q[user_id - 1, n, b] / (interference + power_map.noise_w)
     return (b + 1, n + 1), interferer, float(sinr)
 
@@ -91,9 +93,10 @@ class SwapSearch:
 
     A move exchanges the occupants of two slots, either of which may be empty,
     so a user can also move into a free slot.  Each step applies the swap that
-    most raises the weighted SINR sum under `weights` (ties go to the pair
-    first in (prb, bs) slot order), and the search stops once no swap gains
-    more than SWAP_RTOL of the current objective.
+    most raises the config's `Objective`, a weighted SINR sum (one with PF's
+    log terms is a UsageError; ties go to the pair first in (prb, bs) slot
+    order), and the search stops once no swap gains more than SWAP_RTOL of the
+    current objective.
 
     Interference never crosses PRB indices, so a swap changes only the
     columns of its two PRBs, and after each swap only the gains that involve
@@ -103,11 +106,13 @@ class SwapSearch:
     keeps those of the states it has met.
     """
 
-    def __init__(self, scenario, power_map, weights):
+    def __init__(self, scenario, power_map, config):
+        self.objective = Objective(scenario, config)
+        if self.objective.log.any():
+            raise UsageError("the swap search maximizes a weighted SINR sum, not PF's logs")
         cfg = scenario.config
         self.num_bs, self.num_prbs, self.nobody = cfg.num_bs, cfg.prbs_per_bs, cfg.num_users
         self.q, self.noise = power_map.q, power_map.noise_w
-        self.objective = Objective(scenario, SolverConfig(), weights)  # WSRMax under `weights`
         bs = np.arange(self.num_bs)
         self.other = bs[:, None] != bs
         pair_a, pair_b = np.nonzero(np.triu(self.other))
@@ -219,16 +224,18 @@ class SwapSearch:
 def run_iteration(scenario, power_map, config, rng, improver=None):
     """Serve every user once, then improve by swaps; returns the trace.
 
-    `at_assignment_sinr` holds each user's SINR when the construction placed
-    it; `slots` is the assignment after the improvement phase, and
-    `final_sinr` is recomputed on it, since later admissions and swaps change
-    the interference.  All three list the users in placement order: each
+    `at_assignment_sinr` holds each user's SINR right after its admission;
+    `slots` is the assignment after the improvement phase, and `final_sinr`
+    is recomputed on it, since later admissions and swaps change the
+    interference.  All three list the users in placement order: each
     admitted user, then its interferer.  `pool_sizes` holds each admission's
     number of free slots.  `improver` is a SwapSearch built for this
     scenario, power map and config; passing one to every iteration on a map
     lets it reuse column gains, and None builds a fresh one.
     """
     check_map_shape(scenario, power_map)
+    if improver is None:
+        improver = SwapSearch(scenario, power_map, config)
     cfg = scenario.config
     order = serve_order(scenario, config, rng)
     nobody = cfg.num_users
@@ -240,19 +247,16 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
         if not unserved[user - 1]:
             continue  # already placed as someone's interferer
         unserved[user - 1] = False
-        free = occ == nobody
-        pool_sizes.append(int(np.count_nonzero(free)))
-        (b, n), m, at_sinr[user] = best_sinr_pool(user, free, ids[unserved], power_map, rng)
+        pool_sizes.append(int(np.count_nonzero(occ == nobody)))
+        (b, n), m, at_sinr[user] = best_sinr_pool(user, occ, ids[unserved], power_map, rng)
         occ[n - 1, b - 1] = user - 1
         if m is not None:
-            co = occ[n - 1].tolist().index(nobody) + 1  # the lowest free co-channel BS
-            occ[n - 1, co - 1] = m - 1
+            row = occ[n - 1]
+            co = row.tolist().index(nobody) + 1  # the lowest free co-channel BS
+            heard = power_map.q[row[row < nobody], n - 1, co - 1].sum()  # the PRB's users at co
+            row[co - 1] = m - 1
             unserved[m - 1] = False
-            at_sinr[m] = power_map.power(m, n, co) / (
-                power_map.power(user, n, co) + power_map.noise_w
-            )
-    if improver is None:
-        improver = SwapSearch(scenario, power_map, priorities_for(scenario, config))
+            at_sinr[m] = power_map.power(m, n, co) / float(heard + power_map.noise_w)
     swaps = improver.improve(occ)
     num_bs = cfg.num_bs
     slot_of = {k: (s % num_bs + 1, s // num_bs + 1) for s, k in enumerate(occ.reshape(-1).tolist())}
@@ -273,7 +277,7 @@ def run_file(scenario, power_map, config, file_index=0):
     per-iteration weighted objectives."""
     sums = {k: 0.0 for k in scenario.config.user_ids}
     objectives = []
-    search = SwapSearch(scenario, power_map, priorities_for(scenario, config))
+    search = SwapSearch(scenario, power_map, config)
     for it in range(config.iterations):
         rng = np.random.default_rng(derive_seed(config.seed, file_index, it))
         trace = run_iteration(scenario, power_map, config, rng, search)

@@ -101,7 +101,7 @@ def _echo_config(spec, outdir, extra=None):
 
 
 def _mean(values):
-    return sum(values) / len(values)
+    return metrics.left_sum(values) / len(values)
 
 
 @dataclass

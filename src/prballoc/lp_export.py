@@ -20,7 +20,6 @@ from .allocator_exact import (
     Objective,
     PfUndefinedError,
     evaluate_assignment,
-    priorities_for,
     sinr_of,
     solve_exact,
 )
@@ -105,8 +104,7 @@ def milp_rows(scenario, power_map, config, lam=None):
     lam = big_m(power_map, lam)
     if config.objective == "pf" and config.pf_log_mode != "piecewise":
         raise UsageError("PF export needs pf_log_mode 'piecewise', the tangents of a PwlSpec")
-    objective = Objective(scenario, config, priorities_for(scenario, config))
-    return _rows(scenario, power_map, config, lam, objective)
+    return _rows(scenario, power_map, config, lam, Objective(scenario, config))
 
 
 def _rows(scenario, power_map, config, lam, objective):

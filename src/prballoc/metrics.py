@@ -1,6 +1,8 @@
 """Aggregate statistics: means, sample SD, 95% confidence intervals, fairness."""
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .fileio import write_csv
@@ -17,16 +19,21 @@ class StatSummary:
     ci_high: float
 
 
+def left_sum(values):
+    """The sum in left-to-right order, as `sum` gave before Python 3.12 compensated floats."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def summarize(values):
     """Mean, sample (n-1) SD and 95% CI of a list of reals."""
     values = list(values)
     if not values:
         raise ValueError("cannot summarize an empty list")
     n = len(values)
-    mean = sum(values) / n
+    mean = left_sum(values) / n
     if n == 1:
         return StatSummary(n=1, mean=mean, sd=None, ci_low=mean, ci_high=mean)
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
     sd = math.sqrt(var)
     half = Z_95 * sd / math.sqrt(n)
     return StatSummary(n=n, mean=mean, sd=sd, ci_low=mean - half, ci_high=mean + half)

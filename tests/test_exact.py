@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prballoc import allocator_exact as ex
+from prballoc import allocator_heuristic as heur
 from prballoc import channel, lp_export
 from prballoc.errors import UsageError
 
@@ -84,9 +85,12 @@ def oracle_optimum(scenario, pm, config, log=math.log):
 
 
 def two_users(config, weights):
-    """The Objective of user 1, a normal user, and user 2, an outpatient; weights default to 1."""
+    """The Objective of user 1, a normal user, and user 2, an outpatient, with `weights` set
+    on it; weights default to 1."""
     cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=1, num_users=2, num_normal=1)
-    return ex.Objective(channel.Scenario(config=cfg), config, {1: 1.0, 2: 1.0, **weights})
+    objective = ex.Objective(channel.Scenario(config=cfg), config)
+    objective.w[:2] = [{1: 1.0, 2: 1.0, **weights}[k] for k in (1, 2)]
+    return objective
 
 
 def scalar_term(weight, logged, pwl, s):
@@ -133,6 +137,19 @@ def objective_of(sinrs, weights, config):
     return sum(terms.tolist())
 
 
+@pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
+@pytest.mark.parametrize("make", [ex.SolverConfig, heur.HeuristicConfig],
+                         ids=["solver", "heuristic"])
+def test_objective_weights_are_the_configs(make, prio):
+    sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=REF_PS)
+    config = make(prioritization=prio, alpha=100.0)
+    objective = ex.Objective(sc, config)
+    weights = ex.priorities_for(sc, config)
+    assert objective.weights == weights
+    assert objective.w.tolist() == [weights[k] for k in sc.config.user_ids] + [0.0]
+    assert (objective.w[:-1] > 1.0).any() == prio
+
+
 class TestObjectives:
     def test_wsrmax_plain_sum_when_off(self):
         sinrs = {1: 2.0, 2: 3.0}
@@ -175,7 +192,7 @@ def test_terms_match_the_scalar_rule_bit_for_bit(objective, mode, prio):
     users = rng.integers(0, 11, size=(4000, 3))
     sinr = rng.exponential(2.0, size=users.shape)
     sinr[rng.random(users.shape) < 0.2] = 0.0
-    got = ex.Objective(sc, config, weights).terms(users, sinr)
+    got = ex.Objective(sc, config).terms(users, sinr)
     want = [scalar_term(weights.get(u + 1, 0.0), objective == "pf" and u < 10
                         and not (prio and u + 1 in sc.config.op_ids), config.pwl, s)
             for u, s in zip(users.ravel().tolist(), sinr.ravel().tolist())]
@@ -196,7 +213,7 @@ def test_prb_options_sum_terms_in_user_order(num_bs):
         for (name, mode), prio in itertools.product(RULES, (False, True)):
             config = ex.SolverConfig(name, prio, pf_log_mode=mode)
             weights = ex.priorities_for(sc, config)
-            objective = ex.Objective(sc, config, weights)
+            objective = ex.Objective(sc, config)
             logged = {k: name == "pf" and not (prio and k in sc.config.op_ids)
                       for k in sc.config.user_ids}
             for n in range(sc.config.prbs_per_bs):

@@ -131,7 +131,7 @@ def test_heuristic_stays_at_or_below_optimum(num_bs, prio):
         _, optimum = ex.solve_exact(scenario, pm, solver)
         weights = optimum.priorities
         assert ex.priorities_for(scenario, config) == weights
-        search = heur.SwapSearch(scenario, pm, weights)
+        search = heur.SwapSearch(scenario, pm, config)
         for i in range(10):
             trace = heur.run_iteration(scenario, pm, config, np.random.default_rng([seed, i]),
                                        search)

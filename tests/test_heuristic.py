@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,18 +42,21 @@ class TestServeOrder:
         assert len(orders) > 1
 
 
-def free_mask(slots, n=5, b=2):
-    """The (N, B) mask holding the (bs, prb) slots given."""
-    mask = np.zeros((n, b), dtype=bool)
-    for bs, prb in slots:
-        mask[prb - 1, bs - 1] = True
-    return mask
+def occupancy(free, pm):
+    """The (N, B) occupants of pm's slots: nobody on the (bs, prb) slots `free`, the last
+    user on every other slot."""
+    num_users, num_prbs, num_bs = pm.q.shape
+    occ = np.full((num_prbs, num_bs), num_users - 1)
+    for bs, prb in free:
+        occ[prb - 1, bs - 1] = num_users
+    return occ
 
 
 def draw(user_id, free, candidates, pm, seed=0):
     """best_sinr_pool with a fresh Generator; candidates as a list of ids."""
     return heur.best_sinr_pool(
-        user_id, free_mask(free), np.array(candidates, dtype=int), pm, np.random.default_rng(seed)
+        user_id, occupancy(free, pm), np.array(candidates, dtype=int), pm,
+        np.random.default_rng(seed)
     )
 
 
@@ -90,11 +95,11 @@ class TestPool:
         with pytest.raises(InfeasibleError):
             draw(1, set(), [2], pm)
 
-    def test_no_co_channel_free_slot_is_interference_free(self):
+    def test_no_co_channel_free_slot_counts_its_holder(self):
         sc, pm = baseline()
-        slot, interferer, sinr = draw(1, {(1, 1), (2, 2)}, [2, 3], pm, 4)
+        (b, n), interferer, sinr = draw(1, {(1, 1), (2, 2)}, [2, 3], pm, 4)
         assert interferer is None
-        assert sinr == pm.power(1, slot[1], slot[0]) / pm.noise_w
+        assert sinr == pm.power(1, n, b) / (pm.power(10, n, b) + pm.noise_w)
 
 
 class TestSemiGreedyPick:
@@ -108,13 +113,13 @@ class TestSemiGreedyPick:
 
     def test_uniformity(self):
         sc, pm = baseline()
-        free = free_mask({(1, n) for n in range(1, 5)})
+        occ = occupancy({(1, n) for n in range(1, 5)}, pm)
         none = np.array([], dtype=int)
         rng = np.random.default_rng(42)
         counts = [0, 0, 0, 0]
         n = 100_000
         for _ in range(n):
-            (_, prb), _, _ = heur.best_sinr_pool(1, free, none, pm, rng)
+            (_, prb), _, _ = heur.best_sinr_pool(1, occ, none, pm, rng)
             counts[prb - 1] += 1
         for c in counts:
             assert abs(c / n - 0.25) < 0.01
@@ -132,15 +137,50 @@ class TestSemiGreedyPick:
         for seed in range(200):
             free = setup.random((cfg.prbs_per_bs, num_bs)) < setup.uniform(0.1, 0.9)
             free.flat[setup.integers(free.size)] = True
+            occ = np.where(free, cfg.num_users, setup.permutation(cfg.num_users).reshape(free.shape))
             user = int(setup.integers(1, cfg.num_users + 1))
             others = [m for m in cfg.user_ids if m != user] if with_candidates else []
             candidates = sorted(m for m in others if setup.random() < 0.5)
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = heur.best_sinr_pool(user, free, np.array(candidates, dtype=int), pm, rng)
-            free_slots = {(b + 1, n + 1) for n, b in zip(*np.nonzero(free))}
-            pool = reference_pool(user, free_slots, candidates, pm, sc)
+            got = heur.best_sinr_pool(user, occ, np.array(candidates, dtype=int), pm, rng)
+            held = {k + 1: (b + 1, n + 1)
+                    for (n, b), k in np.ndenumerate(occ) if k < cfg.num_users}
+            pool = reference_pool(user, held, candidates, pm, sc)
             assert got == pool[int(twin.integers(len(pool)))]
             assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestObjective:
+    def test_swap_search_takes_the_configs_weights(self):
+        sc, pm = baseline()
+        config = heur.HeuristicConfig(prioritization=True)
+        objective = heur.SwapSearch(sc, pm, config).objective
+        assert not objective.log.any()
+        assert objective.weights == ex.priorities_for(sc, config)
+        assert objective.weights != ex.priorities_for(sc, heur.HeuristicConfig())
+
+    @pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
+    def test_pf_is_refused(self, prio):
+        sc, pm = baseline()
+        config = ex.SolverConfig(objective="pf", prioritization=prio)
+        with pytest.raises(UsageError):
+            heur.SwapSearch(sc, pm, config)
+        with pytest.raises(UsageError):
+            heur.run_iteration(sc, pm, config, np.random.default_rng(0))
+
+    def test_the_objective_is_a_constant_not_a_field(self):
+        assert (heur.HeuristicConfig.objective, heur.HeuristicConfig.pwl) == ("wsrmax", None)
+        with pytest.raises(TypeError):
+            heur.HeuristicConfig(objective="pf")
+
+    @pytest.mark.parametrize("config, name", [
+        (heur.HeuristicConfig(), "objective"), (heur.HeuristicConfig(), "iterations"),
+        (ex.SolverConfig(), "objective"), (ex.SolverConfig("pf", pf_log_mode="piecewise"), "pwl"),
+        (ex.PwlSpec.default(), "segments"),
+    ])
+    def test_configs_are_frozen(self, config, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, None)
 
 
 class TestRunIteration:
@@ -319,7 +359,7 @@ class TestSwapImprovement:
         q[0, 1, 1] = 10.0  # user 1 is strong at BS 2 on PRB 2
         q[1, 0, 0] = 10.0  # user 2 is strong at BS 1 on PRB 1
         pm = channel.PowerMap(q=q, noise_w=1.0)
-        search = heur.SwapSearch(sc, pm, {1: 1.0, 2: 1.0})
+        search = heur.SwapSearch(sc, pm, heur.HeuristicConfig())
         occ = occupants({1: (1, 1), 2: (2, 1)}, cfg)
         swaps = search.improve(occ)
         slots = slots_of(occ, (1, 2))
@@ -331,7 +371,7 @@ class TestSwapImprovement:
         sc, pm = baseline()
         for prio in (False, True):
             config = heur.HeuristicConfig(prioritization=prio)
-            shared = heur.SwapSearch(sc, pm, ex.priorities_for(sc, config))
+            shared = heur.SwapSearch(sc, pm, config)
             for s in range(5):
                 a = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
                 b = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
@@ -341,15 +381,39 @@ class TestSwapImprovement:
     def test_batches_and_memo_leave_the_result_alone(self, monkeypatch):
         sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=True)
-        weights = ex.priorities_for(sc, config)
         built = heur.run_iteration(sc, pm, config, np.random.default_rng(4), _Unchanged())
         want = occupants(built.slots, sc.config)
-        want_swaps = heur.SwapSearch(sc, pm, weights).improve(want)
+        want_swaps = heur.SwapSearch(sc, pm, config).improve(want)
         monkeypatch.setattr(heur, "BATCH_FLOATS", 1)  # one column per batch
         monkeypatch.setattr(heur, "MEMO_FLOATS", 0)  # nothing kept
-        search = heur.SwapSearch(sc, pm, weights)
+        search = heur.SwapSearch(sc, pm, config)
         occ = occupants(built.slots, sc.config)
         assert search.improve(occ) == want_swaps
         assert want_swaps > 0
         assert (occ == want).all()
         assert search.memo == {}
+
+
+@pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
+@pytest.mark.parametrize("num_bs", [2, 3])
+def test_at_assignment_sinr_is_the_sinr_right_after_the_admission(num_bs, prio):
+    """Each recorded SINR is `sinr_of` of the construction right after the admission
+    that placed the user (the admitted user, then its interferer), bit for bit: at 3 BSs
+    a user hears at most two others, so no order of summation can move a bit."""
+    if num_bs == 2:
+        sc, _ = baseline()
+    else:
+        cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
+        sc, _ = channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})
+    num_slots = sc.config.num_bs * sc.config.prbs_per_bs
+    config = heur.HeuristicConfig(prioritization=prio)
+    for r in range(3):
+        pm = channel.generate_power_map(sc, r)
+        for s in range(20):
+            trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s), _Unchanged())
+            placed = list(trace.slots.items())  # the construction's, in placement order
+            ends = [num_slots - size for size in trace.pool_sizes[1:]] + [len(placed)]
+            for start, end in zip([0] + ends, ends):
+                sinr = ex.sinr_of(ex.Assignment(slots=dict(placed[:end])), pm)
+                for k, _ in placed[start:end]:
+                    assert trace.at_assignment_sinr[k] == sinr[k]

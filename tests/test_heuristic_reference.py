@@ -33,9 +33,13 @@ def slots_of(occ, users):
     return {k: slot_of[k] for k in users}
 
 
-def reference_pool(user_id, free_slots, unserved, power_map, scenario):
-    """One (slot, interferer, sinr) entry per free slot, in (bs, prb) order."""
-    free_slots = set(free_slots)
+def reference_pool(user_id, slots, unserved, power_map, scenario):
+    """One (slot, interferer, sinr) entry per slot that no user of `slots`
+    (user_id -> (bs, prb)) holds, in (bs, prb) order; the SINR counts the
+    interferer and the users of `slots` on the PRB."""
+    cfg = scenario.config
+    all_slots = {(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)}
+    free_slots = all_slots - set(slots.values())
     if not free_slots:
         raise InfeasibleError("no free slot available")
     candidates = sorted(m for m in unserved if m != user_id)
@@ -48,15 +52,17 @@ def reference_pool(user_id, free_slots, unserved, power_map, scenario):
     num_bs = scenario.config.num_bs
     for b, n in sorted(free_slots):
         own = power_map.power(user_id, n, b)
+        # at most two terms at 3 BSs, so the order of the sum cannot move a bit
+        earlier = sum(power_map.power(k, n, b) for k, (_, p) in slots.items() if p == n)
         co_channel_free = any(
             (w, n) in free_slots for w in range(1, num_bs + 1) if w != b
         )
         if candidates and co_channel_free:
             interferer = candidates[int(arg_q[n - 1, b - 1])]
-            sinr = own / (float(min_q[n - 1, b - 1]) + noise)
+            sinr = own / (earlier + float(min_q[n - 1, b - 1]) + noise)
             entries.append(((b, n), interferer, sinr))
         else:
-            entries.append(((b, n), None, own / noise))
+            entries.append(((b, n), None, own / (earlier + noise)))
     return entries
 
 
@@ -71,7 +77,7 @@ def reference_iteration(scenario, power_map, config, rng, improver):
         if user in slots:
             continue  # already placed as someone's interferer
         unserved = [m for m in order if m not in slots and m != user]
-        pool = reference_pool(user, free, unserved, power_map, scenario)
+        pool = reference_pool(user, slots, unserved, power_map, scenario)
         pool_sizes.append(len(pool))
         slot, interferer, sinr = pool[int(rng.integers(len(pool)))]
         b, n = slot
@@ -83,9 +89,9 @@ def reference_iteration(scenario, power_map, config, rng, improver):
             m = interferer
             slots[m] = (co, n)
             free.discard((co, n))
-            at_sinr[m] = power_map.power(m, n, co) / (
-                power_map.power(user, n, co) + power_map.noise_w
-            )
+            heard = sum(power_map.power(k, n, co)
+                        for k, (_, p) in slots.items() if p == n and k != m)
+            at_sinr[m] = power_map.power(m, n, co) / (heard + power_map.noise_w)
     assert len(slots) == cfg.num_users
     occ = occupants(slots, cfg)
     swaps = improver.improve(occ)
@@ -113,10 +119,9 @@ def assert_same_trace(trace, want):
 
 def check_against_reference(sc, maps, seeds, prio):
     config = heur.HeuristicConfig(prioritization=prio)
-    weights = ex.priorities_for(sc, config)
     for pm in maps:
-        search = heur.SwapSearch(sc, pm, weights)
-        reference_search = heur.SwapSearch(sc, pm, weights)
+        search = heur.SwapSearch(sc, pm, config)
+        reference_search = heur.SwapSearch(sc, pm, config)
         for s in seeds:
             trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s), search)
             want = reference_iteration(sc, pm, config, np.random.default_rng(s), reference_search)

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from prballoc import metrics
+from prballoc import allocator_exact as ex
+from prballoc import channel, cli, metrics
 
 
 class TestSummarize:
@@ -36,6 +37,17 @@ class TestSummarize:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             metrics.summarize([])
+
+    def test_sums_go_left_to_right(self):
+        """1e16 + 1.0 rounds back to 1e16, so left to right these read 0.0; a compensated
+        sum, such as the built-in `sum` of Python 3.12 and later, reads 1.0."""
+        values = [1e16, 1.0, -1e16]
+        assert math.fsum(values) == 1.0
+        assert metrics.left_sum(values) == 0.0
+        assert metrics.summarize(values).mean == 0.0
+        assert cli._mean(values) == 0.0
+        sc = channel.Scenario(config=channel.ScenarioConfig())
+        assert ex.Objective(sc, ex.SolverConfig()).value(dict(zip((1, 2, 3), values))) == 0.0
 
 
 class TestImprovementPct:

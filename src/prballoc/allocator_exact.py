@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import check_map_shape
-from .errors import InfeasibleError, UsageError
+from .errors import InfeasibleError, UsageError, check_field_types
 from .fileio import write_csv
 from .metrics import left_sum
 from .risk import check_alpha, priority
@@ -62,6 +62,7 @@ class SolverConfig:
     pwl: PwlSpec | None = None  # the tangents of "piecewise"; None there means the default
 
     def __post_init__(self):
+        check_field_types(self)
         if self.objective not in OBJECTIVES:
             raise UsageError(f"unknown objective {self.objective!r}")
         if self.pf_log_mode not in ("exact_log", "piecewise"):

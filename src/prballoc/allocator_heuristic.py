@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator_exact import (
-    DEFAULT_ALPHA, Assignment, Objective, prioritized, priorities_for, sinr_of)
+from .allocator_exact import DEFAULT_ALPHA, Assignment, Objective, prioritized, sinr_of
 from .channel import check_map_shape, derive_seed
-from .errors import InfeasibleError, UsageError
+from .errors import InfeasibleError, UsageError, check_field_types
 from .fileio import write_csv
 from .metrics import summarize
 from .risk import check_alpha
@@ -38,6 +37,7 @@ class HeuristicConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.iterations < 1:
             raise UsageError("iterations must be >= 1")
         check_alpha(self.alpha)
@@ -51,16 +51,6 @@ class IterationTrace:
     final_sinr: dict
     pool_sizes: list = field(default_factory=list)
     swaps: int = 0  # improving swaps applied after the construction
-
-
-def serve_order(scenario, config, rng):
-    """Prioritized outpatients first by descending priority (ties by id), then
-    every other user in uniformly random order."""
-    ops = prioritized(scenario, config.prioritization)
-    weights = priorities_for(scenario, config)
-    rest = [k for k in scenario.config.user_ids if k not in ops]
-    first = sorted(ops, key=lambda k: (-weights[k], k))
-    return first + [rest[i] for i in rng.permutation(len(rest))]
 
 
 def best_sinr_pool(user_id, occ, candidates, power_map, rng):
@@ -103,14 +93,19 @@ class SwapSearch:
     a slot in those columns are recomputed.  A column's gains depend only on
     its occupants, so one search serves every iteration on its power map and,
     when the gains of every possible column state fit in MEMO_FLOATS numbers,
-    keeps those of the states it has met.
+    keeps those of the states it has met.  It keeps the scenario, map and
+    config it was built for, and the fixed head of their serve order.
     """
 
     def __init__(self, scenario, power_map, config):
+        check_map_shape(scenario, power_map)
+        self.scenario, self.power_map, self.config = scenario, power_map, config
         self.objective = Objective(scenario, config)
         if self.objective.log.any():
             raise UsageError("the swap search maximizes a weighted SINR sum, not PF's logs")
-        cfg = scenario.config
+        cfg, ops = scenario.config, prioritized(scenario, config.prioritization)
+        self.head = sorted(ops, key=lambda k: (-self.objective.weights[k], k))
+        self.rest = [k for k in cfg.user_ids if k not in ops]
         self.num_bs, self.num_prbs, self.nobody = cfg.num_bs, cfg.prbs_per_bs, cfg.num_users
         self.q, self.noise = power_map.q, power_map.noise_w
         bs = np.arange(self.num_bs)
@@ -130,6 +125,10 @@ class SwapSearch:
         second = np.arange(self.num_prbs)[:, None] * self.num_bs + pair_b
         size = self.num_prbs * self.num_bs
         self.within_at = np.stack([first * size + second, second * size + first])
+
+    def serve_order(self, rng):
+        """Prioritized outpatients by descending priority (ties by id), then the rest shuffled."""
+        return self.head + [self.rest[i] for i in rng.permutation(len(self.rest))]
 
     def _column_gains(self, occ_cols, prbs):
         """Swap gains of the PRB columns `prbs`, whose occupants are `occ_cols` (C, B).
@@ -230,14 +229,16 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     interference.  All three list the users in placement order: each
     admitted user, then its interferer.  `pool_sizes` holds each admission's
     number of free slots.  `improver` is a SwapSearch built for this
-    scenario, power map and config; passing one to every iteration on a map
-    lets it reuse column gains, and None builds a fresh one.
+    scenario, power map and config, else a UsageError; passing one to every
+    iteration on a map lets it reuse column gains, and None builds a fresh one.
     """
-    check_map_shape(scenario, power_map)
     if improver is None:
         improver = SwapSearch(scenario, power_map, config)
+    elif (improver.power_map is not power_map or improver.scenario != scenario
+          or improver.config != config):
+        raise UsageError("the improver was built for another scenario, power map or config")
     cfg = scenario.config
-    order = serve_order(scenario, config, rng)
+    order = improver.serve_order(rng)
     nobody = cfg.num_users
     ids = np.arange(1, nobody + 1)
     occ = np.full((cfg.prbs_per_bs, cfg.num_bs), nobody)  # occupant index of each (prb, bs)

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DataError, InfeasibleError, UsageError
+from .errors import DataError, InfeasibleError, UsageError, check_field_types
 from .fileio import open_csv, write_csv
 from .medrecords import FEATURES, shared_levels
 
@@ -65,13 +65,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # an int field takes an integer, a float field a finite real
-            value = getattr(self, f.name)
-            whole = isinstance(value, numbers.Integral)  # numpy's too; stored as an int
-            if isinstance(value, bool) or not (whole or f.type is float and isinstance(
-                    value, numbers.Real) and math.isfinite(value)):
-                raise UsageError(f"{f.name} must be a finite {f.type.__name__}, got {value!r}")
-            object.__setattr__(self, f.name, int(value) if whole else float(value))
+        check_field_types(self)
         if min(self.num_bs, self.prbs_per_bs) < 1 or not 0 <= self.num_normal < self.num_users:
             raise UsageError("want num_bs, prbs_per_bs >= 1 and 0 <= num_normal < num_users")
         if not 0 < self.distance_min_m <= self.distance_max_m:

@@ -15,7 +15,7 @@ import numpy as np
 from . import allocator_exact as exact
 from . import allocator_heuristic as heur
 from . import channel, lp_export, medrecords, metrics, risk
-from .errors import DataError, InfeasibleError, PrballocError, UsageError
+from .errors import DataError, InfeasibleError, PrballocError, UsageError, check_field_types
 from .fileio import atomic_open, read_text, write_csv, write_text_atomic
 
 DEFAULT_ALPHAS = (50.0, 100.0, 150.0, 250.0, 500.0)
@@ -50,6 +50,7 @@ class ExperimentSpec:
     runs: int = 3
 
     def __post_init__(self):
+        check_field_types(self, "realizations", "runs", "seed", "iterations")
         self.alphas = tuple(self.alphas)
         if self.kind == "alpha_sweep" and not self.alphas:
             raise UsageError("alpha sweep needs a non-empty alpha list")

@@ -243,13 +243,15 @@ def validate_external_solution(text, scenario, power_map, config):
     for name, value in values.items():
         if not name.startswith("X_"):
             continue
+        try:  # written exactly as its ids, so no two names give one variable
+            k, n, b = (int(i) for i in name[2:].split("_"))
+            if name != f"X_{k}_{n}_{b}":
+                raise ValueError
+        except ValueError:
+            raise DataError(f"malformed variable name {name!r}, want X_<user>_<prb>_<bs>") from None
         if not min(abs(value), abs(value - 1.0)) <= FRACTIONAL_TOL:  # NaN fails too
             raise DataError(f"non-integral solution: {name} = {value}")
         if value > 0.5:
-            try:
-                k, n, b = (int(i) for i in name[2:].split("_"))
-            except ValueError:
-                raise DataError(f"malformed variable name {name!r}") from None
             if not (1 <= k <= cfg.num_users and 1 <= n <= cfg.prbs_per_bs and 1 <= b <= cfg.num_bs):
                 raise DataError(f"{name} names a user or slot outside the scenario")
             if k in slots:

@@ -10,7 +10,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_field_types
 from .medrecords import FEATURES, LEVEL_NAMES, shared_levels
 
 log = logging.getLogger(__name__)
@@ -29,6 +29,7 @@ class RiskConfig:
     alpha: float
 
     def __post_init__(self):
+        check_field_types(self)
         check_alpha(self.alpha)
 
 

@@ -129,11 +129,20 @@ class TestScenarioConfig:
         ("prbs_per_bs", 5.0), ("num_bs", True), ("num_bs", "5"), ("seed", None),
         ("noise_density_dbm_hz", math.nan), ("prb_bandwidth_hz", math.inf),
         ("distance_min_m", False), ("tx_power_per_prb_dbm", "17.0"),
+        # the other configs' fields, by the same rule
+        ("SolverConfig.prioritization", "no"), ("SolverConfig.pwl", (1.0, 2.0)),
+        ("SolverConfig.alpha", "5"), ("HeuristicConfig.prioritization", 1),
+        ("HeuristicConfig.seed", 1.5), ("HeuristicConfig.iterations", 2.5),
+        ("HeuristicConfig.iterations", True), ("HeuristicConfig.alpha", True),
+        pytest.param("HeuristicConfig.alpha", 10**400, id="HeuristicConfig.alpha-huge-int"),
     ])
     def test_field_of_the_wrong_type_rejected(self, field, value):
         """The type rule comes before every other, with the message a scenario file gets."""
-        with pytest.raises(UsageError, match=f"{field} must be a finite"):
-            channel.ScenarioConfig(**{field: value})
+        config, _, field = field.rpartition(".")
+        make = {"": channel.ScenarioConfig, "SolverConfig": ex.SolverConfig,
+                "HeuristicConfig": heur.HeuristicConfig}[config]
+        with pytest.raises(UsageError, match=f"{field} must be a {'' if config else 'finite'}"):
+            make(**{field: value})
 
     def test_numpy_numbers_accepted_as_plain_ones(self):
         cfg = channel.ScenarioConfig(prbs_per_bs=np.int64(5), seed=np.int64(3),
@@ -241,6 +250,7 @@ def test_every_allocator_refuses_a_mismatched_map():
             assignment, small, scenario, ex.SolverConfig()),
         "run_iteration": lambda: heur.run_iteration(
             scenario, small, heur.HeuristicConfig(iterations=1), np.random.default_rng(0)),
+        "SwapSearch": lambda: heur.SwapSearch(scenario, small, heur.HeuristicConfig()),
         "run_heuristic": lambda: heur.run_heuristic(
             scenario, [pm, small], heur.HeuristicConfig(iterations=1)),
         "milp_rows": lambda: lp_export.milp_rows(scenario, small, ex.SolverConfig()),

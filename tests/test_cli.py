@@ -331,6 +331,9 @@ class TestExperiments:
     @pytest.mark.parametrize("field, value", [
         ("iterations", 0), ("alpha", math.nan), ("alpha", -1000.0), ("alpha", math.inf),
         ("alphas", (500.0, 0.0)), ("alphas", (math.nan,)), ("objective", "maxmin"),
+        # a value of the wrong type
+        ("iterations", 2.5), ("iterations", True), ("realizations", "1"),
+        ("runs", 2.5), ("alpha", "5"), ("alpha", True), ("alphas", ("500",)),
     ])
     def test_bad_settings_fail_before_any_output(self, tmp_path, field, value):
         out = tmp_path / "out"
@@ -602,6 +605,11 @@ MALFORMED = [
     ("solution-nan-value", _solution("X_10_5_2 nan"), VALIDATE, 4, "non-integral"),
     ("solution-repeated-variable", _solution("X_10_5_2 1", "X_1_1_1 1"), VALIDATE, 4,
      "lines 1 and 11 both give X_1_1_1"),
+    # user 3's variable X_3_3_1 given twice, under a second spelling of its ids
+    ("solution-zero-padded-name", _solution("X_10_5_2 1", "X_03_3_1 0"), VALIDATE, 4,
+     "malformed variable name 'X_03_3_1'"),
+    ("solution-plus-signed-name", _solution("X_+3_3_1 0", "X_10_5_2 1"), VALIDATE, 4,
+     "malformed variable name 'X_+3_3_1'"),
     ("solution-not-utf8", _append_bytes("solution.txt", b"\xff\n"), VALIDATE, 4, "cannot read"),
     ("solution-repeated-objective",
      _solution("X_10_5_2 1", "# objective 1.0", "# objective 2.0"), VALIDATE, 4,

@@ -19,26 +19,26 @@ def baseline(seed=3):
 
 class TestServeOrder:
     def test_op_prefix_sorted_by_priority(self):
-        sc, _ = baseline()
+        sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=True, alpha=100.0)
-        order = heur.serve_order(sc, config, np.random.default_rng(0))
+        order = heur.SwapSearch(sc, pm, config).serve_order(np.random.default_rng(0))
         # UP at alpha=100: u9 1.64, u8 1.32, u10 1.208
         assert order[:3] == [9, 8, 10]
         assert sorted(order[3:]) == [1, 2, 3, 4, 5, 6, 7]
 
     def test_off_is_full_permutation(self):
-        sc, _ = baseline()
+        sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=False)
-        a = heur.serve_order(sc, config, np.random.default_rng(1))
-        b = heur.serve_order(sc, config, np.random.default_rng(1))
+        a = heur.SwapSearch(sc, pm, config).serve_order(np.random.default_rng(1))
+        b = heur.SwapSearch(sc, pm, config).serve_order(np.random.default_rng(1))
         assert a == b
         assert sorted(a) == list(range(1, 11))
 
     def test_orders_vary_across_draws(self):
-        sc, _ = baseline()
+        sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=False)
         rng = np.random.default_rng(2)
-        orders = {tuple(heur.serve_order(sc, config, rng)) for _ in range(20)}
+        orders = {tuple(heur.SwapSearch(sc, pm, config).serve_order(rng)) for _ in range(20)}
         assert len(orders) > 1
 
 
@@ -274,7 +274,7 @@ class TestRunHeuristic:
         assert len(lines) == 11
 
 
-class _Unchanged:
+class _Unchanged(heur.SwapSearch):
     """A search that leaves the construction as it is."""
 
     def improve(self, occ):
@@ -320,7 +320,7 @@ class TestSwapImprovement:
                 pm = channel.generate_power_map(sc, r)
                 for s in range(10):
                     built = heur.run_iteration(
-                        sc, pm, config, np.random.default_rng(s), _Unchanged()
+                        sc, pm, config, np.random.default_rng(s), _Unchanged(sc, pm, config)
                     )
                     trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s))
                     assert trace.serve_order == built.serve_order
@@ -367,6 +367,17 @@ class TestSwapImprovement:
         assert swaps == 2
         assert weighted_objective(slots, pm, {1: 1.0, 2: 1.0}) == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("other", ["map", "config", "scenario"])
+    def test_an_improver_built_for_another_instance_is_refused(self, other):
+        sc, pm = baseline()
+        config = heur.HeuristicConfig()
+        built_for = {"map": (sc, channel.generate_power_map(sc, 1), config),
+                     "config": (sc, pm, heur.HeuristicConfig(prioritization=True)),
+                     "scenario": (baseline(seed=4)[0], pm, config)}[other]
+        with pytest.raises(UsageError, match="built for another"):
+            heur.run_iteration(sc, pm, config, np.random.default_rng(0),
+                               heur.SwapSearch(*built_for))
+
     def test_same_generator_same_trace(self):
         sc, pm = baseline()
         for prio in (False, True):
@@ -381,7 +392,8 @@ class TestSwapImprovement:
     def test_batches_and_memo_leave_the_result_alone(self, monkeypatch):
         sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=True)
-        built = heur.run_iteration(sc, pm, config, np.random.default_rng(4), _Unchanged())
+        built = heur.run_iteration(sc, pm, config, np.random.default_rng(4),
+                                   _Unchanged(sc, pm, config))
         want = occupants(built.slots, sc.config)
         want_swaps = heur.SwapSearch(sc, pm, config).improve(want)
         monkeypatch.setattr(heur, "BATCH_FLOATS", 1)  # one column per batch
@@ -410,7 +422,8 @@ def test_at_assignment_sinr_is_the_sinr_right_after_the_admission(num_bs, prio):
     for r in range(3):
         pm = channel.generate_power_map(sc, r)
         for s in range(20):
-            trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s), _Unchanged())
+            trace = heur.run_iteration(sc, pm, config, np.random.default_rng(s),
+                                       _Unchanged(sc, pm, config))
             placed = list(trace.slots.items())  # the construction's, in placement order
             ends = [num_slots - size for size in trace.pool_sizes[1:]] + [len(placed)]
             for start, end in zip([0] + ends, ends):

@@ -68,7 +68,7 @@ def reference_pool(user_id, slots, unserved, power_map, scenario):
 
 def reference_iteration(scenario, power_map, config, rng, improver):
     cfg = scenario.config
-    order = heur.serve_order(scenario, config, rng)
+    order = improver.serve_order(rng)
     free = {(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)}
     slots = {}
     at_sinr = {}

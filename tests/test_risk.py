@@ -157,6 +157,6 @@ class TestPriority:
     def test_config_validation(self):
         """Every config that carries alpha takes only a finite alpha > 0."""
         for make in (risk.RiskConfig, ex.SolverConfig, heur.HeuristicConfig):
-            for alpha in (0.0, -1000.0, math.nan, math.inf, -math.inf):
+            for alpha in (0.0, -1000.0, math.nan, math.inf, -math.inf, "5", True):
                 with pytest.raises(UsageError, match="alpha"):
                     make(alpha=alpha)

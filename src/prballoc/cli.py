@@ -36,13 +36,13 @@ def _check_counts(settings, *names):
             raise UsageError(f"{name} must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     kind: str  # alpha_sweep | before_after | scalability
     output_dir: str
     scenario_path: str | None = None
     objective: str = "wsrmax"
-    alphas: tuple = DEFAULT_ALPHAS
+    alphas: tuple | list = DEFAULT_ALPHAS  # stored as a tuple
     alpha: float = exact.DEFAULT_ALPHA
     realizations: int = 100
     iterations: int = 1000
@@ -50,14 +50,15 @@ class ExperimentSpec:
     runs: int = 3
 
     def __post_init__(self):
-        check_field_types(self, "realizations", "runs", "seed", "iterations")
-        self.alphas = tuple(self.alphas)
+        check_field_types(self)
         if self.kind == "alpha_sweep" and not self.alphas:
             raise UsageError("alpha sweep needs a non-empty alpha list")
         _check_counts(self, "realizations", "runs")
         heur.HeuristicConfig(iterations=self.iterations, alpha=self.alpha)
-        for alpha in (self.alpha, *self.alphas):
-            exact.SolverConfig(objective=self.objective, alpha=alpha)
+        exact.SolverConfig(objective=self.objective, alpha=self.alpha)
+        alphas = tuple(exact.SolverConfig(objective=self.objective, alpha=a).alpha
+                       for a in self.alphas)
+        object.__setattr__(self, "alphas", alphas)
 
 
 def _read_scenario(path):

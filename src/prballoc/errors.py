@@ -21,14 +21,12 @@ class UsageError(PrballocError):
     """Bad configuration or arguments (exit code 2)."""
 
 
-def check_field_types(config, *names):
-    """UsageError unless each field of the dataclass `config` (or each of `names`) holds its type:
+def check_field_types(config):
+    """UsageError unless each field of the dataclass `config` holds its type:
     an int field an integer (numpy's too), a float field a real that is a finite float, and any
     other field an instance of its type, so a bool only a bool field.  Numbers are stored as plain
     ints and floats; an integer stays whole, even in a float field."""
     for f in fields(config):
-        if names and f.name not in names:
-            continue
         value = getattr(config, f.name)
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         whole = real and isinstance(value, numbers.Integral)

@@ -249,11 +249,11 @@ def validate_external_solution(text, scenario, power_map, config):
                 raise ValueError
         except ValueError:
             raise DataError(f"malformed variable name {name!r}, want X_<user>_<prb>_<bs>") from None
+        if not (1 <= k <= cfg.num_users and 1 <= n <= cfg.prbs_per_bs and 1 <= b <= cfg.num_bs):
+            raise DataError(f"{name} names a user or slot outside the scenario")
         if not min(abs(value), abs(value - 1.0)) <= FRACTIONAL_TOL:  # NaN fails too
             raise DataError(f"non-integral solution: {name} = {value}")
         if value > 0.5:
-            if not (1 <= k <= cfg.num_users and 1 <= n <= cfg.prbs_per_bs and 1 <= b <= cfg.num_bs):
-                raise DataError(f"{name} names a user or slot outside the scenario")
             if k in slots:
                 raise DataError(f"user {k} assigned more than one slot")
             if (b, n) in slots.values():

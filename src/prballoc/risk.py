@@ -49,48 +49,33 @@ class CurrentState:
         return getattr(self, feature)
 
 
-def prior_stroke(record):
-    """Fraction of days in the record on which a stroke occurred."""
-    if not record.days:
-        raise DataError(f"patient {record.patient_id}: empty record")
-    stroke_days = sum(1 for e in record.days if e.stroke)
-    return stroke_days / len(record.days)
-
-
-def conditional_probability(record, feature, level, smoothing="off"):
-    """P(feature = level | stroke) by counting the stroke days."""
-    if feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}")
-    stroke_days = [e for e in record.days if e.stroke]
-    joint = sum(1 for e in stroke_days if e.levels[feature] == level)
-    if smoothing == "laplace":
-        return (joint + 1) / (len(stroke_days) + len(LEVEL_NAMES[feature]))
-    if not stroke_days:
-        raise DataError(f"patient {record.patient_id}: undefined conditional, no stroke days")
-    return joint / len(stroke_days)
-
-
 def posterior_stroke(record, state, smoothing="off"):
-    """Stroke posterior PS for the given current state, in [0, 1]."""
+    """Stroke posterior PS for the given current state, in [0, 1]: the stroke-day share times,
+    per feature, the share of stroke days at the state's level (Laplace-smoothed on request)."""
     if smoothing not in SMOOTHING_MODES:
         raise UsageError(f"unknown smoothing mode {smoothing!r}")
-    prior = prior_stroke(record)
-    if prior == 0.0 and smoothing == "off":
+    if not record.days:
+        raise DataError(f"patient {record.patient_id}: empty record")
+    stroke_levels = [e.levels for e in record.days if e.stroke]
+    strokes = len(stroke_levels)
+    if not strokes and smoothing == "off":
         # A healthy history degrades the outpatient to normal priority.
-        log.warning(
-            "patient %s has no stroke days; posterior forced to 0", record.patient_id
-        )
+        log.warning("patient %s has no stroke days; posterior forced to 0", record.patient_id)
         return 0.0
-    ps = prior
+    ps = strokes / len(record.days)
     for feature in FEATURES:
-        ps *= conditional_probability(record, feature, state.level(feature), smoothing=smoothing)
+        level = state.level(feature)
+        joint = sum(1 for levels in stroke_levels if levels[feature] == level)
+        if smoothing == "laplace":
+            ps *= (joint + 1) / (strokes + len(LEVEL_NAMES[feature]))
+        else:
+            ps *= joint / strokes
     return ps
 
 
 def priority(ps, config, is_outpatient):
-    """User weight: 1 for normal users, 1 + config.alpha * PS for outpatients."""
-    if not 0.0 <= ps <= 1.0:
-        raise ValueError(f"posterior {ps} outside [0, 1]")
+    """User weight: 1 for normal users, 1 + config.alpha * PS for outpatients.  PS is a
+    posterior in [0, 1], the rule `Scenario` checks for every op_ps it holds."""
     if not is_outpatient:
         return 1.0
     return 1.0 + config.alpha * ps

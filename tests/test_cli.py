@@ -3,7 +3,7 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -334,6 +334,7 @@ class TestExperiments:
         # a value of the wrong type
         ("iterations", 2.5), ("iterations", True), ("realizations", "1"),
         ("runs", 2.5), ("alpha", "5"), ("alpha", True), ("alphas", ("500",)),
+        ("scenario_path", 3), ("alphas", 500.0),
     ])
     def test_bad_settings_fail_before_any_output(self, tmp_path, field, value):
         out = tmp_path / "out"
@@ -342,6 +343,19 @@ class TestExperiments:
                                       **{"realizations": 1, "iterations": 1, field: value})
             cli.run_before_after(spec)
         assert not out.exists()
+
+    def test_numpy_alphas_are_echoed_as_plain_floats(self, tmp_path):
+        spec = cli.ExperimentSpec(
+            kind="alpha_sweep", output_dir=str(tmp_path), realizations=1,
+            alpha=np.float32(500.0), alphas=[np.float32(50.0), np.float64(150.0)],
+        )
+        assert spec.alphas == (50.0, 150.0)
+        assert {type(a) for a in (spec.alpha, *spec.alphas)} == {float}
+        with pytest.raises(FrozenInstanceError):
+            spec.alpha = 50.0
+        cli.run_alpha_sweep(spec)
+        echo = json.loads((tmp_path / "config_echo.json").read_text())
+        assert (echo["alpha"], echo["alphas"]) == (500.0, [50.0, 150.0])
 
     @pytest.mark.parametrize("normal", [0, 1])
     def test_sweep_with_fewer_than_two_healthy_users(self, tmp_path, capsys, normal):
@@ -601,6 +615,11 @@ MALFORMED = [
     ("solution-bad-name", _solution("X_10_a_2 1"), VALIDATE, 4, "X_10_a_2"),
     ("solution-user-outside", _solution("X_10_5_2 1", "X_99_5_2 1"), VALIDATE, 4, "X_99_5_2"),
     ("solution-prb-outside", _solution("X_10_9_9 1"), VALIDATE, 4, "X_10_9_9"),
+    # a full solution plus zeros for variables the model does not have
+    ("solution-zero-user-outside", _solution("X_10_5_2 1", "X_99_5_2 0"), VALIDATE, 4,
+     "X_99_5_2 names a user or slot outside the scenario"),
+    ("solution-zero-slot-outside", _solution("X_10_5_2 1", "X_1_9_9 0"), VALIDATE, 4,
+     "X_1_9_9 names a user or slot outside the scenario"),
     ("solution-shared-slot", _solution("X_10_1_1 1"), VALIDATE, 4, "more than one user"),
     ("solution-nan-value", _solution("X_10_5_2 nan"), VALIDATE, 4, "non-integral"),
     ("solution-repeated-variable", _solution("X_10_5_2 1", "X_1_1_1 1"), VALIDATE, 4,

@@ -23,16 +23,19 @@ def _levels(f1="Normal", f2="Normal", f3="Optimal", f4="Light"):
     return {"f1": f1, "f2": f2, "f3": f3, "f4": f4}
 
 
-def oracle_posterior(record, state):
+def oracle_posterior(record, state, smoothing="off"):
     """Brute-force counting oracle: same divisions, evaluated independently."""
     total = len(record.days)
     stroke_days = [e for e in record.days if e.stroke]
     ps = len(stroke_days) / total
-    if not stroke_days:
+    if not stroke_days and smoothing == "off":
         return 0.0
     for feat in FEATURES:
         match = sum(1 for e in stroke_days if e.levels[feat] == state.level(feat))
-        ps *= match / len(stroke_days)
+        if smoothing == "laplace":
+            ps *= (match + 1) / (len(stroke_days) + len(LEVEL_NAMES[feat]))
+        else:
+            ps *= match / len(stroke_days)
     return ps
 
 
@@ -45,39 +48,45 @@ def test_current_state_and_scenario_share_the_level_rule():
         channel.Scenario(config=config, current_states={8: bad})
 
 
+STATE = risk.CurrentState(**_levels())
+
+
 class TestPrior:
+    """The stroke-day share, read where every stroke day matches the state."""
+
     def test_counting(self):
         rec = _record([(_levels(), False)] * 29 + [(_levels(), True)])
-        assert risk.prior_stroke(rec) == 1 / 30
+        assert risk.posterior_stroke(rec, STATE) == 1 / 30
 
     def test_zero_and_one(self):
-        assert risk.prior_stroke(_record([(_levels(), False)] * 5)) == 0.0
-        assert risk.prior_stroke(_record([(_levels(), True)] * 4)) == 1.0
+        for smoothing in risk.SMOOTHING_MODES:
+            rec = _record([(_levels(), False)] * 5)
+            assert risk.posterior_stroke(rec, STATE, smoothing) == 0.0
+        assert risk.posterior_stroke(_record([(_levels(), True)] * 4), STATE) == 1.0
 
     def test_empty_record(self):
-        with pytest.raises(DataError):
-            risk.prior_stroke(MedicalRecord(patient_id="p", days=[]))
+        for smoothing in risk.SMOOTHING_MODES:
+            with pytest.raises(DataError, match="empty record"):
+                risk.posterior_stroke(MedicalRecord(patient_id="p", days=[]), STATE, smoothing)
 
 
 class TestConditional:
+    """One feature's share of the stroke days, read where the other features all match."""
+
     def test_hand_counts(self):
         days = [(_levels(), False)] * 8
         days += [(_levels(f3="High"), True), (_levels(f3="High"), True)]
-        rec = _record(days)
-        assert risk.conditional_probability(rec, "f3", "High") == 1.0
+        state = risk.CurrentState(**_levels(f3="High"))
+        assert risk.posterior_stroke(_record(days), state) == (2 / 10) * 1.0
         days[-1] = (_levels(f3="Normal"), True)
-        rec = _record(days)
-        assert risk.conditional_probability(rec, "f3", "High") == 0.5
-
-    def test_zero_class_count_errors(self):
-        rec = _record([(_levels(), False)] * 5)
-        with pytest.raises(DataError, match="undefined conditional"):
-            risk.conditional_probability(rec, "f1", "Normal")
+        assert risk.posterior_stroke(_record(days), state) == (2 / 10) * 0.5
 
     def test_laplace_formula(self):
         rec = _record([(_levels(f1="Normal"), True), (_levels(f1="High-Hypertension"), True)])
-        got = risk.conditional_probability(rec, "f1", "Normal", smoothing="laplace")
-        assert got == (1 + 1) / (2 + 3)
+        got = risk.posterior_stroke(rec, STATE, smoothing="laplace")
+        f1 = (1 + 1) / (2 + 3)  # one of the two stroke days at Normal, out of f1's 3 levels
+        rest = (2 + 1) / (2 + 3)  # both stroke days at the state's level
+        assert got == (2 / 2) * f1 * rest * rest * rest
 
 
 class TestPosterior:
@@ -120,7 +129,9 @@ class TestPosterior:
                 days[0] = (days[0][0], True)
             rec = _record(days)
             state = risk.CurrentState(**{f: LEVEL_NAMES[f][rng.integers(3)] for f in FEATURES})
-            assert risk.posterior_stroke(rec, state) == oracle_posterior(rec, state)
+            for smoothing in risk.SMOOTHING_MODES:
+                got = risk.posterior_stroke(rec, state, smoothing)
+                assert got == oracle_posterior(rec, state, smoothing), smoothing
 
 
 class TestPriority:
@@ -149,10 +160,6 @@ class TestPriority:
         up_by_alpha = [risk.priority(0.0032, risk.RiskConfig(alpha=a), True)
                        for a in (50, 100, 150, 250, 500)]
         assert up_by_alpha == sorted(up_by_alpha) and len(set(up_by_alpha)) == 5
-
-    def test_out_of_range_posterior(self):
-        with pytest.raises(ValueError):
-            risk.priority(1.5, risk.RiskConfig(alpha=50.0), True)
 
     def test_config_validation(self):
         """Every config that carries alpha takes only a finite alpha > 0."""

@@ -19,6 +19,7 @@ from .errors import DataError, InfeasibleError, PrballocError, UsageError, check
 from .fileio import atomic_open, read_text, write_csv, write_text_atomic
 
 DEFAULT_ALPHAS = (50.0, 100.0, 150.0, 250.0, 500.0)
+KINDS = ("alpha_sweep", "before_after", "scalability")
 
 # Stroke posteriors reported for the three outpatients in the reference
 # experiments; used when no medical records are wired in.
@@ -36,9 +37,16 @@ def _check_counts(settings, *names):
             raise UsageError(f"{name} must be >= 1")
 
 
+def _config(cls, settings, **fixed):
+    """`cls` from the entries of `settings` (parsed options or an ExperimentSpec) that name
+    its fields, then `fixed`; a field that neither gives keeps the class default."""
+    given = {k: v for k, v in vars(settings).items() if k in cls.__dataclass_fields__}
+    return cls(**{**given, **fixed})
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    kind: str  # alpha_sweep | before_after | scalability
+    kind: str  # one of KINDS
     output_dir: str
     scenario_path: str | None = None
     objective: str = "wsrmax"
@@ -51,13 +59,14 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.kind == "alpha_sweep" and not self.alphas:
-            raise UsageError("alpha sweep needs a non-empty alpha list")
+        if self.kind not in KINDS:
+            raise UsageError(f"unknown experiment kind {self.kind!r}")
+        if not self.alphas:
+            raise UsageError("alphas must be a non-empty list")
         _check_counts(self, "realizations", "runs")
-        heur.HeuristicConfig(iterations=self.iterations, alpha=self.alpha)
-        exact.SolverConfig(objective=self.objective, alpha=self.alpha)
-        alphas = tuple(exact.SolverConfig(objective=self.objective, alpha=a).alpha
-                       for a in self.alphas)
+        _config(heur.HeuristicConfig, self)
+        _config(exact.SolverConfig, self)
+        alphas = tuple(_config(exact.SolverConfig, self, alpha=a).alpha for a in self.alphas)
         object.__setattr__(self, "alphas", alphas)
 
 
@@ -67,15 +76,20 @@ def _read_scenario(path):
 
 def _inputs(spec, scenario, power_maps):
     """The runner's scenario and power maps: those given, else the spec's scenario
-    file (or the seed's baseline scenario) and its first `realizations` maps."""
+    file (or the seed's baseline scenario) and its first `realizations` maps.
+    Given maps are checked, non-empty and each of the scenario's shape, before any output."""
     if scenario is None and spec.scenario_path:
         scenario = _read_scenario(spec.scenario_path)
     elif scenario is None:
-        config = channel.ScenarioConfig(seed=spec.seed)
-        scenario = channel.Scenario(config=config, op_ps=REFERENCE_OP_PS)
+        scenario = channel.Scenario(config=_config(channel.ScenarioConfig, spec),
+                                    op_ps=REFERENCE_OP_PS)
     if power_maps is None:
-        power_maps = [channel.generate_power_map(scenario, realization=i)
-                      for i in range(spec.realizations)]
+        return scenario, [channel.generate_power_map(scenario, realization=i)
+                          for i in range(spec.realizations)]
+    if not power_maps:
+        raise UsageError("power_maps must be a non-empty list")
+    for i, pm in enumerate(power_maps):
+        channel.check_map_shape(scenario, pm, f"power map {i}")
     return scenario, power_maps
 
 
@@ -136,19 +150,14 @@ def run_before_after(spec, scenario=None, power_maps=None):
         (False, "before", result.exact_before, result.heuristic_before),
         (True, "after", result.exact_after, result.heuristic_after),
     ):
-        solver = exact.SolverConfig(
-            objective=spec.objective, prioritization=prioritization, alpha=spec.alpha
-        )
+        solver = _config(exact.SolverConfig, spec, prioritization=prioritization)
         exact_runs.extend(exact.solve_exact(scenario, pm, solver)[1].sinr for pm in power_maps)
         rows = [
             (f"user_{k}", "exact", metrics.summarize([r[k] for r in exact_runs]))
             for k in result.user_ids
         ]
         metrics.write_summary_csv(rows, os.path.join(spec.output_dir, f"exact_{tag}.csv"))
-        heuristic = heur.HeuristicConfig(
-            iterations=spec.iterations, prioritization=prioritization, alpha=spec.alpha,
-            seed=spec.seed,
-        )
+        heuristic = _config(heur.HeuristicConfig, spec, prioritization=prioritization)
         report = heur.run_heuristic(scenario, power_maps, heuristic)
         heuristic_means.extend(report.per_file_means)
         heur.write_heuristic_csv(report, os.path.join(spec.output_dir, f"heuristic_{tag}.csv"))
@@ -172,7 +181,7 @@ def run_alpha_sweep(spec, scenario=None, power_maps=None):
     healthy = [k for k in cfg.user_ids if k not in cfg.op_ids]
     table = []
     for alpha in sorted(spec.alphas):
-        config = exact.SolverConfig(objective=spec.objective, prioritization=True, alpha=alpha)
+        config = _config(exact.SolverConfig, spec, prioritization=True, alpha=alpha)
         sinr_runs = [exact.solve_exact(scenario, pm, config)[1].sinr for pm in power_maps]
         user_means = {k: _mean([r[k] for r in sinr_runs]) for k in cfg.user_ids}
         sd = metrics.fairness_sd([user_means[k] for k in healthy]) if healthy else None
@@ -202,15 +211,10 @@ def run_scalability(spec):
     rows = []
     for bandwidth_mhz, prbs in SCALABILITY_CASES:
         users = 2 * prbs
-        config = channel.ScenarioConfig(
-            num_bs=2,
-            prbs_per_bs=prbs,
-            num_users=users,
-            num_normal=users - 3,
-            seed=spec.seed,
-        )
+        config = _config(channel.ScenarioConfig, spec, num_bs=2, prbs_per_bs=prbs,
+                         num_users=users, num_normal=users - 3)
         scenario, pm = channel.generate_scenario(config)
-        hconfig = heur.HeuristicConfig(iterations=1, seed=spec.seed)
+        hconfig = _config(heur.HeuristicConfig, spec, iterations=1)
         times = []
         for r in range(spec.runs):
             rng = np.random.default_rng(channel.derive_seed(spec.seed, prbs, r))
@@ -262,13 +266,7 @@ def _cmd_risk(args):
 
 def _cmd_generate(args):
     _check_counts(args, "realizations")
-    config = channel.ScenarioConfig(
-        num_bs=args.bs,
-        prbs_per_bs=args.prbs,
-        num_users=args.users,
-        num_normal=args.normal,
-        seed=args.seed,
-    )
+    config = _config(channel.ScenarioConfig, args)
     op_ps = {k: ps for k, ps in REFERENCE_OP_PS.items() if args.reference_ps and k in config.op_ids}
     scenario = channel.Scenario(config=config, op_ps=op_ps)
     maps = (channel.generate_power_map(scenario, realization=i) for i in range(args.realizations))
@@ -287,14 +285,9 @@ def _read_scenario_and_map(args):
     return scenario, _read_power_map(args.power_map, scenario)
 
 
-def _solver_config(args, piecewise=False):
-    return exact.SolverConfig(args.objective, args.prioritize, args.alpha,
-                              pf_log_mode="piecewise" if piecewise else "exact_log")
-
-
 def _cmd_solve(args):
     scenario, pm = _read_scenario_and_map(args)
-    config = _solver_config(args)
+    config = _config(exact.SolverConfig, args)
     assignment, report = exact.solve_exact(scenario, pm, config)
     exact.write_result_csv(assignment, report, args.output)
     print(f"objective {report.objective_value!r}")
@@ -303,12 +296,7 @@ def _cmd_solve(args):
 def _cmd_heuristic(args):
     scenario = _read_scenario(args.scenario)
     power_maps = [_read_power_map(p, scenario) for p in args.power_map]
-    config = heur.HeuristicConfig(
-        iterations=args.iterations,
-        prioritization=args.prioritize,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+    config = _config(heur.HeuristicConfig, args)
     report = heur.run_heuristic(scenario, power_maps, config)
     heur.write_heuristic_csv(report, args.output)
     print(f"wrote heuristic report for {len(power_maps)} file(s) to {args.output}")
@@ -316,7 +304,7 @@ def _cmd_heuristic(args):
 
 def _cmd_export_lp(args):
     scenario, pm = _read_scenario_and_map(args)
-    config = _solver_config(args, piecewise=args.objective == "pf")
+    config = _config(exact.SolverConfig, args, pf_log_mode="piecewise")
     rows = lp_export.milp_rows(scenario, pm, config)  # checks the inputs before any file exists
     with atomic_open(args.output) as fh:
         fh.writelines(rows)
@@ -325,7 +313,7 @@ def _cmd_export_lp(args):
 
 def _cmd_validate_solution(args):
     scenario, pm = _read_scenario_and_map(args)
-    config = _solver_config(args, piecewise=args.objective == "pf")  # the model export-lp writes
+    config = _config(exact.SolverConfig, args, pf_log_mode="piecewise")  # export-lp's model
     parity = lp_export.validate_external_solution(
         read_text(args.solution), scenario, pm, config
     )
@@ -339,14 +327,8 @@ def _cmd_validate_solution(args):
         print("solution is below the internal optimum")
 
 
-def _spec_from_args(args, kind):
-    """The spec from the options given; the rest keep the field defaults."""
-    fields = ExperimentSpec.__dataclass_fields__
-    return ExperimentSpec(kind=kind, **{k: v for k, v in vars(args).items() if k in fields})
-
-
 def _cmd_before_after(args):
-    result = run_before_after(_spec_from_args(args, "before_after"))
+    result = run_before_after(_config(ExperimentSpec, args, kind="before_after"))
     print(
         "OP improvement (exact) "
         f"{result.op_improvement_pct(result.exact_before, result.exact_after):.2f}%"
@@ -354,31 +336,29 @@ def _cmd_before_after(args):
 
 
 def _cmd_sweep_alpha(args):
-    table = run_alpha_sweep(_spec_from_args(args, "alpha_sweep"))
+    table = run_alpha_sweep(_config(ExperimentSpec, args, kind="alpha_sweep"))
     for row in table:
         sd = "n/a" if row["healthy_sd"] is None else f"{row['healthy_sd']:.4f}"
         print(f"alpha={row['alpha']:g} avg_sinr={row['avg_sinr']:.4f} healthy_sd={sd}")
 
 
 def _cmd_scalability(args):
-    rows = run_scalability(_spec_from_args(args, "scalability"))
+    rows = run_scalability(_config(ExperimentSpec, args, kind="scalability"))
     for bw, prbs, users, seconds in rows:
         print(f"{bw:g} MHz: {prbs} PRBs, {users} users, {seconds:.4f} s")
 
 
 def _add_instance_args(p):
-    """The options that _read_scenario_and_map and _solver_config read."""
+    """The options that _read_scenario_and_map and the SolverConfig read."""
     p.add_argument("--scenario", required=True)
     p.add_argument("--power-map", required=True)
-    p.add_argument("--objective", choices=exact.OBJECTIVES, default="wsrmax")
-    p.add_argument("--prioritize", action="store_true")
-    p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
+    p.add_argument("--objective", choices=exact.OBJECTIVES)
+    p.add_argument("--prioritize", action="store_true", dest="prioritization")
+    p.add_argument("--alpha", type=float)
 
 
 def _add_experiment_args(p):
-    """The options before-after and sweep-alpha share.  Each is stored under the
-    ExperimentSpec field it sets; the experiment parsers' argument_default is
-    SUPPRESS, so an option not given keeps the field's default."""
+    """The options before-after and sweep-alpha share."""
     p.add_argument("--output", dest="output_dir", required=True)
     p.add_argument("--scenario", dest="scenario_path")
     p.add_argument("--objective", choices=exact.OBJECTIVES)
@@ -391,6 +371,10 @@ def build_parser():
         prog="prballoc", description="Patient-priority OFDMA uplink PRB allocation"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def config_parser(name, summary):
+        """A parser whose options not given are left out, so each config field keeps its default."""
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
 
     p = sub.add_parser("ingest", help="discretize raw medical records")
     p.add_argument("--input", required=True)
@@ -405,57 +389,55 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_risk)
 
-    p = sub.add_parser("generate", help="write a scenario and power-map realizations")
+    p = config_parser("generate", "write a scenario and power-map realizations")
     p.add_argument("--output", required=True)
     p.add_argument("--realizations", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bs", type=int, default=2)
-    p.add_argument("--prbs", type=int, default=5)
-    p.add_argument("--users", type=int, default=10)
-    p.add_argument("--normal", type=int, default=7)
-    p.add_argument("--reference-ps", action="store_true", help="inject the reference OP posteriors")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--bs", type=int, dest="num_bs", metavar="BS")
+    p.add_argument("--prbs", type=int, dest="prbs_per_bs", metavar="PRBS")
+    p.add_argument("--users", type=int, dest="num_users", metavar="USERS")
+    p.add_argument("--normal", type=int, dest="num_normal", metavar="NORMAL")
+    p.add_argument("--reference-ps", action="store_true", default=False,
+                   help="inject the reference OP posteriors")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve", help="exact solve of one instance")
+    p = config_parser("solve", "exact solve of one instance")
     _add_instance_args(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("heuristic", help="semi-greedy allocation with averaging")
+    p = config_parser("heuristic", "semi-greedy allocation with averaging")
     p.add_argument("--scenario", required=True)
     p.add_argument("--power-map", required=True, nargs="+")
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--prioritize", action="store_true")
-    p.add_argument("--alpha", type=float, default=exact.DEFAULT_ALPHA)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--prioritize", action="store_true", dest="prioritization")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_heuristic)
 
-    p = sub.add_parser("export-lp", help="emit the MILP in LP format")
+    p = config_parser("export-lp", "emit the MILP in LP format")
     _add_instance_args(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_export_lp)
 
-    p = sub.add_parser("validate-solution", help="check an external solver solution")
+    p = config_parser("validate-solution", "check an external solver solution")
     _add_instance_args(p)
     p.add_argument("--solution", required=True)
     p.set_defaults(func=_cmd_validate_solution)
 
-    p = sub.add_parser("before-after", help="paired prioritization experiment",
-                       argument_default=argparse.SUPPRESS)
+    p = config_parser("before-after", "paired prioritization experiment")
     _add_experiment_args(p)
     p.add_argument("--alpha", type=float)
     p.add_argument("--iterations", type=int)
     p.set_defaults(func=_cmd_before_after)
 
-    p = sub.add_parser("sweep-alpha", help="fairness and SINR across alpha values",
-                       argument_default=argparse.SUPPRESS)
+    p = config_parser("sweep-alpha", "fairness and SINR across alpha values")
     _add_experiment_args(p)
     p.add_argument("--alphas", type=float, nargs="+")
     p.set_defaults(func=_cmd_sweep_alpha)
 
-    p = sub.add_parser("scalability", help="heuristic timing across PRB counts",
-                       argument_default=argparse.SUPPRESS)
+    p = config_parser("scalability", "heuristic timing across PRB counts")
     p.add_argument("--output", dest="output_dir", required=True)
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)

@@ -8,8 +8,10 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from prballoc import channel, cli, fileio, medrecords, risk
-from prballoc.errors import UsageError
+from prballoc import allocator_exact as ex
+from prballoc import allocator_heuristic as heur
+from prballoc import channel, cli, fileio, lp_export, medrecords, risk
+from prballoc.errors import DataError, UsageError
 from helpers import synthesize_raw_records, write_solution_file
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "before_after_seed3.json")
@@ -325,8 +327,9 @@ class TestExperiments:
         assert lines[0] == "alpha,avg_sinr,healthy_sd,op_8_mean,op_9_mean,op_10_mean"
 
     def test_empty_alphas_rejected(self, tmp_path):
-        with pytest.raises(UsageError):
-            cli.ExperimentSpec(kind="alpha_sweep", output_dir=str(tmp_path), alphas=())
+        for kind in cli.KINDS:  # not only the sweep's: the rule holds for every kind
+            with pytest.raises(UsageError, match="alphas"):
+                cli.ExperimentSpec(kind=kind, output_dir=str(tmp_path), alphas=())
 
     @pytest.mark.parametrize("field, value", [
         ("iterations", 0), ("alpha", math.nan), ("alpha", -1000.0), ("alpha", math.inf),
@@ -379,6 +382,116 @@ class TestExperiments:
         assert all(r[2] == 2 * r[1] for r in rows)
         lines = (tmp_path / "scale" / "scalability.csv").read_text().splitlines()
         assert lines[0] == "bandwidth_mhz,prbs,users,seconds"
+
+
+class _Captured(Exception):
+    """Raised by a patched callee once it holds the config a command built."""
+
+
+# command -> the callee handed the config, the argument holding it, the config's class and
+# the command's fixed fields; nothing is written, since the callee raises
+_CONFIG_CALLEES = {
+    "generate": (cli, "_write_scenario_dir", 0, channel.ScenarioConfig, {}),
+    "solve": (ex, "solve_exact", 2, ex.SolverConfig, {}),
+    "export-lp": (lp_export, "milp_rows", 2, ex.SolverConfig, {"pf_log_mode": "piecewise"}),
+    "validate-solution": (lp_export, "validate_external_solution", 3, ex.SolverConfig,
+                          {"pf_log_mode": "piecewise"}),
+    "heuristic": (heur, "run_heuristic", 2, heur.HeuristicConfig, {}),
+    "before-after": (cli, "run_before_after", 0, cli.ExperimentSpec,
+                     {"kind": "before_after", "output_dir": "out"}),
+    "sweep-alpha": (cli, "run_alpha_sweep", 0, cli.ExperimentSpec,
+                    {"kind": "alpha_sweep", "output_dir": "out"}),
+    "scalability": (cli, "run_scalability", 0, cli.ExperimentSpec,
+                    {"kind": "scalability", "output_dir": "out"}),
+}
+
+
+class TestConfigFromOptions:
+    """Each command builds its config from the options given; the rest keep the
+    class defaults, so no parser restates one."""
+
+    def _built(self, monkeypatch, scenario_dir, command, *options):
+        module, name, index, _, _ = _CONFIG_CALLEES[command]
+        seen = []
+
+        def callee(*args, **kwargs):
+            seen.append(args[index])
+            raise _Captured
+
+        monkeypatch.setattr(module, name, callee)
+        scenario = str(scenario_dir / "scenario.json")
+        instance = ["--scenario", scenario,
+                    "--power-map", str(scenario_dir / "power_map_000.csv")]
+        if command == "validate-solution":  # any readable file will do as the solution
+            required = instance + ["--solution", scenario]
+        else:
+            required = (instance if command in ("solve", "export-lp", "heuristic") else [])
+            required += ["--output", "out"]
+        with pytest.raises(_Captured):
+            run([command, *required, *options])
+        (held,) = seen
+        return held.config if command == "generate" else held  # generate hands on its scenario
+
+    def _expected(self, command, **fields):
+        _, _, _, cls, fixed = _CONFIG_CALLEES[command]
+        return cls(**fixed, **fields)
+
+    @pytest.mark.parametrize("command", list(_CONFIG_CALLEES))
+    def test_required_options_only_give_the_class_defaults(
+            self, monkeypatch, scenario_dir, command):
+        assert self._built(monkeypatch, scenario_dir, command) == self._expected(command)
+
+    @pytest.mark.parametrize("command, options, fields", [
+        ("generate", ["--bs", "3", "--prbs", "4", "--users", "9", "--normal", "4", "--seed", "5"],
+         dict(num_bs=3, prbs_per_bs=4, num_users=9, num_normal=4, seed=5)),
+        ("solve", ["--objective", "pf", "--prioritize", "--alpha", "150"],
+         dict(objective="pf", prioritization=True, alpha=150.0)),
+        ("export-lp", ["--objective", "pf", "--prioritize", "--alpha", "150"],
+         dict(objective="pf", prioritization=True, alpha=150.0)),
+        ("validate-solution", ["--objective", "pf", "--prioritize", "--alpha", "150"],
+         dict(objective="pf", prioritization=True, alpha=150.0)),
+        ("heuristic", ["--iterations", "7", "--prioritize", "--alpha", "50", "--seed", "4"],
+         dict(iterations=7, prioritization=True, alpha=50.0, seed=4)),
+        ("before-after", ["--scenario", "s.json", "--objective", "pf", "--realizations", "2",
+                          "--seed", "3", "--alpha", "150", "--iterations", "9"],
+         dict(scenario_path="s.json", objective="pf", realizations=2, seed=3, alpha=150.0,
+              iterations=9)),
+        ("sweep-alpha", ["--scenario", "s.json", "--objective", "pf", "--realizations", "2",
+                         "--seed", "3", "--alphas", "50", "500"],
+         dict(scenario_path="s.json", objective="pf", realizations=2, seed=3,
+              alphas=(50.0, 500.0))),
+        ("scalability", ["--runs", "2", "--seed", "4"], dict(runs=2, seed=4)),
+    ])
+    def test_every_option_lands_in_its_field(
+            self, monkeypatch, scenario_dir, command, options, fields):
+        built = self._built(monkeypatch, scenario_dir, command, *options)
+        assert built == self._expected(command, **fields)
+        assert all(getattr(built, k) != getattr(self._expected(command), k) for k in fields)
+
+
+class TestRunnerRefusals:
+    """A bad spec or bad given maps are refused before any output exists."""
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        for alphas in ((), cli.DEFAULT_ALPHAS):
+            with pytest.raises(UsageError, match="kind"):
+                cli.run_alpha_sweep(cli.ExperimentSpec(
+                    kind="bogus", output_dir=str(out), alphas=alphas, realizations=1))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runner", ["run_before_after", "run_alpha_sweep"])
+    def test_given_maps_checked_before_any_output(self, tmp_path, runner):
+        scenario, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3))
+        _, other = channel.generate_scenario(channel.ScenarioConfig(num_bs=3, prbs_per_bs=4))
+        kind = "before_after" if runner == "run_before_after" else "alpha_sweep"
+        out = tmp_path / "out"
+        spec = cli.ExperimentSpec(kind=kind, output_dir=str(out), realizations=1, iterations=1)
+        with pytest.raises(UsageError, match="power_maps"):
+            getattr(cli, runner)(spec, scenario, [])
+        with pytest.raises(DataError, match="power map 1"):
+            getattr(cli, runner)(spec, scenario, [pm, other])
+        assert not out.exists()
 
 
 class TestScenarioDirectory:

@@ -144,7 +144,7 @@ class TestExport:
             lp_export.export_milp(sc, pm, cfg)
         with pytest.raises(UsageError, match="piecewise"):
             lp_export.milp_rows(sc, pm, cfg)  # not iterated
-        monkeypatch.setattr(cli, "_solver_config", lambda args, piecewise=False: cfg)
+        monkeypatch.setattr(cli, "_config", lambda cls, settings, **fixed: cfg)
         code, err = export_lp_before_output(tmp_path, monkeypatch, capsys, "--objective", "pf")
         assert code == 2 and "PwlSpec" in err
 

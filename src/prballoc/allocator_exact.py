@@ -84,7 +84,6 @@ class Assignment:
 @dataclass
 class SinrReport:
     sinr: dict  # user_id -> linear SINR
-    log_sinr: dict  # user_id -> ln(SINR), None where SINR == 0
     priorities: dict  # user_id -> UP weight
     objective_value: float
 
@@ -165,8 +164,7 @@ def evaluate_assignment(assignment, power_map, scenario, config):
     check_map_shape(scenario, power_map)
     objective = Objective(scenario, config)
     sinrs = sinr_of(assignment, power_map)
-    log_sinr = {k: (math.log(s) if s > 0 else None) for k, s in sinrs.items()}
-    return SinrReport(sinr=sinrs, log_sinr=log_sinr, priorities=dict(objective.weights),
+    return SinrReport(sinr=sinrs, priorities=dict(objective.weights),
                       objective_value=objective.value(sinrs))
 
 
@@ -241,11 +239,11 @@ def _search_subset_dp(scenario, power_map, config):
 
 
 def write_result_csv(assignment, report, path):
-    """Result rows user,bs,prb,sinr,log_sinr,up plus an objective summary line."""
-    rows = [
-        [k, b, n, repr(report.sinr[k]), "" if report.log_sinr[k] is None else repr(report.log_sinr[k]),
-         repr(report.priorities[k])]
-        for k, (b, n) in sorted(assignment.slots.items())
-    ]
-    rows.append(["objective", repr(report.objective_value)])
+    """Result rows user,bs,prb,sinr,log_sinr,up plus an objective summary line;
+    log_sinr is empty where the SINR is 0."""
+    rows = []
+    for k, (b, n) in sorted(assignment.slots.items()):
+        sinr = report.sinr[k]
+        rows.append([k, b, n, sinr, math.log(sinr) if sinr > 0 else None, report.priorities[k]])
+    rows.append(["objective", report.objective_value])
     write_csv(path, ["user", "bs", "prb", "sinr", "log_sinr", "up"], rows)

@@ -318,6 +318,6 @@ def run_heuristic(scenario, power_maps, config):
 
 def write_heuristic_csv(report, path):
     write_csv(path, ["user", "mean_sinr", "sd", "ci_low", "ci_high"], (
-        [k, repr(s.mean), "" if s.sd is None else repr(s.sd), repr(s.ci_low), repr(s.ci_high)]
+        [k, s.mean, s.sd, s.ci_low, s.ci_high]
         for k, s in sorted(report.summaries.items())
     ))

@@ -239,12 +239,11 @@ def scenario_from_json(text):
 
 def write_power_map_csv(power_map, path):
     """CSV with one row per (user, prb, bs) triple; powers round-trip exactly."""
-    K, N, B = power_map.q.shape
     write_csv(path, POWER_MAP_COLUMNS, (
-        [k + 1, n + 1, b + 1, repr(float(power_map.q[k, n, b]))]
-        for k in range(K)
-        for n in range(N)
-        for b in range(B)
+        [k, n, b, q]
+        for k, per_prb in enumerate(power_map.q.tolist(), start=1)
+        for n, per_bs in enumerate(per_prb, start=1)
+        for b, q in enumerate(per_bs, start=1)
     ))
 
 

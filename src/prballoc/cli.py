@@ -162,10 +162,10 @@ def run_before_after(spec, scenario=None, power_maps=None):
         heuristic_means.extend(report.per_file_means)
         heur.write_heuristic_csv(report, os.path.join(spec.output_dir, f"heuristic_{tag}.csv"))
     summary = [
-        ["op_improvement_exact_pct", repr(result.op_improvement_pct(result.exact_before, result.exact_after))],
-        ["op_improvement_heuristic_pct", repr(result.op_improvement_pct(result.heuristic_before, result.heuristic_after))],
-        ["system_change_exact_pct", repr(result.system_change_pct(result.exact_before, result.exact_after))],
-        ["system_change_heuristic_pct", repr(result.system_change_pct(result.heuristic_before, result.heuristic_after))],
+        ["op_improvement_exact_pct", result.op_improvement_pct(result.exact_before, result.exact_after)],
+        ["op_improvement_heuristic_pct", result.op_improvement_pct(result.heuristic_before, result.heuristic_after)],
+        ["system_change_exact_pct", result.system_change_pct(result.exact_before, result.exact_after)],
+        ["system_change_heuristic_pct", result.system_change_pct(result.heuristic_before, result.heuristic_after)],
     ]
     write_csv(os.path.join(spec.output_dir, "summary.csv"), ["metric", "value"], summary)
     _echo_config(spec, spec.output_dir, extra={"realization_sha256": hashes})
@@ -195,9 +195,8 @@ def run_alpha_sweep(spec, scenario=None, power_maps=None):
         os.path.join(spec.output_dir, "alpha_sweep.csv"),
         ["alpha", "avg_sinr", "healthy_sd"] + [f"op_{k}_mean" for k in cfg.op_ids],
         (
-            [row["alpha"], repr(row["avg_sinr"]),
-             "" if row["healthy_sd"] is None else repr(row["healthy_sd"])]
-            + [repr(row["op_means"][k]) for k in cfg.op_ids]
+            [row["alpha"], row["avg_sinr"], row["healthy_sd"]]
+            + [row["op_means"][k] for k in cfg.op_ids]
             for row in table
         ),
     )
@@ -225,7 +224,7 @@ def run_scalability(spec):
     write_csv(
         os.path.join(spec.output_dir, "scalability.csv"),
         ["bandwidth_mhz", "prbs", "users", "seconds"],
-        ([bw, prbs, users, repr(seconds)] for bw, prbs, users, seconds in rows),
+        rows,
     )
     _echo_config(spec, spec.output_dir)
     return rows

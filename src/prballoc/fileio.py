@@ -45,7 +45,9 @@ def write_text_atomic(path, text):
 
 
 def write_csv(path, header, rows):
-    """Write the header row, then each row of the iterable `rows` as it comes."""
+    """Write the header row, then each row of the iterable `rows` as it comes.
+    Cells go in as they are: the csv module writes None as an empty cell and a
+    float as its shortest round-trip repr, so every float reads back exactly."""
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -20,7 +20,6 @@ from .allocator_exact import (
     Objective,
     PfUndefinedError,
     evaluate_assignment,
-    sinr_of,
     solve_exact,
 )
 from .channel import check_map_shape, dbm_to_mw
@@ -30,24 +29,17 @@ FRACTIONAL_TOL = 1e-6
 PARITY_TOL = 1e-9
 
 
-class LambdaTooSmallError(ValueError):
-    """Big-M constant below an SINR it must dominate."""
-
-
 def _num(x):
     return repr(float(x))
 
 
-def big_m(power_map, lam=None):
-    """The big-M constant of rows c13 and c15, a finite number > 0: `lam`, or by default
-    10x the largest interference-free SINR, a tight yet safe bound.  A bad `lam` raises
-    UsageError, a bad default DataError, since the power map is then at fault."""
-    error, origin = UsageError, ""
-    if lam is None:
-        lam = 10.0 * float(power_map.q.max()) / power_map.noise_w
-        error, origin = DataError, " (10x the power map's largest power over the noise)"
+def big_m(power_map):
+    """The model's one big-M constant lambda, of rows c13 and c15: 10x the largest
+    interference-free SINR, a tight yet safe bound; not finite and > 0, it is a DataError."""
+    lam = 10.0 * float(power_map.q.max()) / power_map.noise_w
     if not 0 < lam < math.inf:  # nan fails too
-        raise error(f"lambda must be a finite number > 0, got {lam!r}{origin}")
+        raise DataError(f"lambda must be a finite number > 0, got {lam!r}"
+                        " (10x the power map's largest power over the noise)")
     return lam
 
 
@@ -59,24 +51,6 @@ def balance_row(power_map, k, n, b):
     phis = [(m, w, q) for m, q in enumerate(heard, start=1) if m != k
             for w in range(1, power_map.q.shape[2] + 1) if w != b]
     return phis, heard[k - 1]
-
-
-def verify_linearization(assignment, power_map, lam=None):
-    """Largest residual of the assigned users' c16 rows, each over its X coefficient.
-
-    X is the assignment, T each user's SINR (`sinr_of`) and PHI = T X, the product rows
-    c13-c15 pin.  Raises when an SINR exceeds lam: c13 or c15 then cut the point off.
-    """
-    lam = big_m(power_map, lam)
-    sinr = sinr_of(assignment, power_map)
-    worst = 0.0
-    for k, (b, n) in assignment.slots.items():
-        if sinr[k] > lam:
-            raise LambdaTooSmallError(f"lambda {lam} below SINR {sinr[k]} of user {k}; big-M binds")
-        phis, x_coef = balance_row(power_map, k, n, b)
-        value = sum(q * sinr[k] for m, w, q in phis if assignment.slots.get(m) == (w, n))
-        worst = max(worst, abs(value + sinr[k] - x_coef) / x_coef)
-    return worst
 
 
 def _phi_indices(K, N, B):
@@ -92,7 +66,7 @@ def _phi_indices(K, N, B):
                         yield m, n, k, w, b
 
 
-def milp_rows(scenario, power_map, config, lam=None):
+def milp_rows(scenario, power_map, config):
     """The LP-format model as an iterator of text pieces, byte-identical across runs.
 
     The checks run before this returns, so a bad lambda or a PF config without the
@@ -101,7 +75,7 @@ def milp_rows(scenario, power_map, config, lam=None):
     weights enter as precomputed constants.
     """
     check_map_shape(scenario, power_map)
-    lam = big_m(power_map, lam)
+    lam = big_m(power_map)
     if config.objective == "pf" and config.pf_log_mode != "piecewise":
         raise UsageError("PF export needs pf_log_mode 'piecewise', the tangents of a PwlSpec")
     return _rows(scenario, power_map, config, lam, Objective(scenario, config))
@@ -178,10 +152,10 @@ def _rows(scenario, power_map, config, lam, objective):
     yield "End\n"
 
 
-def export_milp(scenario, power_map, config, lam=None):
+def export_milp(scenario, power_map, config):
     """Complete LP-format model text: the pieces of `milp_rows`, joined."""
     out = io.StringIO()
-    out.writelines(milp_rows(scenario, power_map, config, lam))
+    out.writelines(milp_rows(scenario, power_map, config))
     return out.getvalue()
 
 

@@ -146,7 +146,7 @@ def load_raw_records(path):
 
 def _is_complete(row):
     clinical = (row.sysbp, row.diabp, row.totchol, row.cigpday, row.stroke)
-    if row.day is None or row.day < 1 or row.day % 1:
+    if not row.patient_id or row.day is None or row.day < 1 or row.day % 1:
         return False
     if any(v is None for v in clinical):
         return False
@@ -161,9 +161,10 @@ def _is_complete(row):
 def cleanse(rows):
     """Drop incomplete, erroneous and inconsistent rows; order is preserved.
 
-    A row survives only if its day is a whole number >= 1, all five clinical
-    fields are present, the four readings are finite and non-negative, the
-    stroke flag is 0/1, and its (patient, day) pair has not been seen before.
+    A row survives only if its patient id is not empty, its day is a whole number
+    >= 1, all five clinical fields are present, the four readings are finite and
+    non-negative, the stroke flag is 0/1, and its (patient, day) pair has not been
+    seen before.
     """
     kept = []
     seen = set()

@@ -54,7 +54,6 @@ def fairness_sd(values):
 def write_summary_csv(rows, path):
     """Rows of (metric, subset, StatSummary)."""
     write_csv(path, ["metric", "subset", "n", "mean", "sd", "ci_low", "ci_high"], (
-        [metric, subset, s.n, repr(s.mean), "" if s.sd is None else repr(s.sd),
-         repr(s.ci_low), repr(s.ci_high)]
+        [metric, subset, s.n, s.mean, s.sd, s.ci_low, s.ci_high]
         for metric, subset, s in rows
     ))

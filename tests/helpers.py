@@ -1,8 +1,15 @@
 """Helpers the tests share that the program itself never calls: synthetic raw
-records in the ingestion schema, and solution files in the validator's format."""
+records in the ingestion schema, solution files in the validator's format, and
+the check of the MILP's linearization at an assignment."""
 
+from prballoc import lp_export
+from prballoc.allocator_exact import sinr_of
 from prballoc.fileio import write_text_atomic
 from prballoc.medrecords import RawRecordRow
+
+
+class LambdaTooSmallError(ValueError):
+    """Big-M constant below an SINR it must dominate."""
 
 
 def synthesize_raw_records(num_patients, days, rng, stroke_rate=0.1):
@@ -30,3 +37,22 @@ def write_solution_file(assignment, objective, path):
     lines = [f"# objective {float(objective)!r}\n"]
     lines += [f"X_{k}_{n}_{b} 1\n" for k, (b, n) in sorted(assignment.slots.items())]
     write_text_atomic(path, "".join(lines))
+
+
+def verify_linearization(assignment, power_map, lam=None):
+    """Largest residual of the assigned users' c16 rows, each over its X coefficient.
+
+    X is the assignment, T each user's SINR (`sinr_of`) and PHI = T X, the product rows
+    c13-c15 pin.  `lam` defaults to the exported model's `lp_export.big_m`.  Raises when
+    an SINR exceeds lam: c13 or c15 then cut the point off.
+    """
+    lam = lp_export.big_m(power_map) if lam is None else lam
+    sinr = sinr_of(assignment, power_map)
+    worst = 0.0
+    for k, (b, n) in assignment.slots.items():
+        if sinr[k] > lam:
+            raise LambdaTooSmallError(f"lambda {lam} below SINR {sinr[k]} of user {k}; big-M binds")
+        phis, x_coef = lp_export.balance_row(power_map, k, n, b)
+        value = sum(q * sinr[k] for m, w, q in phis if assignment.slots.get(m) == (w, n))
+        worst = max(worst, abs(value + sinr[k] - x_coef) / x_coef)
+    return worst

@@ -19,7 +19,7 @@ from prballoc import allocator_heuristic as heur
 from prballoc import channel, cli, lp_export, metrics, risk
 from prballoc.medrecords import FEATURES, LEVEL_NAMES, DayEntry, MedicalRecord
 
-from helpers import write_solution_file
+from helpers import LambdaTooSmallError, verify_linearization, write_solution_file
 from test_exact import hand_instance, oracle_best
 
 ACCEPTANCE_SEED = 3
@@ -180,11 +180,11 @@ def test_criterion_4_linearization(capsys):
             )
             t_linearized = pm.power(k, n, b) / (interference + pm.noise_w)
             worst = max(worst, abs(t_linearized - direct[k]) / direct[k])
-        worst = max(worst, lp_export.verify_linearization(assignment, pm))
+        worst = max(worst, verify_linearization(assignment, pm))
         max_t = max(direct.values())
         try:
-            lp_export.verify_linearization(assignment, pm, lam=max_t * 0.9)
-        except lp_export.LambdaTooSmallError:
+            verify_linearization(assignment, pm, lam=max_t * 0.9)
+        except LambdaTooSmallError:
             detections += 1
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and detections == 100 and elapsed < 30.0
@@ -309,13 +309,14 @@ def test_criterion_8_scalability(capsys, tmp_path):
     assert ok
 
 
-def test_criterion_9_lp_round_trip(capsys, tmp_path):
+def test_criterion_9_lp_round_trip(capsys, tmp_path, monkeypatch):
     import os
 
     sc, pm = hand_instance()
     config = ex.SolverConfig()
-    text1 = lp_export.export_milp(sc, pm, config, lam=100.0)
-    text2 = lp_export.export_milp(sc, pm, config, lam=100.0)
+    monkeypatch.setattr(lp_export, "big_m", lambda power_map: 100.0)  # the golden's lambda
+    text1 = lp_export.export_milp(sc, pm, config)
+    text2 = lp_export.export_milp(sc, pm, config)
     golden_path = os.path.join(os.path.dirname(__file__), "data", "hand_instance.lp")
     with open(golden_path, encoding="utf-8") as fh:
         golden_ok = text1 == fh.read()

@@ -9,6 +9,8 @@ from prballoc import allocator_heuristic as heur
 from prballoc import channel, lp_export
 from prballoc.errors import UsageError
 
+from helpers import LambdaTooSmallError, verify_linearization
+
 REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 
 
@@ -349,16 +351,16 @@ class TestLinearization:
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=6), op_ps=REF_PS)
         pm = channel.generate_power_map(sc, 0)
         assignment, report = ex.solve_exact(sc, pm, ex.SolverConfig())
-        assert lp_export.verify_linearization(assignment, pm) < 1e-9
+        assert verify_linearization(assignment, pm) < 1e-9
         max_t = max(report.sinr.values())
-        with pytest.raises(lp_export.LambdaTooSmallError):
-            lp_export.verify_linearization(assignment, pm, lam=max_t * 0.5)
+        with pytest.raises(LambdaTooSmallError):
+            verify_linearization(assignment, pm, lam=max_t * 0.5)
 
     def test_evaluates_the_balance_rows(self, monkeypatch):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
         pm = channel.generate_power_map(sc, 0)
         assignment, _ = ex.solve_exact(sc, pm, ex.SolverConfig())
-        assert lp_export.verify_linearization(assignment, pm) < 1e-9
+        assert verify_linearization(assignment, pm) < 1e-9
         balance_row = lp_export.balance_row
 
         def heard_at_own_bs(power_map, k, n, b):
@@ -367,12 +369,12 @@ class TestLinearization:
             return own, x_coef
 
         monkeypatch.setattr(lp_export, "balance_row", heard_at_own_bs)
-        assert lp_export.verify_linearization(assignment, pm) > 1e-3
+        assert verify_linearization(assignment, pm) > 1e-3
 
     def test_no_interferers_degenerates(self):
         sc, pm = hand_instance()
         lone = ex.Assignment(slots={1: (1, 1)})
-        assert lp_export.verify_linearization(lone, pm) == 0.0
+        assert verify_linearization(lone, pm) == 0.0
 
     def test_default_lambda_dominates(self):
         sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=6), op_ps=REF_PS)

@@ -15,6 +15,8 @@ from prballoc import allocator_exact as ex  # noqa: E402
 from prballoc import channel, lp_export  # noqa: E402
 from prballoc.errors import InfeasibleError  # noqa: E402
 
+from helpers import LambdaTooSmallError, verify_linearization  # noqa: E402
+
 REL_TOL = 1e-6
 
 WSRMAX = ex.SolverConfig()
@@ -135,15 +137,16 @@ def test_highs_reaches_the_dp_optimum(shape, config):
     assert report.objective_value == pytest.approx(optimum.objective_value, rel=REL_TOL)
 
 
-def test_binding_big_m_cuts_off_the_optimum():
+def test_binding_big_m_cuts_off_the_optimum(monkeypatch):
     # every user of a full 2 x 2 load is interfered; lambda below the largest SINR
     # forbids the optimum's point, so HiGHS must settle lower
     sc, pm = instance(2, 2, 4, seed=8)
     assignment, optimum = ex.solve_exact(sc, pm, WSRMAX)
     lam = 0.9 * max(optimum.sinr.values())
-    with pytest.raises(lp_export.LambdaTooSmallError):
-        lp_export.verify_linearization(assignment, pm, lam=lam)
-    value, _ = solve_lp(lp_export.export_milp(sc, pm, WSRMAX, lam=lam))
+    with pytest.raises(LambdaTooSmallError):
+        verify_linearization(assignment, pm, lam=lam)
+    monkeypatch.setattr(lp_export, "big_m", lambda power_map: lam)
+    value, _ = solve_lp(lp_export.export_milp(sc, pm, WSRMAX))
     assert value < optimum.objective_value * (1 - REL_TOL)
 
 

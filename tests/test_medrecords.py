@@ -55,7 +55,7 @@ class TestLevelOf:
 
 class TestCleanse:
     def test_missing_field_dropped(self):
-        rows = [_row(diabp=None), _row(day=2)]
+        rows = [_row(diabp=None), _row(pid=""), _row(day=2)]
         kept = med.cleanse(rows)
         assert len(kept) == 1 and kept[0].day == 2
 

@@ -181,25 +181,18 @@ def solve_exact(scenario, power_map, config):
 
 
 def _prb_options(n, power_map, objective, num_bs):
-    """Every way to serve 0-based PRB `n`: users ascending on one BS order.
-
-    Options are (user mask, contribution summed in user order, ((user index,
-    (bs, prb)), ...)); a pick that leaves a PF log user at zero SINR is dropped.
-    """
+    """Every way to serve 0-based PRB `n`, as (user mask, contribution summed in user order,
+    occupant row): a column state, one user or nobody (index K) per BS.  A row that leaves a
+    PF log user at zero SINR is dropped."""
     K = len(objective.w) - 1
-    picks = [tuple(zip(users, order)) for s in range(num_bs + 1)
-             for users in itertools.combinations(range(K), s)
-             for order in itertools.permutations(range(num_bs), s)]
-    occ = np.array([[dict((b, u) for u, b in pick).get(v, K) for v in range(num_bs)]
-                    for pick in picks])
-    sinr = column_sinrs(power_map.q, power_map.noise_w, occ, np.full(len(picks), n))
-    # each pick's BSs in user order, then its empty BSs, where nobody's term 0.0 adds nothing
-    seat = np.array([[b for _, b in pick] + sorted(set(range(num_bs)) - {b for _, b in pick})
-                     for pick in picks])
-    terms = objective.terms(occ, sinr)[np.arange(len(picks))[:, None], seat]
+    occ = np.array([row for row in itertools.product(range(K + 1), repeat=num_bs)
+                    if len(set(row) - {K}) == num_bs - row.count(K)])
+    sinr = column_sinrs(power_map.q, power_map.noise_w, occ, np.full(len(occ), n))
+    seat = np.argsort(occ, axis=1, kind="stable")  # users ascending, then nobody's 0.0 terms
+    terms = np.take_along_axis(objective.terms(occ, sinr), seat, axis=1)
     totals = np.add.accumulate(terms, axis=1)[:, -1]  # left to right, as a Python sum
-    return [(sum(1 << ui for ui, _ in pick), total, tuple((ui, (bi + 1, n + 1)) for ui, bi in pick))
-            for pick, total in zip(picks, totals.tolist()) if not math.isnan(total)]
+    return [(sum(1 << u for u in row if u < K), total, tuple(row))
+            for row, total in zip(occ.tolist(), totals.tolist()) if not math.isnan(total)]
 
 
 def _search_subset_dp(scenario, power_map, config):
@@ -217,16 +210,17 @@ def _search_subset_dp(scenario, power_map, config):
         new_dp = {}
         for mask, (value, slots) in dp.items():
             least = served_min - mask.bit_count()
-            for option_mask, contrib, placed in options:
-                if option_mask & mask or len(placed) < least:
+            for option_mask, contrib, row in options:
+                if option_mask & mask or option_mask.bit_count() < least:
                     continue
                 new_mask, new_value = mask | option_mask, value + contrib
                 incumbent = new_dp.get(new_mask)
                 if incumbent is not None and new_value < incumbent[0]:
                     continue
                 new_slots = list(slots)
-                for ui, slot in placed:
-                    new_slots[ui] = slot
+                for b, u in enumerate(row):
+                    if u < K:
+                        new_slots[u] = (b + 1, n + 1)
                 new_slots = tuple(new_slots)
                 if incumbent is None or new_value > incumbent[0] or new_slots < incumbent[1]:
                     new_dp[new_mask] = (new_value, new_slots)

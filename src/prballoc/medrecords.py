@@ -242,6 +242,8 @@ def read_records_csv(path):
                     f"line {line_no}: expected {len(RECORD_COLUMNS)} cells, found {len(cells)}"
                 )
             pid, day, f1, f2, f3, f4, stroke = [c.strip() for c in cells]
+            if not pid:
+                raise DataError(f"line {line_no}: empty patient_id")
             try:
                 entry = DayEntry(
                     day=int(day),

@@ -279,6 +279,16 @@ class TestIngestAndRisk:
             results.append(out.read_bytes())
         assert results[0] == results[1]
 
+    def test_ingest_warns_only_of_named_patients(self, tmp_path, caplog):
+        """A dropped empty-id row draws no warning; a patient who lost every day still does."""
+        raw = tmp_path / "raw.csv"
+        raw.write_text(",".join(medrecords.CSV_COLUMNS) + "\n"
+                       ",1,120,80,200,0,0\np1,1,120,80,200,0,0\np2,1,120,80,,0,0\n")
+        with caplog.at_level("WARNING"):
+            assert run(["ingest", "--input", str(raw), "--output", str(tmp_path / "r.csv")]) == 0
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warned == ["patient p2 has no valid days and was excluded"]
+
     def test_risk_without_states_is_data_error(self, tmp_path, scenario_dir):
         records = tmp_path / "records.csv"
         records.write_text(",".join(medrecords.RECORD_COLUMNS) + "\n"
@@ -783,6 +793,9 @@ MALFORMED = [
      RISK, 4, "'0'"),
     ("risk-repeated-day", _risk_inputs(STATE, [*STROKE_DAYS, "p1,1,Normal,Normal,High,Heavy,0"]),
      RISK, 4, "repeats day 1"),
+    ("risk-empty-patient-id",
+     _risk_inputs(STATE, [",1,Normal,Normal,Normal,Light,1", *STROKE_DAYS]), RISK, 4,
+     "line 2: empty patient_id"),
     ("power-huge-ids", _write("power_map_000.csv", "user,prb,bs,power_watts\n"
                               "1000000,1000000,1000,1.0\n"), SOLVE, 4, "missing"),
     ("generate-negative-realizations", None,

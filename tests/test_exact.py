@@ -29,8 +29,8 @@ def hand_instance():
 
 
 def random_instance(rng, num_bs=2):
-    """Random instance with one outpatient; N <= 3 PRBs at 2 BSs, N <= 2 at 3."""
-    N = int(rng.integers(1, 4 if num_bs == 2 else 3))
+    """Random instance with one outpatient; N <= 3 PRBs at 2 BSs, N <= 2 at 3, 2 <= N <= 3 at 1."""
+    N = int(rng.integers(1, 4 if num_bs == 2 else 3)) + (num_bs == 1)
     K = int(rng.integers(2, min(6 if num_bs == 2 else 5, num_bs * N) + 1))
     cfg = channel.ScenarioConfig(
         num_bs=num_bs, prbs_per_bs=N, num_users=K, num_normal=K - 1, seed=0
@@ -203,10 +203,11 @@ def test_terms_match_the_scalar_rule_bit_for_bit(objective, mode, prio):
     assert np.isnan(got).any() == (objective == "pf")
 
 
-@pytest.mark.parametrize("num_bs", [2, 3])
+@pytest.mark.parametrize("num_bs", [1, 2, 3])
 def test_prb_options_sum_terms_in_user_order(num_bs):
-    """Each option's total is its users' terms summed in user order by plain Python; a pick
-    that leaves a log user at SINR 0 is dropped."""
+    """Each user pick and BS order is one option, its occupant row with K for an empty BS; its
+    total is its users' terms summed in user order by plain Python; a pick that leaves a log
+    user at SINR 0 is dropped.  Option order is no part of the contract."""
     rng = np.random.default_rng(31)
     for _ in range(4):
         sc, pm = random_instance(rng, num_bs)
@@ -229,9 +230,11 @@ def test_prb_options_sum_terms_in_user_order(num_bs):
                             for k in users:
                                 total += scalar_term(weights[k], logged[k], config.pwl, sinrs[k])
                             if not math.isnan(total):
-                                want.append((sum(1 << (k - 1) for k in users), total,
-                                             tuple((k - 1, slots[k]) for k in users)))
-                assert ex._prb_options(n, pm, objective, num_bs) == want
+                                row = [K] * num_bs
+                                for k, b in zip(users, order):
+                                    row[b - 1] = k - 1
+                                want.append((sum(1 << (k - 1) for k in users), total, tuple(row)))
+                assert sorted(ex._prb_options(n, pm, objective, num_bs)) == sorted(want)
 
 
 class TestSinrOf:

@@ -230,6 +230,7 @@ class TestCsvRoundTrip:
         ("p1,x,Normal,Normal,High,Heavy,1", "line 2: invalid literal"),
         ("p1,1,Normal,Normal,High,Heavy,yes", "line 2: want a day >= 1 and a stroke of 0 or 1"),
         ("p1,0,Normal,Normal,High,Heavy,1", "line 2: want a day >= 1 and a stroke of 0 or 1"),
+        (",1,Normal,Normal,Normal,Light,1", "line 2: empty patient_id"),
         ("p1,1,Normal,Normal,High,Heavy,1\np1,1,Normal,Normal,High,Heavy,0",
          "patient 'p1' repeats day 1"),
     ])

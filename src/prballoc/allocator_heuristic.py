@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator_exact import DEFAULT_ALPHA, Assignment, Objective, prioritized, sinr_of
+from .allocator_exact import DEFAULT_ALPHA, Assignment, Objective, column_sinrs, prioritized, sinr_of
 from .channel import check_map_shape, derive_seed
 from .errors import InfeasibleError, UsageError, check_field_types
 from .fileio import write_csv
@@ -45,6 +45,9 @@ class HeuristicConfig:
 
 @dataclass
 class IterationTrace:
+    """One iteration, each dict in placement order (each admitted user, then its interferer):
+    the SINRs right after each admission, then the slots and SINRs after the swaps;
+    `pool_sizes` holds each admission's number of free slots."""
     serve_order: list
     slots: dict  # user_id -> (bs, prb)
     at_assignment_sinr: dict
@@ -53,15 +56,15 @@ class IterationTrace:
     swaps: int = 0  # improving swaps applied after the construction
 
 
-def best_sinr_pool(user_id, occ, candidates, power_map, rng):
-    """Draw one entry of the user's pool: ((bs, prb), interferer, sinr), 1-based.
+def best_sinr_pool(occ, candidates, power_map, rng):
+    """Draw one entry of the admitted user's pool: ((bs, prb), interferer), 1-based.
 
     The pool holds one entry per empty slot of the (N, B) occupants `occ`
     (num_users for nobody), in (bs, prb) order; the draw is uniform, so only
-    the drawn entry is computed.  `candidates` holds the ids, ascending, of the
+    the drawn entry is built.  `candidates` holds the ids, ascending, of the
     users that may interfere.  Where the slot's PRB has another free slot, the
-    minimum-interfering-power candidate (ties by user id) is the interferer,
-    else None.  The SINR counts it and the PRB's users (only at 3+ BSs).
+    candidate of minimum interfering power at the slot (ties by user id), which
+    leaves the admitted user its best SINR, is the interferer, else None.
     """
     free = occ == len(power_map.q)
     bs, prb = np.nonzero(free.T)
@@ -69,13 +72,9 @@ def best_sinr_pool(user_id, occ, candidates, power_map, rng):
         raise InfeasibleError("no free slot available")
     i = rng.integers(len(bs))
     b, n = int(bs[i]), int(prb[i])
-    interferer, interference = None, power_map.q[occ[n][~free[n]], n, b].sum()
-    if len(candidates) and np.count_nonzero(free[n]) > 1:
-        heard = power_map.q[candidates - 1, n, b]
-        j = heard.argmin()
-        interferer, interference = int(candidates[j]), interference + heard[j]
-    sinr = power_map.q[user_id - 1, n, b] / (interference + power_map.noise_w)
-    return (b + 1, n + 1), interferer, float(sinr)
+    if not len(candidates) or np.count_nonzero(free[n]) < 2:
+        return (b + 1, n + 1), None
+    return (b + 1, n + 1), int(candidates[power_map.q[candidates - 1, n, b].argmin()])
 
 
 class SwapSearch:
@@ -221,14 +220,11 @@ class SwapSearch:
 
 
 def run_iteration(scenario, power_map, config, rng, improver=None):
-    """Serve every user once, then improve by swaps; returns the trace.
+    """Serve every user once, then improve by swaps; returns the IterationTrace.
 
-    `at_assignment_sinr` holds each user's SINR right after its admission;
-    `slots` is the assignment after the improvement phase, and `final_sinr`
-    is recomputed on it, since later admissions and swaps change the
-    interference.  All three list the users in placement order: each
-    admitted user, then its interferer.  `pool_sizes` holds each admission's
-    number of free slots.  `improver` is a SwapSearch built for this
+    The construction only places users, each admission keeping a copy of the
+    PRB column it filled; one `column_sinrs` call over those columns then gives
+    every at-assignment SINR.  `improver` is a SwapSearch built for this
     scenario, power map and config, else a UsageError; passing one to every
     iteration on a map lets it reuse column gains, and None builds a fresh one.
     """
@@ -243,34 +239,31 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     ids = np.arange(1, nobody + 1)
     occ = np.full((cfg.prbs_per_bs, cfg.num_bs), nobody)  # occupant index of each (prb, bs)
     unserved = np.ones(nobody, dtype=bool)
-    at_sinr, pool_sizes = {}, []
+    seats, pool_sizes, prbs, columns = [], [], [], []  # seats: (user, admission, bs index)
     for user in order:
         if not unserved[user - 1]:
             continue  # already placed as someone's interferer
         unserved[user - 1] = False
-        pool_sizes.append(int(np.count_nonzero(occ == nobody)))
-        (b, n), m, at_sinr[user] = best_sinr_pool(user, occ, ids[unserved], power_map, rng)
-        occ[n - 1, b - 1] = user - 1
+        pool_sizes.append(occ.size - len(seats))
+        (b, n), m = best_sinr_pool(occ, ids[unserved], power_map, rng)
+        row = occ[n - 1]
+        row[b - 1] = user - 1
+        seats.append((user, len(columns), b - 1))
         if m is not None:
-            row = occ[n - 1]
-            co = row.tolist().index(nobody) + 1  # the lowest free co-channel BS
-            heard = power_map.q[row[row < nobody], n - 1, co - 1].sum()  # the PRB's users at co
-            row[co - 1] = m - 1
+            co = row.tolist().index(nobody)  # the lowest free co-channel BS
+            row[co] = m - 1
             unserved[m - 1] = False
-            at_sinr[m] = power_map.power(m, n, co) / float(heard + power_map.noise_w)
+            seats.append((m, len(columns), co))
+        prbs.append(n - 1)
+        columns.append(row.copy())
+    sinr = column_sinrs(power_map.q, power_map.noise_w, np.array(columns), np.array(prbs)).tolist()
+    at_sinr = {k: sinr[a][b] for k, a, b in seats}
     swaps = improver.improve(occ)
     num_bs = cfg.num_bs
     slot_of = {k: (s % num_bs + 1, s // num_bs + 1) for s, k in enumerate(occ.reshape(-1).tolist())}
     slots = {k: slot_of[k - 1] for k in at_sinr}
     final = sinr_of(Assignment(slots=slots), power_map)
-    return IterationTrace(
-        serve_order=order,
-        slots=slots,
-        at_assignment_sinr=at_sinr,
-        final_sinr=final,
-        pool_sizes=pool_sizes,
-        swaps=swaps,
-    )
+    return IterationTrace(order, slots, at_sinr, final, pool_sizes, swaps)
 
 
 def run_file(scenario, power_map, config, file_index=0):

@@ -167,10 +167,6 @@ class PowerMap:
     q: np.ndarray  # (num_users, prbs_per_bs, num_bs), watts
     noise_w: float
 
-    def power(self, user_id, prb, bs):
-        """Received power for 1-based (user, prb, bs)."""
-        return float(self.q[user_id - 1, prb - 1, bs - 1])
-
 
 def generate_scenario(config, op_ps=None):
     """A scenario plus its first power-map realization, deterministically."""

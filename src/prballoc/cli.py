@@ -74,10 +74,15 @@ def _read_scenario(path):
     return channel.scenario_from_json(read_text(path))
 
 
+def _check_kind(spec, kind):
+    if spec.kind != kind:
+        raise UsageError(f"the {kind} runner was given a spec of kind {spec.kind!r}")
+
+
 def _inputs(spec, scenario, power_maps):
     """The runner's scenario and power maps: those given, else the spec's scenario
     file (or the seed's baseline scenario) and its first `realizations` maps.
-    Given maps are checked, non-empty and each of the scenario's shape, before any output."""
+    Given maps are checked before any output: non-empty, of its shape, one per realization."""
     if scenario is None and spec.scenario_path:
         scenario = _read_scenario(spec.scenario_path)
     elif scenario is None:
@@ -90,6 +95,8 @@ def _inputs(spec, scenario, power_maps):
         raise UsageError("power_maps must be a non-empty list")
     for i, pm in enumerate(power_maps):
         channel.check_map_shape(scenario, pm, f"power map {i}")
+    if len(power_maps) != spec.realizations:
+        raise UsageError(f"{len(power_maps)} power_maps given for {spec.realizations} realizations")
     return scenario, power_maps
 
 
@@ -143,6 +150,7 @@ class BeforeAfterResult:
 def run_before_after(spec, scenario=None, power_maps=None):
     """Paired before/after prioritization runs on identical realizations: one
     pass with prioritization off, then one with it on."""
+    _check_kind(spec, "before_after")
     scenario, power_maps = _inputs(spec, scenario, power_maps)
     hashes = _write_scenario_dir(scenario, power_maps, spec.output_dir)
     result = BeforeAfterResult([], [], [], [], scenario.config.op_ids, scenario.config.user_ids)
@@ -175,6 +183,7 @@ def run_before_after(spec, scenario=None, power_maps=None):
 def run_alpha_sweep(spec, scenario=None, power_maps=None):
     """Exact after-prioritization solves per alpha: average SINR, healthy-user
     SD (None for fewer than two healthy users), and per-OP means, ordered by alpha."""
+    _check_kind(spec, "alpha_sweep")
     scenario, power_maps = _inputs(spec, scenario, power_maps)
     os.makedirs(spec.output_dir, exist_ok=True)
     cfg = scenario.config
@@ -206,6 +215,7 @@ def run_alpha_sweep(spec, scenario=None, power_maps=None):
 
 def run_scalability(spec):
     """Heuristic wall-clock per standard PRB count with all slots occupied."""
+    _check_kind(spec, "scalability")
     os.makedirs(spec.output_dir, exist_ok=True)
     rows = []
     for bandwidth_mhz, prbs in SCALABILITY_CASES:

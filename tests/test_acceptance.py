@@ -174,11 +174,11 @@ def test_criterion_4_linearization(capsys):
         # independent resolution of the balance-equation system given fixed X
         for k, (b, n) in assignment.slots.items():
             interference = sum(
-                pm.power(m, n, b)
+                float(pm.q[m - 1, n - 1, b - 1])
                 for m, (w, n2) in assignment.slots.items()
                 if m != k and n2 == n and w != b
             )
-            t_linearized = pm.power(k, n, b) / (interference + pm.noise_w)
+            t_linearized = float(pm.q[k - 1, n - 1, b - 1]) / (interference + pm.noise_w)
             worst = max(worst, abs(t_linearized - direct[k]) / direct[k])
         worst = max(worst, verify_linearization(assignment, pm))
         max_t = max(direct.values())

@@ -490,6 +490,26 @@ class TestRunnerRefusals:
                     kind="bogus", output_dir=str(out), alphas=alphas, realizations=1))
         assert not out.exists()
 
+    @pytest.mark.parametrize("runner, kind", [("run_before_after", "alpha_sweep"),
+                                              ("run_alpha_sweep", "scalability"),
+                                              ("run_scalability", "before_after")])
+    def test_a_spec_of_another_kind_is_refused(self, tmp_path, runner, kind):
+        out = tmp_path / "out"
+        spec = cli.ExperimentSpec(kind=kind, output_dir=str(out), realizations=1, iterations=1)
+        with pytest.raises(UsageError, match=kind):
+            getattr(cli, runner)(spec)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runner", ["run_before_after", "run_alpha_sweep"])
+    def test_given_maps_must_number_the_realizations(self, tmp_path, runner):
+        scenario, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3))
+        kind = "before_after" if runner == "run_before_after" else "alpha_sweep"
+        out = tmp_path / "out"
+        spec = cli.ExperimentSpec(kind=kind, output_dir=str(out), realizations=2, iterations=1)
+        with pytest.raises(UsageError, match="realizations"):
+            getattr(cli, runner)(spec, scenario, [pm])
+        assert not out.exists()
+
     @pytest.mark.parametrize("runner", ["run_before_after", "run_alpha_sweep"])
     def test_given_maps_checked_before_any_output(self, tmp_path, runner):
         scenario, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3))

@@ -368,7 +368,7 @@ class TestLinearization:
 
         def heard_at_own_bs(power_map, k, n, b):
             phis, x_coef = balance_row(power_map, k, n, b)
-            own = [(m, w, power_map.power(m, n, w) / power_map.noise_w) for m, w, _ in phis]
+            own = [(m, w, float(power_map.q[m - 1, n - 1, w - 1]) / power_map.noise_w) for m, w, _ in phis]
             return own, x_coef
 
         monkeypatch.setattr(lp_export, "balance_row", heard_at_own_bs)

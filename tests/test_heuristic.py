@@ -52,54 +52,54 @@ def occupancy(free, pm):
     return occ
 
 
-def draw(user_id, free, candidates, pm, seed=0):
+def draw(free, candidates, pm, seed=0):
     """best_sinr_pool with a fresh Generator; candidates as a list of ids."""
     return heur.best_sinr_pool(
-        user_id, occupancy(free, pm), np.array(candidates, dtype=int), pm,
-        np.random.default_rng(seed)
+        occupancy(free, pm), np.array(candidates, dtype=int), pm, np.random.default_rng(seed)
     )
 
 
 class TestPool:
+    """The drawn slot and interferer.  The SINRs they give are checked through
+    `run_iteration`'s at_assignment_sinr: against the scalar reference in
+    test_heuristic_reference.py and in test_at_assignment_sinrs_at_unit_powers."""
+
     def test_one_entry_per_free_slot(self):
         sc, pm = baseline()
         free = {(1, 1), (2, 1), (2, 3), (1, 5)}
-        drawn = {draw(1, free, range(2, 11), pm, seed)[0] for seed in range(100)}
+        drawn = {draw(free, range(2, 11), pm, seed)[0] for seed in range(100)}
         assert drawn == free
 
     def test_argmin_interferer(self):
         sc, pm = baseline()
         free = {(1, 1), (2, 1)}
         for seed in range(10):
-            (b, n), interferer, sinr = draw(1, free, [2, 3], pm, seed)
-            cands = {m: pm.power(m, n, b) for m in (2, 3)}
+            (b, n), interferer = draw(free, [2, 3], pm, seed)
+            cands = {m: float(pm.q[m - 1, n - 1, b - 1]) for m in (2, 3)}
             assert interferer == min(cands, key=cands.get)
-            assert sinr == pm.power(1, n, b) / (cands[interferer] + pm.noise_w)
 
     def test_ties_go_to_the_lowest_id(self):
         pm = channel.PowerMap(q=np.ones((4, 1, 2)), noise_w=1.0)
         for seed in range(10):
-            _, interferer, sinr = draw(4, {(1, 1), (2, 1)}, [1, 2, 3], pm, seed)
-            assert (interferer, sinr) == (1, 0.5)
+            _, interferer = draw({(1, 1), (2, 1)}, [1, 2, 3], pm, seed)
+            assert interferer == 1
 
     def test_no_candidates_is_interference_free(self):
         sc, pm = baseline()
         free = {(1, 1), (2, 1)}
         for seed in range(10):
-            (b, n), interferer, sinr = draw(8, free, [], pm, seed)
+            _, interferer = draw(free, [], pm, seed)
             assert interferer is None
-            assert sinr == pm.power(8, n, b) / pm.noise_w
 
     def test_no_free_slot_errors(self):
         sc, pm = baseline()
         with pytest.raises(InfeasibleError):
-            draw(1, set(), [2], pm)
+            draw(set(), [2], pm)
 
     def test_no_co_channel_free_slot_counts_its_holder(self):
         sc, pm = baseline()
-        (b, n), interferer, sinr = draw(1, {(1, 1), (2, 2)}, [2, 3], pm, 4)
+        _, interferer = draw({(1, 1), (2, 2)}, [2, 3], pm, 4)
         assert interferer is None
-        assert sinr == pm.power(1, n, b) / (pm.power(10, n, b) + pm.noise_w)
 
 
 class TestSemiGreedyPick:
@@ -107,9 +107,9 @@ class TestSemiGreedyPick:
 
     def test_singleton_and_determinism(self):
         sc, pm = baseline()
-        assert {draw(1, {(2, 3)}, [2], pm, seed)[0] for seed in range(10)} == {(2, 3)}
+        assert {draw({(2, 3)}, [2], pm, seed)[0] for seed in range(10)} == {(2, 3)}
         free = {(b, n) for b in (1, 2) for n in range(1, 6)}
-        assert draw(1, free, [2, 3], pm, 5) == draw(1, free, [2, 3], pm, 5)
+        assert draw(free, [2, 3], pm, 5) == draw(free, [2, 3], pm, 5)
 
     def test_uniformity(self):
         sc, pm = baseline()
@@ -119,7 +119,7 @@ class TestSemiGreedyPick:
         counts = [0, 0, 0, 0]
         n = 100_000
         for _ in range(n):
-            (_, prb), _, _ = heur.best_sinr_pool(1, occ, none, pm, rng)
+            (_, prb), _ = heur.best_sinr_pool(occ, none, pm, rng)
             counts[prb - 1] += 1
         for c in counts:
             assert abs(c / n - 0.25) < 0.01
@@ -127,8 +127,8 @@ class TestSemiGreedyPick:
     @pytest.mark.parametrize("num_bs", [2, 3])
     @pytest.mark.parametrize("with_candidates", [True, False], ids=["candidates", "alone"])
     def test_draw_is_the_reference_pool_entry(self, num_bs, with_candidates):
-        """The entry drawn equals the scalar reference pool's entry at the same
-        draw, and both Generators end in the same state."""
+        """The entry drawn is the scalar reference pool's slot and interferer at the
+        same draw, and both Generators end in the same state."""
         cfg = channel.ScenarioConfig(
             num_bs=num_bs, prbs_per_bs=4, num_users=4 * num_bs, num_normal=4 * num_bs - 2, seed=1
         )
@@ -142,11 +142,11 @@ class TestSemiGreedyPick:
             others = [m for m in cfg.user_ids if m != user] if with_candidates else []
             candidates = sorted(m for m in others if setup.random() < 0.5)
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = heur.best_sinr_pool(user, occ, np.array(candidates, dtype=int), pm, rng)
+            got = heur.best_sinr_pool(occ, np.array(candidates, dtype=int), pm, rng)
             held = {k + 1: (b + 1, n + 1)
                     for (n, b), k in np.ndenumerate(occ) if k < cfg.num_users}
             pool = reference_pool(user, held, candidates, pm, sc)
-            assert got == pool[int(twin.integers(len(pool)))]
+            assert got == pool[int(twin.integers(len(pool)))][:2]
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -212,6 +212,21 @@ class TestRunIteration:
         )
         assert best == pytest.approx(optimum.objective_value, rel=1e-12)
         assert optimum.objective_value == pytest.approx(64.356, abs=1e-3)
+
+    def test_at_assignment_sinrs_at_unit_powers(self):
+        """Unit powers and noise on 2 BSs x 2 PRBs: the first admitted user takes
+        the lowest-id other user as its interferer (a tie) and both read 1/2; the
+        last user, with no candidate left, is alone on the other PRB and reads 1."""
+        cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=2, num_users=3, num_normal=2)
+        sc = channel.Scenario(config=cfg)
+        pm = channel.PowerMap(q=np.ones((3, 2, 2)), noise_w=1.0)
+        for seed in range(10):
+            trace = heur.run_iteration(sc, pm, heur.HeuristicConfig(), np.random.default_rng(seed))
+            first = trace.serve_order[0]
+            partner, last = sorted(set(cfg.user_ids) - {first})
+            assert list(trace.at_assignment_sinr.items()) == [(first, 0.5), (partner, 0.5),
+                                                              (last, 1.0)]
+            assert trace.pool_sizes == [4, 2]
 
     def test_final_sinrs_match_recomputation(self):
         sc, pm = baseline()
@@ -407,16 +422,18 @@ class TestSwapImprovement:
 
 
 @pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
-@pytest.mark.parametrize("num_bs", [2, 3])
+@pytest.mark.parametrize("num_bs", [2, 3, 4])
 def test_at_assignment_sinr_is_the_sinr_right_after_the_admission(num_bs, prio):
     """Each recorded SINR is `sinr_of` of the construction right after the admission
-    that placed the user (the admitted user, then its interferer), bit for bit: at 3 BSs
-    a user hears at most two others, so no order of summation can move a bit."""
+    that placed the user (the admitted user, then its interferer), bit for bit."""
     if num_bs == 2:
         sc, _ = baseline()
-    else:
+    elif num_bs == 3:
         cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
         sc, _ = channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})
+    else:
+        cfg = channel.ScenarioConfig(num_bs=4, prbs_per_bs=3, num_users=10, num_normal=7, seed=2)
+        sc, _ = channel.generate_scenario(cfg, op_ps=REF_PS)
     num_slots = sc.config.num_bs * sc.config.prbs_per_bs
     config = heur.HeuristicConfig(prioritization=prio)
     for r in range(3):

@@ -51,9 +51,9 @@ def reference_pool(user_id, slots, unserved, power_map, scenario):
     entries = []
     num_bs = scenario.config.num_bs
     for b, n in sorted(free_slots):
-        own = power_map.power(user_id, n, b)
+        own = float(power_map.q[user_id - 1, n - 1, b - 1])
         # at most two terms at 3 BSs, so the order of the sum cannot move a bit
-        earlier = sum(power_map.power(k, n, b) for k, (_, p) in slots.items() if p == n)
+        earlier = sum(float(power_map.q[k - 1, n - 1, b - 1]) for k, (_, p) in slots.items() if p == n)
         co_channel_free = any(
             (w, n) in free_slots for w in range(1, num_bs + 1) if w != b
         )
@@ -89,9 +89,9 @@ def reference_iteration(scenario, power_map, config, rng, improver):
             m = interferer
             slots[m] = (co, n)
             free.discard((co, n))
-            heard = sum(power_map.power(k, n, co)
+            heard = sum(float(power_map.q[k - 1, n - 1, co - 1])
                         for k, (_, p) in slots.items() if p == n and k != m)
-            at_sinr[m] = power_map.power(m, n, co) / (heard + power_map.noise_w)
+            at_sinr[m] = float(power_map.q[m - 1, n - 1, co - 1]) / (heard + power_map.noise_w)
     assert len(slots) == cfg.num_users
     occ = occupants(slots, cfg)
     swaps = improver.improve(occ)

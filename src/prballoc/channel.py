@@ -178,15 +178,21 @@ def generate_power_map(scenario, realization=0):
     """One channel realization of the received-power map, in watts.
 
     A realization draws the user-to-BS distances (uniform per (user, BS) pair
-    over [distance_min_m, distance_max_m]), then the fading gains.
+    over [distance_min_m, distance_max_m]), then the fading gains.  A map that
+    numpy cannot allocate is an InfeasibleError.
     """
     cfg = scenario.config
     rng = np.random.default_rng(derive_seed(cfg.seed, 1, realization))
-    distances = rng.uniform(cfg.distance_min_m, cfg.distance_max_m,
-                            size=(cfg.num_users, cfg.num_bs))
-    # The Exp(1) gains are drawn into the array that becomes q and scaled in
-    # place, so a map costs one (K, N, B) array.
-    q = rng.exponential(1.0, size=(cfg.num_users, cfg.prbs_per_bs, cfg.num_bs))
+    shape = (cfg.num_users, cfg.prbs_per_bs, cfg.num_bs)
+    try:  # numpy refuses a size past intp with a ValueError
+        distances = rng.uniform(cfg.distance_min_m, cfg.distance_max_m,
+                                size=(cfg.num_users, cfg.num_bs))
+        # The Exp(1) gains are drawn into the array that becomes q and scaled in
+        # place, so a map costs one (K, N, B) array.
+        q = rng.exponential(1.0, size=shape)
+    except (MemoryError, ValueError) as exc:
+        raise InfeasibleError(f"a power map of (users, PRBs, BSs) {shape} does not fit"
+                              f" in memory: {exc}") from None
     q *= dbm_to_mw(cfg.tx_power_per_prb_dbm)
     q *= 10.0 ** (-path_loss_db(distances) / 10.0)[:, None, :]
     q /= 1000.0

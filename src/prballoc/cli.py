@@ -3,6 +3,7 @@ the before/after, alpha-sweep and scalability experiment suites."""
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -82,7 +83,7 @@ def _check_kind(spec, kind):
 def _inputs(spec, scenario, power_maps):
     """The runner's scenario and power maps: those given, else the spec's scenario
     file (or the seed's baseline scenario) and its first `realizations` maps.
-    Given maps are checked before any output: non-empty, of its shape, one per realization."""
+    Given maps are checked before any output: of its shape, one per realization."""
     if scenario is None and spec.scenario_path:
         scenario = _read_scenario(spec.scenario_path)
     elif scenario is None:
@@ -91,8 +92,6 @@ def _inputs(spec, scenario, power_maps):
     if power_maps is None:
         return scenario, [channel.generate_power_map(scenario, realization=i)
                           for i in range(spec.realizations)]
-    if not power_maps:
-        raise UsageError("power_maps must be a non-empty list")
     for i, pm in enumerate(power_maps):
         channel.check_map_shape(scenario, pm, f"power map {i}")
     if len(power_maps) != spec.realizations:
@@ -114,17 +113,24 @@ def _write_scenario_dir(scenario, power_maps, outdir):
     return hashes
 
 
-def _echo_config(spec, outdir, extra=None):
+def _echo_config(spec, extra=None):
     payload = {k: getattr(spec, k) for k in spec.__dataclass_fields__}
     if extra:
         payload.update(extra)
-    write_text_atomic(
-        os.path.join(outdir, "config_echo.json"), json.dumps(payload, indent=2, sort_keys=True)
-    )
+    path = os.path.join(spec.output_dir, "config_echo.json")
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _mean(values):
     return metrics.left_sum(values) / len(values)
+
+
+def _gain_pct(before, after, users=None):
+    """improvement_pct of the mean over realizations of each realization's mean SINR
+    over `users`, or over every user in the order the realization's dict holds them."""
+    def level(runs):
+        return _mean([_mean([r[k] for k in users or r]) for r in runs])
+    return metrics.improvement_pct(level(before), level(after))
 
 
 @dataclass
@@ -133,18 +139,7 @@ class BeforeAfterResult:
     exact_after: list
     heuristic_before: list  # per realization: dict user -> mean SINR
     heuristic_after: list
-    op_ids: tuple
-    user_ids: tuple
-
-    def op_improvement_pct(self, before, after):
-        b = _mean([_mean([r[k] for k in self.op_ids]) for r in before])
-        a = _mean([_mean([r[k] for k in self.op_ids]) for r in after])
-        return metrics.improvement_pct(b, a)
-
-    def system_change_pct(self, before, after):
-        b = _mean([_mean(list(r.values())) for r in before])
-        a = _mean([_mean(list(r.values())) for r in after])
-        return metrics.improvement_pct(b, a)
+    summary: dict  # summary.csv: metric -> value, in row order
 
 
 def run_before_after(spec, scenario=None, power_maps=None):
@@ -153,7 +148,8 @@ def run_before_after(spec, scenario=None, power_maps=None):
     _check_kind(spec, "before_after")
     scenario, power_maps = _inputs(spec, scenario, power_maps)
     hashes = _write_scenario_dir(scenario, power_maps, spec.output_dir)
-    result = BeforeAfterResult([], [], [], [], scenario.config.op_ids, scenario.config.user_ids)
+    cfg = scenario.config
+    result = BeforeAfterResult([], [], [], [], {})
     for prioritization, tag, exact_runs, heuristic_means in (
         (False, "before", result.exact_before, result.heuristic_before),
         (True, "after", result.exact_after, result.heuristic_after),
@@ -162,21 +158,20 @@ def run_before_after(spec, scenario=None, power_maps=None):
         exact_runs.extend(exact.solve_exact(scenario, pm, solver)[1].sinr for pm in power_maps)
         rows = [
             (f"user_{k}", "exact", metrics.summarize([r[k] for r in exact_runs]))
-            for k in result.user_ids
+            for k in cfg.user_ids
         ]
         metrics.write_summary_csv(rows, os.path.join(spec.output_dir, f"exact_{tag}.csv"))
         heuristic = _config(heur.HeuristicConfig, spec, prioritization=prioritization)
         report = heur.run_heuristic(scenario, power_maps, heuristic)
         heuristic_means.extend(report.per_file_means)
         heur.write_heuristic_csv(report, os.path.join(spec.output_dir, f"heuristic_{tag}.csv"))
-    summary = [
-        ["op_improvement_exact_pct", result.op_improvement_pct(result.exact_before, result.exact_after)],
-        ["op_improvement_heuristic_pct", result.op_improvement_pct(result.heuristic_before, result.heuristic_after)],
-        ["system_change_exact_pct", result.system_change_pct(result.exact_before, result.exact_after)],
-        ["system_change_heuristic_pct", result.system_change_pct(result.heuristic_before, result.heuristic_after)],
-    ]
-    write_csv(os.path.join(spec.output_dir, "summary.csv"), ["metric", "value"], summary)
-    _echo_config(spec, spec.output_dir, extra={"realization_sha256": hashes})
+    for gain, users in (("op_improvement", cfg.op_ids), ("system_change", None)):
+        for method, runs in (("exact", (result.exact_before, result.exact_after)),
+                             ("heuristic", (result.heuristic_before, result.heuristic_after))):
+            result.summary[f"{gain}_{method}_pct"] = _gain_pct(*runs, users)
+    write_csv(os.path.join(spec.output_dir, "summary.csv"), ["metric", "value"],
+              result.summary.items())
+    _echo_config(spec, extra={"realization_sha256": hashes})
     return result
 
 
@@ -209,7 +204,7 @@ def run_alpha_sweep(spec, scenario=None, power_maps=None):
             for row in table
         ),
     )
-    _echo_config(spec, spec.output_dir)
+    _echo_config(spec)
     return table
 
 
@@ -236,7 +231,7 @@ def run_scalability(spec):
         ["bandwidth_mhz", "prbs", "users", "seconds"],
         rows,
     )
-    _echo_config(spec, spec.output_dir)
+    _echo_config(spec)
     return rows
 
 
@@ -279,6 +274,7 @@ def _cmd_generate(args):
     op_ps = {k: ps for k, ps in REFERENCE_OP_PS.items() if args.reference_ps and k in config.op_ids}
     scenario = channel.Scenario(config=config, op_ps=op_ps)
     maps = (channel.generate_power_map(scenario, realization=i) for i in range(args.realizations))
+    maps = itertools.chain([next(maps)], maps)  # map 0 is drawn before any output exists
     _write_scenario_dir(scenario, maps, args.output)
     print(f"wrote scenario and {args.realizations} power maps to {args.output}")
 
@@ -338,10 +334,7 @@ def _cmd_validate_solution(args):
 
 def _cmd_before_after(args):
     result = run_before_after(_config(ExperimentSpec, args, kind="before_after"))
-    print(
-        "OP improvement (exact) "
-        f"{result.op_improvement_pct(result.exact_before, result.exact_after):.2f}%"
-    )
+    print(f"OP improvement (exact) {result.summary['op_improvement_exact_pct']:.2f}%")
 
 
 def _cmd_sweep_alpha(args):
@@ -466,6 +459,9 @@ def main(argv=None):
         return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("infeasible: the instance does not fit in memory", file=sys.stderr)
         return 3
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

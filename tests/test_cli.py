@@ -238,6 +238,55 @@ def _with_states(scenario_dir):
     return scenario_path
 
 
+class TestTooLargeToAllocate:
+    """An instance whose arrays cannot be allocated ends in exit 3, with no traceback, and
+    leaves no output.  Each request is 1 PiB or more, past any address space, so it is
+    refused before a page is touched."""
+
+    BIG = ["--users", "1000000", "--normal", "999997"]
+
+    @pytest.mark.parametrize("prbs, reason", [
+        ("500000000", "Unable to allocate 7.11 PiB"),  # numpy's MemoryError
+        ("1000000000000000000", "array is too big"),  # a size past intp: numpy's ValueError
+    ])
+    def test_generate_writes_nothing(self, tmp_path, capsys, prbs, reason):
+        out = tmp_path / "big"
+        assert run(["generate", "--output", str(out), *self.BIG, "--prbs", prbs]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"infeasible: a power map of (users, PRBs, BSs)"
+                              f" (1000000, {prbs}, 2)")
+        assert reason in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_before_after_on_a_scenario_file(self, tmp_path, capsys):
+        config = channel.ScenarioConfig(num_users=10**6, num_normal=10**6 - 3,
+                                        prbs_per_bs=5 * 10**8)
+        scenario = tmp_path / "big.json"
+        scenario.write_text(channel.scenario_to_json(channel.Scenario(config)))
+        out = tmp_path / "ba"
+        assert run(["before-after", "--scenario", str(scenario), "--output", str(out),
+                    "--realizations", "1", "--iterations", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: a power map of (users, PRBs, BSs)"
+                              " (1000000, 500000000, 2)")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["big.json"]
+
+    def test_risk_on_a_scenario_of_1e15_outpatients(self, tmp_path, capsys):
+        config = channel.ScenarioConfig(num_users=10**15, num_normal=0, prbs_per_bs=5 * 10**14)
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(channel.scenario_to_json(channel.Scenario(config)))
+        records = tmp_path / "records.csv"
+        records.write_text(",".join(medrecords.RECORD_COLUMNS) + "\n"
+                           "p1,1,Normal,Normal,High,Heavy,1\n")
+        out = tmp_path / "scored.json"
+        assert run(["risk", "--records", str(records), "--scenario", str(scenario),
+                    "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "infeasible: the instance does not fit in memory\n"
+        assert sorted(os.listdir(tmp_path)) == ["huge.json", "records.csv"]
+
+
 class TestIngestAndRisk:
     def test_pipeline(self, tmp_path, scenario_dir):
         records = _ingest(tmp_path, 3)
@@ -310,7 +359,8 @@ class TestExperiments:
         )
         result = cli.run_before_after(spec)
         assert len(result.exact_before) == 3
-        assert (out / "summary.csv").exists()
+        assert (out / "summary.csv").read_text().splitlines()[1:] == [
+            f"{metric},{value!r}" for metric, value in result.summary.items()]
         assert (out / "scenario.json").exists()
         echo = json.loads((out / "config_echo.json").read_text())
         assert len(echo["realization_sha256"]) == 3
@@ -563,6 +613,45 @@ class TestBeforeAfterGolden:
                 assert {str(k) for k in got_run} == set(want_run)
                 for k, value in got_run.items():
                     assert value == pytest.approx(want_run[str(k)], rel=1e-9), (name, k)
+
+    def test_summary_is_recomputed_from_the_runs(self, tmp_path, capsys):
+        """Each summary.csv cell, and the printed OP line, equals the gain recomputed with
+        plain left-to-right loops: the mean over realizations of each realization's mean
+        SINR over the outpatients, or over every user in the run's order."""
+        def level(runs, users):
+            total = 0.0
+            for r in runs:
+                keys = list(r) if users is None else users
+                user_sum = 0.0
+                for k in keys:
+                    user_sum += r[k]
+                total += user_sum / len(keys)
+            return total / len(runs)
+
+        def gain(before, after, users=None):
+            b, a = level(before, users), level(after, users)
+            return 100.0 * (a - b) / b
+
+        spec = cli.ExperimentSpec(kind="before_after", output_dir=str(tmp_path / "runner"),
+                                  realizations=3, iterations=20, seed=3)
+        result = cli.run_before_after(spec)
+        ops = (8, 9, 10)  # the baseline's outpatients, users num_normal + 1 to num_users
+        want = {
+            "op_improvement_exact_pct": gain(result.exact_before, result.exact_after, ops),
+            "op_improvement_heuristic_pct": gain(result.heuristic_before, result.heuristic_after,
+                                                 ops),
+            "system_change_exact_pct": gain(result.exact_before, result.exact_after),
+            "system_change_heuristic_pct": gain(result.heuristic_before, result.heuristic_after),
+        }
+        lines = (tmp_path / "runner" / "summary.csv").read_text().splitlines()
+        assert lines == ["metric,value"] + [f"{k},{v!r}" for k, v in want.items()]
+        capsys.readouterr()
+        assert run(["before-after", "--output", str(tmp_path / "cli"), "--realizations", "3",
+                    "--iterations", "20", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            f"OP improvement (exact) {want['op_improvement_exact_pct']:.2f}%\n")
+        summary = (tmp_path / "cli" / "summary.csv").read_bytes()
+        assert summary == (tmp_path / "runner" / "summary.csv").read_bytes()
 
 
 class TestThreeCellGolden:

@@ -16,7 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DataError, InfeasibleError, UsageError, check_field_types
-from .fileio import open_csv, write_csv
+from .fileio import read_csv, write_csv
 from .medrecords import FEATURES, shared_levels
 
 POWER_MAP_COLUMNS = ["user", "prb", "bs", "power_watts"]
@@ -250,36 +250,39 @@ def write_power_map_csv(power_map, path):
 
 
 def read_power_map_csv(path, noise_w):
-    with open_csv(path) as (header, reader):
+    def start(header):
         if header != POWER_MAP_COLUMNS:
-            raise DataError(f"{path}: bad power map header")
-        entries = []
-        for row in reader:
-            try:
-                u, n, b, p = row
-                entry = (int(u), int(n), int(b), float(p))
-                ok = min(entry[:3]) >= 1 and 0.0 <= entry[3] < math.inf
-            except ValueError:
-                ok = False
-            if not ok:
-                raise DataError(
-                    f"{path}: line {reader.line_num}: want user, prb, bs >= 1 and a finite"
-                    f" power >= 0, got {row}"
-                )
-            entries.append(entry)
-    if not entries:
+            raise ValueError("bad power map header")
+        return row
+
+    def row(cells):
+        u, n, b, p = cells
+        try:
+            triple, power = (int(u), int(n), int(b)), float(p)
+            ok = min(triple) >= 1 and 0.0 <= power < math.inf
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"want user, prb, bs >= 1 and a finite power >= 0, got {cells}")
+        return triple, power
+
+    powers = {}  # (user, prb, bs) -> power
+    rows = 0
+    for triple, power in read_csv(path, start):
+        powers[triple] = power
+        rows += 1
+    if not rows:
         raise DataError(f"{path}: empty power map")
-    K = max(e[0] for e in entries)
-    N = max(e[1] for e in entries)
-    B = max(e[2] for e in entries)
-    # Checked before allocating, so that large ids cannot size a huge array.
-    if K * N * B > len(entries):
+    K = max(t[0] for t in powers)
+    N = max(t[1] for t in powers)
+    B = max(t[2] for t in powers)
+    # Every triple lies in the (K, N, B) box, so the distinct ones fill it only when none is
+    # missing.  Checked before allocating, so that large ids cannot size a huge array.
+    if len(powers) < K * N * B:
         raise DataError(f"{path}: missing (user, prb, bs) triples")
-    q = np.full((K, N, B), np.nan)
-    for u, n, b, p in entries:
+    if rows > len(powers):
+        raise DataError(f"{path}: {rows - len(powers)} repeated (user, prb, bs) row(s)")
+    q = np.empty((K, N, B))
+    for (u, n, b), p in powers.items():
         q[u - 1, n - 1, b - 1] = p
-    if np.isnan(q).any():
-        raise DataError(f"{path}: missing (user, prb, bs) triples")
-    if len(entries) > q.size:
-        raise DataError(f"{path}: {len(entries) - q.size} repeated (user, prb, bs) row(s)")
     return PowerMap(q=q, noise_w=noise_w)

@@ -16,7 +16,7 @@ import numpy as np
 from . import allocator_exact as exact
 from . import allocator_heuristic as heur
 from . import channel, lp_export, medrecords, metrics, risk
-from .errors import DataError, InfeasibleError, PrballocError, UsageError, check_field_types
+from .errors import DataError, InfeasibleError, UsageError, check_field_types
 from .fileio import atomic_open, read_text, write_csv, write_text_atomic
 
 DEFAULT_ALPHAS = (50.0, 100.0, 150.0, 250.0, 500.0)
@@ -253,16 +253,16 @@ def _cmd_risk(args):
     The i-th outpatient is scored from the i-th record id in string order."""
     records = {r.patient_id: r for r in medrecords.read_records_csv(args.records)}
     scenario = _read_scenario(args.scenario)
-    ordered_patients = sorted(records)
+    cfg = scenario.config
+    if len(records) < cfg.num_users - cfg.num_normal:  # O(1): before op_ids is built
+        raise DataError("fewer patient records than outpatients")
     posteriors = {}
-    for rank, uid in enumerate(scenario.config.op_ids):
+    for uid, patient_id in zip(cfg.op_ids, sorted(records)):
         if uid not in scenario.current_states:
             raise DataError(f"no current state for outpatient {uid}")
         state = risk.CurrentState(**scenario.current_states[uid])
-        if rank >= len(ordered_patients):
-            raise DataError("fewer patient records than outpatients")
-        record = records[ordered_patients[rank]]
-        posteriors[uid] = risk.posterior_stroke(record, state, smoothing=args.smoothing)
+        posteriors[uid] = risk.posterior_stroke(records[patient_id], state,
+                                                smoothing=args.smoothing)
     scored = replace(scenario, op_ps=posteriors)
     write_text_atomic(args.output, channel.scenario_to_json(scored))
     print(f"wrote the posteriors of {len(posteriors)} outpatients to {args.output}")
@@ -466,9 +466,6 @@ def main(argv=None):
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
-    except PrballocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -64,12 +64,12 @@ def read_text(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def open_csv(path):
-    """Yield (header, reader) for a CSV input; the header is None for an empty file.
+def read_csv(path, start):
+    """Yield row(cells) for each non-blank row of a CSV input, where row = start(header).
 
-    A file that cannot be opened or decoded as UTF-8, or that the csv module
-    rejects, raises DataError.
+    Cells come stripped, and start gets None for an empty file.  A row whose cell count
+    differs from the header's, a ValueError from start or row, or a file that cannot be
+    opened, decoded as UTF-8 or parsed raises DataError; a row's error names its first line.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -77,7 +77,20 @@ def open_csv(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
+        line = None  # the file line the current row starts on; None at the header
         try:
-            yield next(reader, None), reader
-        except (UnicodeDecodeError, csv.Error) as exc:
+            header = next(reader, None)
+            row = start(None if header is None else [cell.strip() for cell in header])
+            line = reader.line_num + 1
+            for cells in reader:
+                cells = [cell.strip() for cell in cells]
+                if any(cells):
+                    if len(cells) != len(header):
+                        raise ValueError(f"expected {len(header)} cells, found {len(cells)}")
+                    yield row(cells)
+                line = reader.line_num + 1
+        except (UnicodeDecodeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise DataError(f"cannot read {path}: {exc}") from None
+        except ValueError as exc:
+            where = "" if line is None else f"line {line}: "
+            raise DataError(f"{path}: {where}{exc}") from None

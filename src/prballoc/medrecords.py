@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import DataError, UsageError
-from .fileio import open_csv, write_csv
+from .fileio import read_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -94,16 +94,13 @@ def shared_levels(tokens):
         raise
 
 
-def _parse_cell(text, line_no, column, cast):
-    text = text.strip()
+def _parse_cell(text, column, cast):
     if text == "":
         return None
     try:
         return cast(text)
     except ValueError:
-        raise DataError(
-            f"line {line_no}: non-numeric value {text!r} in column {column!r}"
-        ) from None
+        raise ValueError(f"non-numeric value {text!r} in column {column!r}") from None
 
 
 def _whole(text):
@@ -116,32 +113,27 @@ def _whole(text):
 
 def load_raw_records(path):
     """Read the raw CSV (one row per patient-day); empty cells stay missing."""
-    with open_csv(path) as (header, reader):
+    def start(header):  # the header names CSV_COLUMNS, in any order, among other columns
         if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
+            raise ValueError("empty file")
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
-            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
         idx = {c: header.index(c) for c in CSV_COLUMNS}
-        rows = []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells or all(c.strip() == "" for c in cells):
-                continue
-            if len(cells) < len(header):
-                raise DataError(f"line {line_no}: expected {len(header)} cells")
-            rows.append(
-                RawRecordRow(
-                    patient_id=sys.intern(cells[idx["patient_id"]].strip()),
-                    day=_parse_cell(cells[idx["day"]], line_no, "day", _whole),
-                    sysbp=_parse_cell(cells[idx["sysbp"]], line_no, "sysbp", float),
-                    diabp=_parse_cell(cells[idx["diabp"]], line_no, "diabp", float),
-                    totchol=_parse_cell(cells[idx["totchol"]], line_no, "totchol", float),
-                    cigpday=_parse_cell(cells[idx["cigpday"]], line_no, "cigpday", float),
-                    stroke=_parse_cell(cells[idx["stroke"]], line_no, "stroke", _whole),
-                )
+
+        def row(cells):
+            return RawRecordRow(
+                patient_id=sys.intern(cells[idx["patient_id"]]),
+                day=_parse_cell(cells[idx["day"]], "day", _whole),
+                sysbp=_parse_cell(cells[idx["sysbp"]], "sysbp", float),
+                diabp=_parse_cell(cells[idx["diabp"]], "diabp", float),
+                totchol=_parse_cell(cells[idx["totchol"]], "totchol", float),
+                cigpday=_parse_cell(cells[idx["cigpday"]], "cigpday", float),
+                stroke=_parse_cell(cells[idx["stroke"]], "stroke", _whole),
             )
-    return rows
+        return row
+
+    return list(read_csv(path, start))
 
 
 def _is_complete(row):
@@ -230,32 +222,27 @@ def write_records_csv(records, path):
 
 def read_records_csv(path):
     """Read discretized records written by write_records_csv."""
-    with open_csv(path) as (header, reader):
-        if header is None or [h.strip() for h in header] != RECORD_COLUMNS:
-            raise DataError(f"{path}: expected header {','.join(RECORD_COLUMNS)}")
-        by_patient = {}
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(RECORD_COLUMNS):
-                raise DataError(
-                    f"line {line_no}: expected {len(RECORD_COLUMNS)} cells, found {len(cells)}"
-                )
-            pid, day, f1, f2, f3, f4, stroke = [c.strip() for c in cells]
-            if not pid:
-                raise DataError(f"line {line_no}: empty patient_id")
-            try:
-                entry = DayEntry(
-                    day=int(day),
-                    levels=shared_levels((f1, f2, f3, f4)),
-                    stroke=stroke == "1",
-                )
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: {exc}") from None
-            if entry.day < 1 or stroke not in ("0", "1"):
-                raise DataError(f"line {line_no}: want a day >= 1 and a stroke of 0 or 1,"
-                                f" got {day!r} and {stroke!r}")
-            by_patient.setdefault(sys.intern(pid), []).append(entry)
+    def start(header):
+        if header != RECORD_COLUMNS:
+            raise ValueError(f"expected header {','.join(RECORD_COLUMNS)}")
+        return row
+
+    def row(cells):
+        pid, day, f1, f2, f3, f4, stroke = cells
+        if not pid:
+            raise ValueError("empty patient_id")
+        entry = DayEntry(
+            day=int(day),
+            levels=shared_levels((f1, f2, f3, f4)),
+            stroke=stroke == "1",
+        )
+        if entry.day < 1 or stroke not in ("0", "1"):
+            raise ValueError(f"want a day >= 1 and a stroke of 0 or 1, got {day!r} and {stroke!r}")
+        return sys.intern(pid), entry
+
+    by_patient = {}
+    for pid, entry in read_csv(path, start):
+        by_patient.setdefault(pid, []).append(entry)
     records = []
     for pid, entries in by_patient.items():
         entries.sort(key=lambda e: e.day)
@@ -264,4 +251,3 @@ def read_records_csv(path):
                 raise DataError(f"{path}: patient {pid!r} repeats day {a.day}")
         records.append(MedicalRecord(patient_id=pid, days=entries))
     return records
-

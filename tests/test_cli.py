@@ -86,6 +86,44 @@ class TestWriteTextAtomic:
         assert os.listdir(tmp_path) == ["out.csv"]
 
 
+# Each CSV reader: (read, header, a good row, a bad row).  The reads compare with ==.
+CSV_READERS = {
+    "raw-records": (medrecords.load_raw_records, medrecords.CSV_COLUMNS,
+                    "p1,1,120,80,200,0,0", "p1,2,abc,80,200,0,0"),
+    "records": (medrecords.read_records_csv, medrecords.RECORD_COLUMNS,
+                "p1,1,Normal,Normal,High,Heavy,1", "p1,x,Normal,Normal,High,Heavy,1"),
+    "power-map": (lambda path: channel.read_power_map_csv(path, 1e-13).q.tolist(),
+                  channel.POWER_MAP_COLUMNS, "1,1,1,0.5", "1,1,2,-1"),
+}
+
+
+class TestReadCsv:
+    """`fileio.read_csv`'s row rules hold for every reader: a row error names the file and
+    the line its row starts on, a blank row is skipped, and a row's cells number the header's."""
+
+    @pytest.mark.parametrize("case", ["two-line-cell", "blank-row", "extra-cell"])
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    def test_row_rules(self, tmp_path, reader, case):
+        read, columns, good, bad = CSV_READERS[reader]
+        first, rest = good.split(",", 1)
+        body, error = {
+            # the good row's first cell, quoted, ends in a newline: file lines 2-3
+            "two-line-cell": (f'"{first}\n",{rest}\n{bad}\n', "line 4: "),
+            "blank-row": (f"\n{good}\n ,  \n", None),
+            "extra-cell": (f"{good},9\n", f"line 2: expected {len(columns)} cells, found"),
+        }[case]
+        path = tmp_path / "in.csv"
+        path.write_text(",".join(columns) + "\n" + body)
+        if error is None:
+            clean = tmp_path / "clean.csv"
+            clean.write_text(",".join(columns) + "\n" + good + "\n")
+            assert read(str(path)) == read(str(clean))
+        else:
+            with pytest.raises(DataError) as exc:
+                read(str(path))
+            assert str(exc.value).startswith(f"{path}: {error}")
+
+
 class TestGenerate:
     def test_writes_scenario_and_maps(self, scenario_dir):
         assert (scenario_dir / "scenario.json").exists()
@@ -241,7 +279,8 @@ def _with_states(scenario_dir):
 class TestTooLargeToAllocate:
     """An instance whose arrays cannot be allocated ends in exit 3, with no traceback, and
     leaves no output.  Each request is 1 PiB or more, past any address space, so it is
-    refused before a page is touched."""
+    refused before a page is touched.  `risk` refuses too few records before it sizes
+    anything (exit 4)."""
 
     BIG = ["--users", "1000000", "--normal", "999997"]
 
@@ -273,6 +312,8 @@ class TestTooLargeToAllocate:
         assert os.listdir(tmp_path) == ["big.json"]
 
     def test_risk_on_a_scenario_of_1e15_outpatients(self, tmp_path, capsys):
+        """One record for 10^15 outpatients is refused from the two counts, before any
+        per-outpatient tuple is built."""
         config = channel.ScenarioConfig(num_users=10**15, num_normal=0, prbs_per_bs=5 * 10**14)
         scenario = tmp_path / "huge.json"
         scenario.write_text(channel.scenario_to_json(channel.Scenario(config)))
@@ -281,10 +322,22 @@ class TestTooLargeToAllocate:
                            "p1,1,Normal,Normal,High,Heavy,1\n")
         out = tmp_path / "scored.json"
         assert run(["risk", "--records", str(records), "--scenario", str(scenario),
-                    "--output", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err == "infeasible: the instance does not fit in memory\n"
+                    "--output", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "data error: fewer patient records than outpatients\n"
+        assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["huge.json", "records.csv"]
+
+    def test_a_memory_error_ends_in_exit_3(self, tmp_path, capsys, monkeypatch):
+        def refuse(path):
+            raise MemoryError
+
+        monkeypatch.setattr(medrecords, "load_raw_records", refuse)
+        out = tmp_path / "records.csv"
+        assert run(["ingest", "--input", str(tmp_path / "raw.csv"), "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "infeasible: the instance does not fit in memory\n"
+        assert captured.out == "" and os.listdir(tmp_path) == []
 
 
 class TestIngestAndRisk:

@@ -16,7 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DataError, InfeasibleError, UsageError, check_field_types
-from .fileio import read_csv, write_csv
+from .fileio import parse_id, read_csv, write_csv
 from .medrecords import FEATURES, shared_levels
 
 POWER_MAP_COLUMNS = ["user", "prb", "bs", "power_watts"]
@@ -217,10 +217,13 @@ def scenario_from_json(text):
         return dict(pairs)
 
     def by_user(key):  # the object under `key` by user id, each written exactly as the id
-        aliases = [k for k in payload.get(key, {}) if str(int(k)) != k]  # "08", " 8", "1_0"
-        if aliases:
-            raise ValueError(f"{key} names user {aliases[0]!r}, which is not written as its id")
-        return {int(k): v for k, v in payload.get(key, {}).items()}
+        users = {}
+        for k, v in payload.get(key, {}).items():
+            try:
+                users[parse_id(k)] = v
+            except ValueError:
+                raise ValueError(f"{key} names user {k!r}, which is not written as its id") from None
+        return users
 
     try:  # JSON syntax, keys and the writer's decimal-string posteriors; Scenario checks the rest
         payload = json.loads(text, object_pairs_hook=unique_keys)
@@ -258,30 +261,25 @@ def read_power_map_csv(path, noise_w):
     def row(cells):
         u, n, b, p = cells
         try:
-            triple, power = (int(u), int(n), int(b)), float(p)
+            triple, power = (parse_id(u), parse_id(n), parse_id(b)), float(p)
             ok = min(triple) >= 1 and 0.0 <= power < math.inf
         except ValueError:
             ok = False
         if not ok:
-            raise ValueError(f"want user, prb, bs >= 1 and a finite power >= 0, got {cells}")
+            raise ValueError(f"want canonical user, prb, bs >= 1 and finite power >= 0, got {cells}")
         return triple, power
 
-    powers = {}  # (user, prb, bs) -> power
-    rows = 0
-    for triple, power in read_csv(path, start):
-        powers[triple] = power
-        rows += 1
+    rows = list(read_csv(path, start))  # ((user, prb, bs), power)
     if not rows:
         raise DataError(f"{path}: empty power map")
-    K = max(t[0] for t in powers)
-    N = max(t[1] for t in powers)
-    B = max(t[2] for t in powers)
+    powers = dict(rows)
+    K, N, B = map(max, zip(*powers))
     # Every triple lies in the (K, N, B) box, so the distinct ones fill it only when none is
     # missing.  Checked before allocating, so that large ids cannot size a huge array.
     if len(powers) < K * N * B:
         raise DataError(f"{path}: missing (user, prb, bs) triples")
-    if rows > len(powers):
-        raise DataError(f"{path}: {rows - len(powers)} repeated (user, prb, bs) row(s)")
+    if len(rows) > len(powers):
+        raise DataError(f"{path}: {len(rows) - len(powers)} repeated (user, prb, bs) row(s)")
     q = np.empty((K, N, B))
     for (u, n, b), p in powers.items():
         q[u - 1, n - 1, b - 1] = p

@@ -1,8 +1,8 @@
-"""The package's file boundary: every output is written atomically, every
-input is opened and checked here.
+"""The package's file boundary: every output is written atomically; every input is
+opened, decoded and checked here, and every id in it is read by one rule.
 
-Files are UTF-8.  CSVs use the csv module's default (excel) dialect, so rows
-end in "\\r\\n"; text is written with exactly the line ends it holds.
+Files are UTF-8, an input's byte-order mark optional.  CSVs use the csv module's
+default (excel) dialect, so rows end in "\\r\\n"; text keeps its own line ends.
 """
 
 import contextlib
@@ -54,28 +54,40 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def read_text(path):
-    """The whole text of an input file; one that cannot be read or decoded as
-    UTF-8 raises DataError."""
+@contextlib.contextmanager
+def open_input(path, newline=None):
+    """A text handle on the input at `path`, UTF-8 with or without a byte-order mark; a file
+    that cannot be opened, read, decoded or parsed as CSV raises DataError("cannot read …")."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path):
+    """The whole text of an input file."""
+    with open_input(path) as fh:
+        return fh.read()
+
+
+def parse_id(text):
+    """The int that `text` writes in canonical decimal, str(int(text)) == text; any other
+    spelling of it ("01", "+1", "1_0", " 1"), like text int refuses, raises ValueError."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not written as {value}")
+    return value
 
 
 def read_csv(path, start):
     """Yield row(cells) for each non-blank row of a CSV input, where row = start(header).
 
     Cells come stripped, and start gets None for an empty file.  A row whose cell count
-    differs from the header's, a ValueError from start or row, or a file that cannot be
-    opened, decoded as UTF-8 or parsed raises DataError; a row's error names its first line.
+    differs from the header's, a ValueError from start or row, or a file that open_input
+    cannot read raises DataError; a row's error names its first line.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         line = None  # the file line the current row starts on; None at the header
         try:
@@ -89,8 +101,8 @@ def read_csv(path, start):
                         raise ValueError(f"expected {len(header)} cells, found {len(cells)}")
                     yield row(cells)
                 line = reader.line_num + 1
-        except (UnicodeDecodeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
-            raise DataError(f"cannot read {path}: {exc}") from None
+        except UnicodeDecodeError:  # a ValueError, but open_input's to report
+            raise
         except ValueError as exc:
             where = "" if line is None else f"line {line}: "
             raise DataError(f"{path}: {where}{exc}") from None

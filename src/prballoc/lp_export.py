@@ -24,6 +24,7 @@ from .allocator_exact import (
 )
 from .channel import check_map_shape, dbm_to_mw
 from .errors import DataError, UsageError
+from .fileio import parse_id
 
 FRACTIONAL_TOL = 1e-6
 PARITY_TOL = 1e-9
@@ -177,13 +178,6 @@ class ParityReport:
     is_optimal: bool
 
 
-def _value(text, line_no):
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"solution line {line_no}: bad value {text!r}") from None
-
-
 def parse_solution_text(text):
     """The reported objective (None if absent) and each variable's value.
     A malformed line, or a variable or the objective given twice, raises DataError."""
@@ -205,7 +199,10 @@ def parse_solution_text(text):
         if name in lines:
             raise DataError(f"solution lines {lines[name]} and {line_no} both give {name}")
         lines[name] = line_no
-        values[name] = _value(parts[1], line_no)
+        try:
+            values[name] = float(parts[1])
+        except ValueError:
+            raise DataError(f"solution line {line_no}: bad value {parts[1]!r}") from None
     return values.pop("# objective", None), values
 
 
@@ -218,9 +215,7 @@ def validate_external_solution(text, scenario, power_map, config):
         if not name.startswith("X_"):
             continue
         try:  # written exactly as its ids, so no two names give one variable
-            k, n, b = (int(i) for i in name[2:].split("_"))
-            if name != f"X_{k}_{n}_{b}":
-                raise ValueError
+            k, n, b = (parse_id(i) for i in name[2:].split("_"))
         except ValueError:
             raise DataError(f"malformed variable name {name!r}, want X_<user>_<prb>_<bs>") from None
         if not (1 <= k <= cfg.num_users and 1 <= n <= cfg.prbs_per_bs and 1 <= b <= cfg.num_bs):

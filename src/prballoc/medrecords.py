@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import DataError, UsageError
-from .fileio import read_csv, write_csv
+from .fileio import parse_id, read_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -145,9 +145,7 @@ def _is_complete(row):
     readings = (row.sysbp, row.diabp, row.totchol, row.cigpday)
     if any(not math.isfinite(v) or v < 0 for v in readings):
         return False
-    if row.stroke not in (0, 1):
-        return False
-    return True
+    return row.stroke in (0, 1)
 
 
 def cleanse(rows):
@@ -231,11 +229,8 @@ def read_records_csv(path):
         pid, day, f1, f2, f3, f4, stroke = cells
         if not pid:
             raise ValueError("empty patient_id")
-        entry = DayEntry(
-            day=int(day),
-            levels=shared_levels((f1, f2, f3, f4)),
-            stroke=stroke == "1",
-        )
+        entry = DayEntry(day=parse_id(day), levels=shared_levels((f1, f2, f3, f4)),
+                         stroke=stroke == "1")
         if entry.day < 1 or stroke not in ("0", "1"):
             raise ValueError(f"want a day >= 1 and a stroke of 0 or 1, got {day!r} and {stroke!r}")
         return sys.intern(pid), entry

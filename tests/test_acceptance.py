@@ -254,6 +254,31 @@ def test_criterion_5d_op_ordering(capsys, dataset):
     assert ok
 
 
+def test_criterion_5e_wsrmax_total_exceeds_pf(capsys, dataset):
+    """The abstract: WSRMax reaches the higher total SINR (prioritized, alpha=500)."""
+    totals = {objective: _mean(sum(r.values()) for r in dataset["exact"][(objective, True)])
+              for objective in ("wsrmax", "pf")}
+    ok = totals["wsrmax"] > totals["pf"]
+    report(capsys, "criterion 5e (WSRMax total SINR exceeds PF)", ok,
+           f"mean total SINR WSRMax {totals['wsrmax']:.1f} vs PF {totals['pf']:.1f}")
+    assert ok
+
+
+def test_criterion_5f_pf_margin_of_error(capsys, dataset):
+    """The abstract: PF's OP SINR has the lower margin of error, the 95% CI half-width
+    (normal approximation, sample SD) of the per-realization OP mean (prioritized, alpha=500)."""
+    half = {}
+    for objective in ("wsrmax", "pf"):
+        op_means = [_mean(r[k] for k in REF_PS) for r in dataset["exact"][(objective, True)]]
+        mean = _mean(op_means)
+        var = sum((v - mean) ** 2 for v in op_means) / (len(op_means) - 1)
+        half[objective] = 1.96 * math.sqrt(var / len(op_means))
+    ok = half["pf"] < half["wsrmax"]
+    report(capsys, "criterion 5f (PF OP margin of error below WSRMax)", ok,
+           f"OP-mean 95% CI half-width PF {half['pf']:.2f} vs WSRMax {half['wsrmax']:.2f}")
+    assert ok
+
+
 def test_criterion_6_alpha_monotonicity(capsys, dataset):
     sc = dataset["scenario"]
     violations = 0

@@ -124,6 +124,21 @@ class TestReadCsv:
             assert str(exc.value).startswith(f"{path}: {error}")
 
 
+class TestParseId:
+    """The one id rule: an id reads only as str(int) writes it."""
+
+    @pytest.mark.parametrize("text", ["0", "7", "10", "-3", "12345678901234567890123"])
+    def test_canonical_decimal_reads_as_its_number(self, text):
+        assert str(fileio.parse_id(text)) == text
+
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, which int reads as 3
+    @pytest.mark.parametrize("text", ["01", "+1", "1_0", " 1", "1 ", "-0", "1.0", "", "x",
+                                      "\u0663"])
+    def test_any_other_spelling_is_refused(self, text):
+        with pytest.raises(ValueError):
+            fileio.parse_id(text)
+
+
 class TestGenerate:
     def test_writes_scenario_and_maps(self, scenario_dir):
         assert (scenario_dir / "scenario.json").exists()
@@ -752,6 +767,18 @@ def _set_power_cell(text, line=3):
     return edit
 
 
+def _set_power_ids(user="1", prb="1", bs="1"):
+    """Write the ids of the power map's line 2, the triple (user 1, prb 1, bs 1), as given."""
+
+    def edit(scn):
+        path = scn / "power_map_000.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join([user, prb, bs, lines[1].rsplit(",", 1)[1]])
+        path.write_text("\n".join(lines) + "\n")
+
+    return edit
+
+
 def _drop_last_user(scn):
     path = scn / "power_map_000.csv"
     lines = path.read_text().splitlines()
@@ -958,6 +985,14 @@ MALFORMED = [
     ("risk-empty-patient-id",
      _risk_inputs(STATE, [",1,Normal,Normal,Normal,Light,1", *STROKE_DAYS]), RISK, 4,
      "line 2: empty patient_id"),
+    # an id or a record day is read only as the number's own decimal spelling
+    ("power-plus-signed-user", _set_power_ids(user="+1"), SOLVE, 4,
+     "line 2: want canonical user, prb, bs >= 1"),
+    ("power-zero-padded-prb", _set_power_ids(prb="01"), HEURISTIC, 4, "['1', '01', '1',"),
+    ("power-underscored-bs", _set_power_ids(bs="0_1"), EXPORT, 4, "['1', '1', '0_1',"),
+    ("risk-zero-padded-day",
+     _risk_inputs(STATE, ["p1,01,Normal,Normal,High,Heavy,1", *STROKE_DAYS[1:]]), RISK, 4,
+     "line 2: '01' is not written as 1"),
     ("power-huge-ids", _write("power_map_000.csv", "user,prb,bs,power_watts\n"
                               "1000000,1000000,1000,1.0\n"), SOLVE, 4, "missing"),
     ("generate-negative-realizations", None,
@@ -1012,3 +1047,46 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+BOM = b"\xef\xbb\xbf"
+RAW_ROWS = [f"p{p},{d},{110 + 9 * d},{70 + p},{190 + 5 * d},{p + d},{(p + d) % 3 == 0:d}"
+            for p in (1, 2, 3) for d in range(1, 8)]
+
+
+def _raw(scn):
+    _write("raw.csv", "\n".join([",".join(medrecords.CSV_COLUMNS), *RAW_ROWS]) + "\n")(scn)
+
+
+class TestByteOrderMark:
+    """Each input kind reads the same with a UTF-8 byte-order mark as without one, as a
+    spreadsheet's "CSV UTF-8" export writes it: the same exit code, stdout and output bytes."""
+
+    @pytest.mark.parametrize("edit, name, argv, output", [
+        (_raw, "raw.csv", ["ingest", "--input", "{scn}/raw.csv", "--output", "{tmp}/r.csv"],
+         "r.csv"),
+        (_risk_inputs(STATE), "records.csv", RISK, "scored.json"),
+        (None, "power_map_000.csv", SOLVE, "out.csv"),
+        (None, "scenario.json", EXPORT, "model.lp"),
+        (_solution("X_10_5_2 1", "# objective 1.0"), "solution.txt", VALIDATE, None),
+    ], ids=["raw-records", "records", "power-map", "scenario", "solution"])
+    def test_same_outcome(self, scenario_dir, tmp_path, capsys, edit, name, argv, output):
+        if edit is not None:
+            edit(scenario_dir)
+        argv = [a.format(scn=scenario_dir, tmp=tmp_path) for a in argv]
+
+        def outcome():
+            capsys.readouterr()
+            code = run(argv)
+            written = None
+            if output is not None and (tmp_path / output).exists():
+                written = (tmp_path / output).read_bytes()
+                (tmp_path / output).unlink()
+            return code, capsys.readouterr().out, written
+
+        plain = outcome()
+        path = scenario_dir / name
+        path.write_bytes(BOM + path.read_bytes())
+        assert outcome() == plain
+        assert plain[0] == 0 and plain[1]
+        assert output is None or not plain[2].startswith(BOM)

@@ -216,9 +216,13 @@ def scenario_from_json(text):
             raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} given twice")
         return dict(pairs)
 
-    def by_user(key):  # the object under `key` by user id, each written exactly as the id
+    def by_user(key, value=object):  # the object under `key` by user id, each written exactly as the id
+        given = payload.get(key, {})
+        want = "an object of objects" if value is dict else "an object"
+        if not isinstance(given, dict) or not all(isinstance(v, value) for v in given.values()):
+            raise ValueError(f"{key} is not {want} by user id")
         users = {}
-        for k, v in payload.get(key, {}).items():
+        for k, v in given.items():
             try:
                 users[parse_id(k)] = v
             except ValueError:
@@ -236,7 +240,7 @@ def scenario_from_json(text):
         return Scenario(
             config=ScenarioConfig(**{k: payload[k] for k in config_keys}),
             op_ps={k: float(v) if isinstance(v, str) else v for k, v in by_user("op_ps").items()},
-            current_states=by_user("current_states"),
+            current_states=by_user("current_states", dict),
         )
     except (ValueError, TypeError, AttributeError, OverflowError, UsageError) as exc:
         raise DataError(f"bad scenario JSON: {exc}") from exc

@@ -252,6 +252,9 @@ class TestSolveAndExport:
         finally:
             tracemalloc.stop()
         assert peak < os.path.getsize(out) / 8
+        sc = channel.scenario_from_json((scn / "scenario.json").read_text())
+        pm = channel.read_power_map_csv(str(scn / "power_map_000.csv"), sc.config.noise_w)
+        assert out.read_bytes() == lp_export.export_milp(sc, pm, ex.SolverConfig()).encode("utf-8")
 
     def test_missing_file_exit_code(self, scenario_dir, tmp_path):
         code = run([
@@ -779,6 +782,12 @@ def _set_power_ids(user="1", prb="1", bs="1"):
     return edit
 
 
+def _zero_powers(scn):
+    path = scn / "power_map_000.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + ",0.0" for row in rows)]) + "\n")
+
+
 def _drop_last_user(scn):
     path = scn / "power_map_000.csv"
     lines = path.read_text().splitlines()
@@ -923,6 +932,11 @@ MALFORMED = [
      _write("raw.csv", ",".join(medrecords.CSV_COLUMNS) + "\np1,1,120,80,200,0,0\n"),
      ["ingest", "--input", "{scn}/raw.csv", "--output", "{tmp}/r.csv", "--window", "0"], 2,
      "window"),
+    # file line 4 holds sysbp abc, after a row whose quoted note spans lines 2-3
+    ("ingest-quoted-two-line-cell",
+     _write("raw.csv", ",".join(medrecords.CSV_COLUMNS) + ',note\np1,1,120,80,200,0,0,"two\n'
+            'lines"\np1,2,abc,80,200,0,0,x\n'),
+     ["ingest", "--input", "{scn}/raw.csv", "--output", "{tmp}/r.csv"], 4, "line 4:"),
     ("solution-bad-objective", _solution("X_10_5_2 1", "# objective abc"), VALIDATE, 4, "'abc'"),
     ("solution-bad-name", _solution("X_10_a_2 1"), VALIDATE, 4, "X_10_a_2"),
     ("solution-user-outside", _solution("X_10_5_2 1", "X_99_5_2 1"), VALIDATE, 4, "X_99_5_2"),
@@ -964,6 +978,12 @@ MALFORMED = [
      "unknown key 'distances'"),
     ("scenario-op-ps-bool", _set_scenario(op_ps={"8": True}), SOLVE, 4,
      "op_ps of user 8 is True"),
+    ("scenario-op-ps-not-object", _set_scenario(op_ps=["8"]), SOLVE, 4,
+     "op_ps is not an object by user id"),
+    ("scenario-states-not-object", _set_scenario(current_states=5), HEURISTIC, 4,
+     "current_states is not an object of objects by user id"),
+    ("scenario-state-not-object", _set_scenario(current_states={"8": 5}), EXPORT, 4,
+     "current_states is not an object of objects by user id"),
     ("scenario-repeated-field", _replace_in_scenario("{", '{"seed": 4, '), SOLVE, 4,
      "key 'seed' given twice"),
     ("scenario-op-ps-repeated-user",
@@ -1019,6 +1039,7 @@ MALFORMED = [
     ("export-lp-power-above-cap", _set_scenario(tx_power_per_prb_dbm=24.0), EXPORT, 3,
      "per-connection cap"),
     ("export-lp-lambda-overflow", _set_power_cell("1e300", line=2), EXPORT, 4, "lambda"),
+    ("export-lp-lambda-zero", _zero_powers, EXPORT, 4, "lambda"),
     ("solution-pf-zero-sinr", _zero_sinr_solution, VALIDATE + ["--objective", "pf"], 4,
      "zero SINR"),
 ]
@@ -1047,6 +1068,7 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["scn"]  # a failing command writes nothing
 
 
 BOM = b"\xef\xbb\xbf"

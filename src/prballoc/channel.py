@@ -49,6 +49,15 @@ def noise_power_w(density_dbm_hz, bandwidth_hz):
     return dbm_to_mw(density_dbm_hz + 10.0 * math.log10(bandwidth_hz)) / 1000.0
 
 
+def received_w(gains, config, distances):
+    """Fading `gains` (users, PRBs, BSs) scaled in place to received watts and returned:
+    each times the per-PRB power and the path-loss attenuation at its (users, BSs) distance."""
+    gains *= dbm_to_mw(config.tx_power_per_prb_dbm)
+    gains *= 10.0 ** (-path_loss_db(distances) / 10.0)[:, None, :]
+    gains /= 1000.0
+    return gains
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """The system model.  Its rules are checked here, once; being frozen, it keeps them."""
@@ -70,11 +79,12 @@ class ScenarioConfig:
             raise UsageError("want num_bs, prbs_per_bs >= 1 and 0 <= num_normal < num_users")
         if not 0 < self.distance_min_m <= self.distance_max_m:
             raise UsageError("distances must satisfy 0 < distance_min_m <= distance_max_m")
-        try:
-            powers_ok = all(0 < w < math.inf for w in (dbm_to_mw(self.tx_power_per_prb_dbm),
-                            dbm_to_mw(self.max_power_per_connection_dbm), self.noise_w,
-                            self.mean_received_w(self.distance_min_m),
-                            self.mean_received_w(self.distance_max_m)))
+        try:  # the received power is what a map entry of gain 1 holds at either distance
+            with np.errstate(all="ignore"):  # past a float, it reads 0, inf or nan
+                received = received_w(np.ones((1, 1, 2)), self,
+                                      np.array([[self.distance_min_m, self.distance_max_m]]))
+            powers_ok = all(0 < w < math.inf for w in (
+                dbm_to_mw(self.max_power_per_connection_dbm), self.noise_w, *received.flat))
         except (OverflowError, ValueError):
             powers_ok = False
         if not powers_ok:
@@ -100,15 +110,6 @@ class ScenarioConfig:
     @property
     def noise_w(self):
         return noise_power_w(self.noise_density_dbm_hz, self.prb_bandwidth_hz)
-
-    def mean_received_w(self, distance_m):
-        """Received power in watts over unit-mean fading at `distance_m`; inf past a float."""
-        with np.errstate(divide="ignore"):  # below 1e-320 m, distance / 1 km is 0: -inf dB
-            loss_db = float(path_loss_db(distance_m))
-        try:
-            return dbm_to_mw(self.tx_power_per_prb_dbm - loss_db) / 1000.0
-        except OverflowError:
-            return math.inf
 
 
 @dataclass(frozen=True)
@@ -193,10 +194,7 @@ def generate_power_map(scenario, realization=0):
     except (MemoryError, ValueError) as exc:
         raise InfeasibleError(f"a power map of (users, PRBs, BSs) {shape} does not fit"
                               f" in memory: {exc}") from None
-    q *= dbm_to_mw(cfg.tx_power_per_prb_dbm)
-    q *= 10.0 ** (-path_loss_db(distances) / 10.0)[:, None, :]
-    q /= 1000.0
-    return PowerMap(q=q, noise_w=cfg.noise_w)
+    return PowerMap(q=received_w(q, cfg, distances), noise_w=cfg.noise_w)
 
 
 # --- serialization ---------------------------------------------------------

@@ -25,7 +25,7 @@ def left_sum(values):
 
 
 def summarize(values):
-    """Mean, sample (n-1) SD and 95% CI of a list of reals."""
+    """Mean, sample (n-1) SD and 95% CI of a list of reals; an SD past a float is inf."""
     values = list(values)
     if not values:
         raise ValueError("cannot summarize an empty list")
@@ -33,7 +33,10 @@ def summarize(values):
     mean = left_sum(values) / n
     if n == 1:
         return StatSummary(n=1, mean=mean, sd=None, ci_low=mean, ci_high=mean)
-    var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
+    try:  # a square past a float overflows; `** 2` stays, as `x * x` differs in a last bit
+        var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
+    except OverflowError:
+        var = math.inf
     sd = math.sqrt(var)
     half = Z_95 * sd / math.sqrt(n)
     return StatSummary(n=n, mean=mean, sd=sd, ci_low=mean - half, ci_high=mean + half)

@@ -121,6 +121,13 @@ class TestScenarioConfig:
         with pytest.raises(UsageError, match=field):
             channel.ScenarioConfig(**{field: value})
 
+    def test_refused_where_every_map_entry_is_0_w(self):
+        """At 2.3e90 m, 300 dBm less the path loss is 5.2e-315 W in the dB domain, but a map
+        scales 1e30 mW by an attenuation of 5e-342, which is 0.0 as a float: refused."""
+        with pytest.raises(UsageError, match="mean received power"):
+            channel.ScenarioConfig(tx_power_per_prb_dbm=300.0, max_power_per_connection_dbm=300.0,
+                                   distance_min_m=2.3e90, distance_max_m=2.3e90)
+
     def test_power_above_cap_infeasible(self):
         with pytest.raises(InfeasibleError, match="cap"):
             channel.ScenarioConfig(tx_power_per_prb_dbm=23.5)

@@ -504,6 +504,33 @@ class TestExperiments:
         lines = (tmp_path / "sw" / "alpha_sweep.csv").read_text().splitlines()
         assert [line.split(",")[2] for line in lines[1:]] == ["", ""]
 
+    def test_spread_past_a_float_reads_inf(self, tmp_path):
+        """A 1000 dBm per-PRB power over a -1000 dBm/Hz noise density gives SINRs near 1e184,
+        whose spread squared passes a float: every SD that does reads inf, and its CI -inf to
+        inf, in each command that writes one."""
+        config = channel.ScenarioConfig(num_users=6, num_normal=3, tx_power_per_prb_dbm=1000.0,
+                                        max_power_per_connection_dbm=1000.0,
+                                        noise_density_dbm_hz=-1000.0)
+        scenario = channel.Scenario(config, op_ps={4: 0.5, 5: 0.2, 6: 0.1})
+        (tmp_path / "scenario.json").write_text(channel.scenario_to_json(scenario))
+        scn = str(tmp_path / "scenario.json")
+        maps = [str(tmp_path / f"power_map_{r}.csv") for r in range(2)]
+        for r, path in enumerate(maps):
+            channel.write_power_map_csv(channel.generate_power_map(scenario, r), path)
+        experiment = ["--scenario", scn, "--realizations", "2"]
+        assert run(["heuristic", "--scenario", scn, "--power-map", *maps, "--iterations", "2",
+                    "--output", str(tmp_path / "h.csv")]) == 0
+        assert run(["before-after", *experiment, "--iterations", "2",
+                    "--output", str(tmp_path / "ba")]) == 0
+        assert run(["sweep-alpha", *experiment, "--output", str(tmp_path / "sw")]) == 0
+
+        def rows(path):
+            return [line.split(",") for line in (tmp_path / path).read_text().splitlines()[1:]]
+
+        for path in ["h.csv", "ba/heuristic_before.csv", "ba/exact_before.csv"]:
+            assert ["inf", "-inf", "inf"] in [row[-3:] for row in rows(path)], path
+        assert {row[2] for row in rows("sw/alpha_sweep.csv")} == {"inf"}  # healthy_sd
+
     def test_scalability_csv(self, tmp_path):
         spec = cli.ExperimentSpec(
             kind="scalability", output_dir=str(tmp_path / "scale"), runs=1, seed=0,
@@ -872,6 +899,8 @@ RISK = ["risk", "--records", "{scn}/records.csv", "--scenario", "{scn}/scenario.
         "--output", "{tmp}/scored.json"]
 
 INF_DISTANCES = [["400.0", "400.0"]] * 9 + [["inf", "400.0"]]
+FAR_300_DBM = dict(tx_power_per_prb_dbm=300.0, max_power_per_connection_dbm=300.0,
+                   distance_min_m=2.3e90, distance_max_m=2.3e90)
 
 # id, edit of the generated scenario directory, argv, exit code, text in stderr
 MALFORMED = [
@@ -1032,6 +1061,11 @@ MALFORMED = [
      "mean received power"),
     ("before-after-received-power-underflow",
      _set_scenario(distance_min_m=1e200, distance_max_m=1e200), BEFORE_AFTER, 4,
+     "mean received power"),
+    # 300 dBm less the path loss at 2.3e90 m is 5.2e-315 W, but every map entry is 0.0 W
+    ("before-after-received-power-zero-map", _set_scenario(**FAR_300_DBM), BEFORE_AFTER, 4,
+     "mean received power"),
+    ("solve-received-power-zero-map", _set_scenario(**FAR_300_DBM), SOLVE, 4,
      "mean received power"),
     ("scenario-negative-normal", _set_scenario(num_normal=-1), SOLVE, 4, "num_normal"),
     ("heuristic-power-above-cap", _set_scenario(tx_power_per_prb_dbm=24.0), HEURISTIC, 3,

@@ -46,11 +46,15 @@ COMMANDS = {
                "records.csv"),
     "before-after": (["before-after", *SCENARIO, "--realizations", "1", "--iterations", "1",
                       "--output", "{d}/out/ba"], "ba"),
+    "sweep-alpha": (["sweep-alpha", *SCENARIO, "--realizations", "1", "--output",
+                     "{d}/out/sw"], "sw"),
 }
+# the experiment commands' output directories and a file each writes there
+DIRECTORY_OUTPUTS = {"ba": "summary.csv", "sw": "alpha_sweep.csv"}
 # the commands that read each input file
 READERS = {
     "scenario.json": ["solve", "heuristic", "export-lp", "validate-solution", "risk",
-                      "before-after"],
+                      "before-after", "sweep-alpha"],
     "power_map.csv": ["solve", "heuristic", "export-lp", "validate-solution"],
     "records.csv": ["risk"],
     "raw.csv": ["ingest"],
@@ -161,9 +165,11 @@ def json_edits(draw, text):
 
 @st.composite
 def mutated_inputs(draw):
-    """(files, command, whether the output exists beforehand): one file of BASE edited once
-    or twice, as text or as JSON, or with bytes that are not UTF-8 appended."""
-    name = draw(st.sampled_from(sorted(READERS)))
+    """(files, command, whether the output exists beforehand): a command, and one file of BASE
+    that it reads edited once or twice, as text or as JSON, or with bytes that are not UTF-8
+    appended.  The command is drawn first, so that each is drawn about as often."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    name = draw(st.sampled_from([name for name in sorted(READERS) if command in READERS[name]]))
     text = BASE[name].decode()
     for _ in range(draw(st.integers(1, 2))):
         if name == "scenario.json" and draw(st.booleans()):
@@ -173,7 +179,7 @@ def mutated_inputs(draw):
     data = text.encode()
     if draw(st.integers(0, 9)) == 0:
         data += draw(st.sampled_from([b"\xff", b"\xef\xbb", b"\x00", b"\r"]))
-    return {**BASE, name: data}, draw(st.sampled_from(READERS[name])), draw(st.booleans())
+    return {**BASE, name: data}, command, draw(st.booleans())
 
 
 def _is_json_object(text):
@@ -204,9 +210,9 @@ def test_any_input_ends_in_a_documented_exit_code(case):
                 fh.write(data)
         os.mkdir(os.path.join(d, "out"))
         target = os.path.join(d, "out", output or "none")  # validate-solution writes none
-        if output_exists and output == "ba":
+        if output_exists and output in DIRECTORY_OUTPUTS:
             os.mkdir(target)
-            with open(os.path.join(target, "summary.csv"), "w") as fh:
+            with open(os.path.join(target, DIRECTORY_OUTPUTS[output]), "w") as fh:
                 fh.write("old\n")
         elif output_exists:
             with open(target, "w") as fh:

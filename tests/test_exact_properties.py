@@ -167,3 +167,69 @@ def test_sinr_of_bit_equal_to_direct_loop(num_bs, data):
     got = ex.sinr_of(assignment, pm)
     assert list(got.items()) == list(direct_sinrs(assignment, pm).items())
     assert all(type(s) is float for s in got.values())
+
+
+def lagrangian_bound(scenario, pm, config, prices):
+    """L(λ) = Σλ + Σ over PRBs of the best column state's value less its users' prices λ.
+
+    A column state puts one user or nobody at each BS of a PRB; its SINRs, weights and log
+    rule are written out here.  The empty state is worth 0, so every PRB's best is finite.
+    Any assignment that serves each user once is worth Σλ plus its columns' (value − λ), so
+    L(λ) bounds it from above (weak duality), whatever the prices.
+    """
+    cfg = scenario.config
+    users = list(cfg.user_ids)
+    ops = set(cfg.op_ids) if config.prioritization else set()
+    weights = {k: 1.0 + config.alpha * scenario.ps_of(k) if k in ops else 1.0 for k in users}
+    logged = {k for k in users if config.objective == "pf" and k not in ops}
+    bound = sum(prices.values())
+    for n in range(cfg.prbs_per_bs):
+        best = 0.0  # nobody at any BS
+        for row in itertools.product([None, *users], repeat=cfg.num_bs):
+            placed = {k: b for b, k in enumerate(row) if k is not None}
+            if len(placed) < len(row) - row.count(None):
+                continue  # a user at two BSs
+            value = 0.0
+            for k, b in placed.items():
+                interference = sum(pm.q[m - 1, n, b] for m, w in placed.items() if w != b)
+                sinr = pm.q[k - 1, n, b] / (interference + pm.noise_w)
+                if k not in logged:
+                    value += weights[k] * sinr
+                else:
+                    value += math.log(sinr) if sinr > 0 else -math.inf
+                value -= prices[k]
+            best = max(best, value)
+        bound += best
+    return bound
+
+
+@pytest.mark.parametrize("num_bs", [2, 3])
+@pytest.mark.parametrize("objective, prio", SETTINGS)
+def test_lagrangian_bound_above_optimum_and_heuristic(num_bs, objective, prio):
+    """L(λ), at zero prices and at prices Hypothesis draws, is at least the DP optimum and,
+    under WSRMax, at least every heuristic iteration's objective: a certificate that trusts
+    neither the DP nor its option table."""
+    config = ex.SolverConfig(objective=objective, prioritization=prio)
+    heuristic = heur.HeuristicConfig(prioritization=prio, alpha=config.alpha)
+
+    @settings(PROPERTY, max_examples=EXAMPLES[num_bs])
+    @given(instances(num_bs, max_ops=3), st.integers(0, 2**32 - 1), st.data())
+    def check(instance, seed, data):
+        scenario, pm = instance
+        users = scenario.config.user_ids
+        drawn = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=len(users),
+                                   max_size=len(users)))
+        bounds = [lagrangian_bound(scenario, pm, config, dict(zip(users, prices)))
+                  for prices in ([0.0] * len(users), drawn)]
+        values = [ex.solve_exact(scenario, pm, config)[1].objective_value]
+        if objective == "wsrmax":
+            search = heur.SwapSearch(scenario, pm, heuristic)
+            for i in range(10):
+                trace = heur.run_iteration(scenario, pm, heuristic,
+                                           np.random.default_rng([seed, i]), search)
+                values.append(ex.Objective(scenario, config).value(trace.final_sinr))
+        for bound in bounds:
+            for value in values:
+                assert bound >= value - 1e-12 * abs(value)
+
+    check()

@@ -34,6 +34,11 @@ class TestSummarize:
         width = lambda s: (s.ci_high - s.ci_low) / s.sd
         assert width(large) == pytest.approx(width(small) / 2, rel=1e-12)
 
+    def test_spread_whose_square_passes_a_float_is_inf(self):
+        # (1e200 - 5e199) ** 2 raises OverflowError; the SD and the CI's half-width read inf
+        s = metrics.summarize([0.0, 1e200])
+        assert (s.mean, s.sd, s.ci_low, s.ci_high) == (5e199, math.inf, -math.inf, math.inf)
+
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             metrics.summarize([])

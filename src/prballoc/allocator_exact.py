@@ -101,18 +101,23 @@ def priorities_for(scenario, config):
     return {k: priority(scenario.ps_of(k), config, k in ops) for k in scenario.config.user_ids}
 
 
+def interference_w(heard, senders, noise):
+    """The SINR denominator: the powers `heard` (..., x, v) of BS x's occupant at BS v,
+    summed in BS order over the x that `senders` marks for v, plus the noise."""
+    return (heard * senders).sum(axis=-2) + noise
+
+
 def column_sinrs(q, noise, occ, prbs):
     """SINRs (C, B) of the occupants `occ` (C, B) of the 0-based PRB columns `prbs`.
 
     An occupant is a 0-based user index, len(q) for an empty slot (SINR 0),
-    interfered by the co-channel occupants at the other BSs, summed in BS order.
+    interfered by the co-channel occupants at the other BSs.
     """
     bs = np.arange(occ.shape[1])
     present = occ < len(q)
     # heard[c, x, v]: power of the occupant at BS x received at BS v
     heard = q[np.where(present, occ, 0)[:, :, None], prbs[:, None, None], bs] * present[:, :, None]
-    interference = np.where(bs[:, None] != bs, heard, 0.0).sum(axis=1)
-    return heard[:, bs, bs] / (interference + noise)
+    return heard[:, bs, bs] / interference_w(heard, bs[:, None] != bs, noise)
 
 
 def sinr_of(assignment, power_map):

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator_exact import DEFAULT_ALPHA, Assignment, Objective, column_sinrs, prioritized, sinr_of
+from .allocator_exact import (
+    DEFAULT_ALPHA, Assignment, Objective, column_sinrs, interference_w, prioritized, sinr_of,
+)
 from .channel import check_map_shape, derive_seed
 from .errors import InfeasibleError, UsageError, check_field_types
 from .fileio import write_csv
@@ -109,6 +111,7 @@ class SwapSearch:
         self.q, self.noise = power_map.q, power_map.noise_w
         bs = np.arange(self.num_bs)
         self.other = bs[:, None] != bs
+        self.apart = self.other[:, :, None] & self.other  # [b, x, v]: x is neither b nor v
         pair_a, pair_b = np.nonzero(np.triu(self.other))
         pairs = np.arange(len(pair_a))
         self.perms = np.tile(bs, (len(pairs), 1))
@@ -142,20 +145,20 @@ class SwapSearch:
         cand = np.zeros((len(prbs), len(w), len(other)))  # (C, U, v): each user heard at v
         cand[:, : len(q)] = q[:, prbs].transpose(1, 0, 2)
         p = cand[np.arange(len(prbs))[:, None], occ_cols]  # (C, x, v): occupant at x heard at v
-        signal = p.diagonal(axis1=1, axis2=2)
-        heard_total = p.sum(axis=1) + self.noise
-        interference = heard_total - signal
-        own = w[occ_cols] * signal
+        # heard[c, b, v]: v's interference with b's occupant gone; b = v is the current one
+        heard = interference_w(p[:, None], self.apart, self.noise)
+        interference = heard.diagonal(axis1=1, axis2=2)
+        own = w[occ_cols] * p.diagonal(axis1=1, axis2=2)
         values = (own / interference).sum(axis=1)
         # every BS v other than b hears the newcomer instead of b's occupant
         others_own = (own[:, None, :] * other)[:, :, None, :]
-        others_heard = (interference[:, None, :] - p * other)[:, :, None, :] + cand[:, None]
-        gains = (others_own / others_heard).sum(axis=3)
+        gains = (others_own / (heard[:, :, None, :] + cand[:, None])).sum(axis=3)
         gains += (w[:, None] * cand / interference[:, None, :]).transpose(0, 2, 1)
         gains -= values[:, None, None]
         moved = p[:, perms, np.arange(len(other))]  # (C, P, v): each rearrangement's signals
         own_moved = w[occ_cols[:, perms]] * moved
-        within = (own_moved / (heard_total[:, None, :] - moved)).sum(axis=2) - values[:, None]
+        within = (own_moved / interference_w(p[:, perms], other, self.noise)).sum(axis=2)
+        within -= values[:, None]
         return values, gains, within
 
     def _columns(self, occ, prbs, move_in, within):

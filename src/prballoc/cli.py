@@ -121,15 +121,11 @@ def _echo_config(spec, extra=None):
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _mean(values):
-    return metrics.left_sum(values) / len(values)
-
-
 def _gain_pct(before, after, users=None):
     """improvement_pct of the mean over realizations of each realization's mean SINR
     over `users`, or over every user in the order the realization's dict holds them."""
     def level(runs):
-        return _mean([_mean([r[k] for k in users or r]) for r in runs])
+        return metrics.mean([metrics.mean([r[k] for k in users or r]) for r in runs])
     return metrics.improvement_pct(level(before), level(after))
 
 
@@ -187,11 +183,11 @@ def run_alpha_sweep(spec, scenario=None, power_maps=None):
     for alpha in sorted(spec.alphas):
         config = _config(exact.SolverConfig, spec, prioritization=True, alpha=alpha)
         sinr_runs = [exact.solve_exact(scenario, pm, config)[1].sinr for pm in power_maps]
-        user_means = {k: _mean([r[k] for r in sinr_runs]) for k in cfg.user_ids}
+        user_means = {k: metrics.mean([r[k] for r in sinr_runs]) for k in cfg.user_ids}
         sd = metrics.fairness_sd([user_means[k] for k in healthy]) if healthy else None
         table.append({
             "alpha": alpha,
-            "avg_sinr": _mean(list(user_means.values())),
+            "avg_sinr": metrics.mean(list(user_means.values())),
             "healthy_sd": sd,
             "op_means": {k: user_means[k] for k in cfg.op_ids},
         })

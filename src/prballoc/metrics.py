@@ -24,22 +24,26 @@ def left_sum(values):
     return functools.reduce(operator.add, values, 0)
 
 
+def mean(values):
+    """The mean of a non-empty sequence of reals, summed left to right."""
+    return left_sum(values) / len(values)
+
+
 def summarize(values):
     """Mean, sample (n-1) SD and 95% CI of a list of reals; an SD past a float is inf."""
     values = list(values)
     if not values:
         raise ValueError("cannot summarize an empty list")
-    n = len(values)
-    mean = left_sum(values) / n
+    n, centre = len(values), mean(values)
     if n == 1:
-        return StatSummary(n=1, mean=mean, sd=None, ci_low=mean, ci_high=mean)
+        return StatSummary(n=1, mean=centre, sd=None, ci_low=centre, ci_high=centre)
     try:  # a square past a float overflows; `** 2` stays, as `x * x` differs in a last bit
-        var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
+        var = left_sum((v - centre) ** 2 for v in values) / (n - 1)
     except OverflowError:
         var = math.inf
     sd = math.sqrt(var)
     half = Z_95 * sd / math.sqrt(n)
-    return StatSummary(n=n, mean=mean, sd=sd, ci_low=mean - half, ci_high=mean + half)
+    return StatSummary(n=n, mean=centre, sd=sd, ci_low=centre - half, ci_high=centre + half)
 
 
 def improvement_pct(before, after):

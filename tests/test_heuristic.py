@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,17 @@ REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 def baseline(seed=3):
     sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=seed), op_ps=REF_PS)
     return sc, pm
+
+
+def layout(num_bs):
+    """The seed-3 baseline's scenario at 2 BSs, else a small 3- or 4-BS layout."""
+    if num_bs == 2:
+        return baseline()[0]
+    if num_bs == 3:
+        cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
+        return channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})[0]
+    cfg = channel.ScenarioConfig(num_bs=4, prbs_per_bs=3, num_users=10, num_normal=7, seed=2)
+    return channel.generate_scenario(cfg, op_ps=REF_PS)[0]
 
 
 class TestServeOrder:
@@ -404,6 +416,21 @@ class TestSwapImprovement:
                 c = heur.run_iteration(sc, pm, config, np.random.default_rng(s), shared)
                 assert a == b == c
 
+    def test_no_warning_where_a_signal_drowns_the_noise(self):
+        """At -400 dBm/Hz a signal passes 2^53 times the noise, which an interference
+        computed as a total less a term loses to rounding; the swap search warns of nothing."""
+        cfg = channel.ScenarioConfig(seed=3, noise_density_dbm_hz=-400.0)
+        sc, _ = channel.generate_scenario(cfg, op_ps=REF_PS)
+        for prio in (False, True):
+            config = heur.HeuristicConfig(prioritization=prio)
+            for r in range(2):
+                pm = channel.generate_power_map(sc, r)
+                search = heur.SwapSearch(sc, pm, config)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for s in range(25):
+                        heur.run_iteration(sc, pm, config, np.random.default_rng(s), search)
+
     def test_batches_and_memo_leave_the_result_alone(self, monkeypatch):
         sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=True)
@@ -426,14 +453,7 @@ class TestSwapImprovement:
 def test_at_assignment_sinr_is_the_sinr_right_after_the_admission(num_bs, prio):
     """Each recorded SINR is `sinr_of` of the construction right after the admission
     that placed the user (the admitted user, then its interferer), bit for bit."""
-    if num_bs == 2:
-        sc, _ = baseline()
-    elif num_bs == 3:
-        cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
-        sc, _ = channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})
-    else:
-        cfg = channel.ScenarioConfig(num_bs=4, prbs_per_bs=3, num_users=10, num_normal=7, seed=2)
-        sc, _ = channel.generate_scenario(cfg, op_ps=REF_PS)
+    sc = layout(num_bs)
     num_slots = sc.config.num_bs * sc.config.prbs_per_bs
     config = heur.HeuristicConfig(prioritization=prio)
     for r in range(3):
@@ -447,3 +467,25 @@ def test_at_assignment_sinr_is_the_sinr_right_after_the_admission(num_bs, prio):
                 sinr = ex.sinr_of(ex.Assignment(slots=dict(placed[:end])), pm)
                 for k, _ in placed[start:end]:
                     assert trace.at_assignment_sinr[k] == sinr[k]
+
+
+@pytest.mark.parametrize("num_bs", [2, 3, 4])
+def test_column_values_are_column_sinrs_at_unit_weights(num_bs):
+    """With prioritization off, `_column_gains` values each column at the sum of its
+    `column_sinrs`, and each rearrangement at that of the rearranged rows, bit for bit."""
+    sc = layout(num_bs)
+    num_users, num_prbs = sc.config.num_users, sc.config.prbs_per_bs
+    prbs = np.arange(num_prbs)
+    draws = np.random.default_rng(num_bs)
+    for r in range(3):
+        pm = channel.generate_power_map(sc, r)
+        search = heur.SwapSearch(sc, pm, heur.HeuristicConfig())
+        for _ in range(100):
+            seated = np.concatenate([draws.permutation(num_users), np.full(num_users, num_users)])
+            occ = draws.permutation(seated)[: num_prbs * num_bs].reshape(num_prbs, num_bs)
+            values, _, within = search._column_gains(occ, prbs)
+            assert (values == ex.column_sinrs(pm.q, pm.noise_w, occ, prbs).sum(axis=1)).all()
+            moved = occ[:, search.perms]  # (C, P, B)
+            rearranged = ex.column_sinrs(pm.q, pm.noise_w, moved.reshape(-1, num_bs),
+                                         np.repeat(prbs, len(search.perms)))
+            assert (within == rearranged.sum(axis=1).reshape(num_prbs, -1) - values[:, None]).all()

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from prballoc import allocator_exact as ex
-from prballoc import channel, cli, metrics
+from prballoc import channel, metrics
 
 
 class TestSummarize:
@@ -50,7 +50,7 @@ class TestSummarize:
         assert math.fsum(values) == 1.0
         assert metrics.left_sum(values) == 0.0
         assert metrics.summarize(values).mean == 0.0
-        assert cli._mean(values) == 0.0
+        assert metrics.mean(values) == 0.0
         sc = channel.Scenario(config=channel.ScenarioConfig())
         assert ex.Objective(sc, ex.SolverConfig()).value(dict(zip((1, 2, 3), values))) == 0.0
 

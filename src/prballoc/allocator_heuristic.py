@@ -163,34 +163,23 @@ class SwapSearch:
 
     def _columns(self, occ, prbs, move_in, within):
         """Write the gains of PRB columns `prbs` into move_in and within; return their values."""
-        num_bs = self.num_bs
-        flat = occ.reshape(-1)
+        rows = occ.tolist()
+        keys = [(n, *rows[n]) for n in prbs]  # a column's entry depends only on these
+        table = self.memo if self.keep else {}
+        missing = [key for key in keys if key not in table]
+        for start in range(0, len(missing), self.batch):
+            batch = missing[start : start + self.batch]
+            cols = np.array([key[0] for key in batch])
+            fresh = self._column_gains(occ[cols], cols)  # one row of each part per key
+            table.update(zip(batch, zip(*fresh)))
+        num_bs, flat = self.num_bs, occ.reshape(-1)
         values = []
-
-        def put(n, entry):
-            value, column_gains, column_within = entry
+        for key in keys:
+            n = key[0]
+            value, column_gains, column_within = table[key]
             move_in[n * num_bs : (n + 1) * num_bs] = column_gains[:, flat]
             within[:, n] = column_within
             values.append(value)
-
-        rows = occ.tolist()
-        missing = []
-        for n in prbs:
-            key = (n, *rows[n])
-            entry = self.memo.get(key)
-            if entry is None:
-                missing.append(key)
-            else:
-                put(n, entry)
-        for start in range(0, len(missing), self.batch):
-            keys = missing[start : start + self.batch]
-            cols = np.array([key[0] for key in keys])
-            fresh = self._column_gains(occ[cols], cols)
-            for j, key in enumerate(keys):
-                entry = tuple(part[j] for part in fresh)
-                if self.keep:
-                    self.memo[key] = entry
-                put(key[0], entry)
         return values
 
     def improve(self, occ):
@@ -218,7 +207,7 @@ class SwapSearch:
             move_in[:, [s1, s2]] = move_in[:, [s2, s1]]  # the occupants moved with their gains
             objective += gain
             swaps += 1
-            self._columns(occ, sorted({s1 // num_bs, s2 // num_bs}), move_in, within)
+            self._columns(occ, {s1 // num_bs, s2 // num_bs}, move_in, within)
         return swaps
 
 

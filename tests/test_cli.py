@@ -216,6 +216,27 @@ class TestSolveAndExport:
         ]) == 0
         assert "objective_match=True is_optimal=True" in capsys.readouterr().out
 
+    def test_validate_reads_only_the_x_lines(self, scenario_dir, tmp_path, capsys):
+        """A solver's T_, S_ and PHI_ values beside the X_ lines leave the parity line as it is."""
+        scenario = str(scenario_dir / "scenario.json")
+        pm = str(scenario_dir / "power_map_000.csv")
+        with open(scenario) as fh:
+            sc = channel.scenario_from_json(fh.read())
+        power_map = channel.read_power_map_csv(pm, sc.config.noise_w)
+        assignment, report = ex.solve_exact(sc, power_map, ex.SolverConfig())
+        sol = tmp_path / "solution.txt"
+        write_solution_file(assignment, report.objective_value, sol)
+        lines = []
+        for text in (sol.read_text(), sol.read_text() + "T_1_1_1 3.5\nS_1 3.5\nPHI_1 0.25\n"
+                     "PHI_2_1_1_2_1 0.25\n"):
+            sol.write_text(text)
+            capsys.readouterr()
+            assert run(["validate-solution", "--scenario", scenario, "--power-map", pm,
+                        "--solution", str(sol)]) == 0
+            lines.append(capsys.readouterr().out)
+        assert "objective_match=True is_optimal=True" in lines[0]
+        assert lines[1] == lines[0]
+
     @pytest.mark.parametrize("where", ["seed3", "three_bs"])
     @pytest.mark.parametrize("objective", ["wsrmax", "pf"])
     def test_export_lp_writes_export_milp_text(self, scenario_dir, tmp_path, where, objective):
@@ -409,16 +430,17 @@ class TestIngestAndRisk:
         warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warned == ["patient p2 has no valid days and was excluded"]
 
-    def test_risk_without_states_is_data_error(self, tmp_path, scenario_dir):
+    def test_risk_without_states_is_data_error(self, tmp_path, scenario_dir, capsys):
+        """One record per outpatient, so the refusal is of the missing current states."""
         records = tmp_path / "records.csv"
-        records.write_text(",".join(medrecords.RECORD_COLUMNS) + "\n"
-                           "p1,1,Normal,Normal,High,Heavy,1\n")
+        records.write_text("\n".join([",".join(medrecords.RECORD_COLUMNS), *STROKE_DAYS]) + "\n")
         code = run([
             "risk", "--records", str(records),
             "--scenario", str(scenario_dir / "scenario.json"),
             "--output", str(tmp_path / "scored.json"),
         ])
         assert code == 4
+        assert "no current state for outpatient 8" in capsys.readouterr().err
 
 
 class TestExperiments:
@@ -686,6 +708,27 @@ class TestScenarioDirectory:
         assert echo["realization_sha256"] == [
             hashlib.sha256((ba / name).read_bytes()).hexdigest() for name in maps
         ]
+
+    @pytest.mark.parametrize("runner", ["run_before_after", "run_alpha_sweep"])
+    def test_given_scenario_and_maps_write_what_the_spec_alone_writes(self, tmp_path, runner):
+        """The seed's baseline scenario and its first maps, given, give the spec's own files."""
+        kind = "before_after" if runner == "run_before_after" else "alpha_sweep"
+        scenario = channel.Scenario(channel.ScenarioConfig(seed=3), op_ps=cli.REFERENCE_OP_PS)
+        maps = [channel.generate_power_map(scenario, i) for i in range(2)]
+        outs = [tmp_path / "alone", tmp_path / "given"]
+        for out, given in zip(outs, [(), (scenario, maps)]):
+            spec = cli.ExperimentSpec(kind=kind, output_dir=str(out), realizations=2,
+                                      iterations=5, seed=3)
+            getattr(cli, runner)(spec, *given)
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        assert "config_echo.json" in names
+        for name in names:
+            alone, given = ((out / name).read_bytes() for out in outs)
+            if name == "config_echo.json":
+                alone, given = (json.loads(text) for text in (alone, given))
+                assert (alone.pop("output_dir"), given.pop("output_dir")) == tuple(map(str, outs))
+            assert alone == given, name
 
 
 class TestBeforeAfterGolden:
@@ -1044,6 +1087,11 @@ MALFORMED = [
      "line 2: '01' is not written as 1"),
     ("power-huge-ids", _write("power_map_000.csv", "user,prb,bs,power_watts\n"
                               "1000000,1000000,1000,1.0\n"), SOLVE, 4, "missing"),
+    ("power-header-only", _write("power_map_000.csv", "user,prb,bs,power_watts\n"), SOLVE, 4,
+     "empty power map"),
+    ("scenario-json-array", _write("scenario.json", "[]"), SOLVE, 4, "want an object"),
+    ("ingest-zero-byte-file", _write("raw.csv", ""),
+     ["ingest", "--input", "{scn}/raw.csv", "--output", "{tmp}/r.csv"], 4, "empty file"),
     ("generate-negative-realizations", None,
      ["generate", "--output", "{tmp}/g", "--realizations", "-2"], 2, "realizations"),
     ("generate-negative-bs-and-prbs", None,

@@ -342,6 +342,8 @@ class TestSolveExact:
     def test_config_validation(self):
         with pytest.raises(UsageError):
             ex.SolverConfig(objective="maxmin")
+        with pytest.raises(UsageError, match="pf_log_mode 'bogus'"):
+            ex.SolverConfig(pf_log_mode="bogus")
         # the piecewise log without tangents takes the default ones
         assert ex.SolverConfig(objective="pf", pf_log_mode="piecewise").pwl == ex.PwlSpec.default()
         # tangents with the exact log would be ignored by the DP

@@ -431,21 +431,39 @@ class TestSwapImprovement:
                     for s in range(25):
                         heur.run_iteration(sc, pm, config, np.random.default_rng(s), search)
 
-    def test_batches_and_memo_leave_the_result_alone(self, monkeypatch):
-        sc, pm = baseline()
+    @pytest.mark.parametrize("batch_floats", [heur.BATCH_FLOATS, 1],
+                             ids=["default-batches", "one-column-batches"])
+    @pytest.mark.parametrize("memo_floats", [heur.MEMO_FLOATS, 0], ids=["memo-kept", "memo-dropped"])
+    @pytest.mark.parametrize("num_bs", [2, 3])
+    def test_batches_and_memo_leave_the_result_alone(self, monkeypatch, num_bs, memo_floats,
+                                                     batch_floats):
+        """The seed-3 baseline, and a 3-BS layout small enough that its memo is kept: a
+        search with its memo kept or dropped, in default or one-column batches, applies
+        the default search's swaps to each of ten constructions in turn."""
+        if num_bs == 2:
+            sc, pm = baseline()
+        else:  # 2 PRBs x 7^3 occupant states x 25 floats = 17,150 <= MEMO_FLOATS
+            cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=2, num_users=6, num_normal=4, seed=1)
+            sc, pm = channel.generate_scenario(cfg, op_ps={5: 0.004, 6: 0.006})
         config = heur.HeuristicConfig(prioritization=True)
-        built = heur.run_iteration(sc, pm, config, np.random.default_rng(4),
-                                   _Unchanged(sc, pm, config))
-        want = occupants(built.slots, sc.config)
-        want_swaps = heur.SwapSearch(sc, pm, config).improve(want)
-        monkeypatch.setattr(heur, "BATCH_FLOATS", 1)  # one column per batch
-        monkeypatch.setattr(heur, "MEMO_FLOATS", 0)  # nothing kept
+        built = [heur.run_iteration(sc, pm, config, np.random.default_rng(s),
+                                    _Unchanged(sc, pm, config)).slots for s in range(10)]
+        default = heur.SwapSearch(sc, pm, config)
+        want = [occupants(slots, sc.config) for slots in built]
+        want_swaps = [default.improve(occ) for occ in want]
+        monkeypatch.setattr(heur, "BATCH_FLOATS", batch_floats)
+        monkeypatch.setattr(heur, "MEMO_FLOATS", memo_floats)
         search = heur.SwapSearch(sc, pm, config)
-        occ = occupants(built.slots, sc.config)
-        assert search.improve(occ) == want_swaps
-        assert want_swaps > 0
-        assert (occ == want).all()
-        assert search.memo == {}
+        for slots, want_occ, swaps in zip(built, want, want_swaps):
+            occ = occupants(slots, sc.config)
+            assert search.improve(occ) == swaps
+            assert (occ == want_occ).all()
+        assert min(want_swaps) > 0
+        assert search.keep == (memo_floats > 0)
+        if search.keep:
+            assert search.memo
+        else:
+            assert search.memo == {}
 
 
 @pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])

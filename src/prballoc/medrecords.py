@@ -6,6 +6,7 @@ inconsistent rows are dropped) and generalization (numeric readings are mapped
 to three severity levels each).
 """
 
+import functools
 import itertools
 import logging
 import math
@@ -112,7 +113,12 @@ def _whole(text):
 
 
 def load_raw_records(path):
-    """Read the raw CSV (one row per patient-day); empty cells stay missing."""
+    """Read the raw CSV (one row per patient-day); empty cells stay missing.
+
+    Rows share one float per distinct reading text, through a cache built per file.  That
+    pays where readings repeat, as clinical ones do (the benchmark's file: 2,433 texts for
+    33,879 readings, half the rows' memory); where none repeats, the load's peak triples.
+    """
     def start(header):  # the header names CSV_COLUMNS, in any order, among other columns
         if header is None:
             raise ValueError("empty file")
@@ -120,15 +126,16 @@ def load_raw_records(path):
         if missing:
             raise ValueError(f"missing column(s) {', '.join(missing)}")
         idx = {c: header.index(c) for c in CSV_COLUMNS}
+        reading = functools.cache(float)  # a ValueError is not cached
 
         def row(cells):
             return RawRecordRow(
                 patient_id=sys.intern(cells[idx["patient_id"]]),
                 day=_parse_cell(cells[idx["day"]], "day", _whole),
-                sysbp=_parse_cell(cells[idx["sysbp"]], "sysbp", float),
-                diabp=_parse_cell(cells[idx["diabp"]], "diabp", float),
-                totchol=_parse_cell(cells[idx["totchol"]], "totchol", float),
-                cigpday=_parse_cell(cells[idx["cigpday"]], "cigpday", float),
+                sysbp=_parse_cell(cells[idx["sysbp"]], "sysbp", reading),
+                diabp=_parse_cell(cells[idx["diabp"]], "diabp", reading),
+                totchol=_parse_cell(cells[idx["totchol"]], "totchol", reading),
+                cigpday=_parse_cell(cells[idx["cigpday"]], "cigpday", reading),
                 stroke=_parse_cell(cells[idx["stroke"]], "stroke", _whole),
             )
         return row

@@ -563,6 +563,15 @@ class TestExperiments:
         lines = (tmp_path / "scale" / "scalability.csv").read_text().splitlines()
         assert lines[0] == "bandwidth_mhz,prbs,users,seconds"
 
+    def test_scalability_prints_one_line_per_case(self, tmp_path, capsys):
+        out = tmp_path / "scale"
+        assert run(["scalability", "--output", str(out), "--runs", "1"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in (out / "scalability.csv").read_text().splitlines()[1:]]
+        assert [(float(bw), int(prbs)) for bw, prbs, _, _ in rows] == list(cli.SCALABILITY_CASES)
+        assert printed == [f"{float(bw):g} MHz: {prbs} PRBs, {users} users, {float(s):.4f} s"
+                           for bw, prbs, users, s in rows]
+
 
 class _Captured(Exception):
     """Raised by a patched callee once it holds the config a command built."""

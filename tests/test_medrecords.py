@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -180,10 +182,33 @@ class TestCsvRoundTrip:
     def test_non_numeric_names_line(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(
-            "patient_id,day,sysbp,diabp,totchol,cigpday,stroke\np1,1,abc,1,1,1,0\n"
+            "patient_id,day,sysbp,diabp,totchol,cigpday,stroke\n"
+            "p1,1,120.5,80,200,3,0\n"
+            "p1,2,abc,80,200,3,0\n"
         )
-        with pytest.raises(DataError, match="line 2"):
+        with pytest.raises(DataError, match=r"line 3: non-numeric value 'abc' in column 'sysbp'$"):
             med.load_raw_records(path)
+
+    def test_readings_share_one_float_per_text_within_a_file(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(
+            "patient_id,day,sysbp,diabp,totchol,cigpday,stroke\n"
+            "p1,1,120.5,80,200,0.0,0\n"
+            "p1,2,120.5,80,200,-0.0,0\n"
+            "p1,3,120.50,80,200,0.0,1\n"
+        )
+        first, second, third = med.load_raw_records(path)
+        assert first.sysbp is second.sysbp
+        assert third.sysbp == first.sysbp == 120.5
+        assert first.diabp is third.diabp
+        assert [math.copysign(1.0, r.cigpday) for r in (first, second, third)] == [1.0, -1.0, 1.0]
+
+        readings = ("sysbp", "diabp", "totchol", "cigpday")
+
+        def reading_ids(rows):
+            return {id(getattr(r, c)) for r in rows for c in readings}
+
+        assert not reading_ids([first, second, third]) & reading_ids(med.load_raw_records(path))
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError):

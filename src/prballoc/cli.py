@@ -287,25 +287,25 @@ def _read_scenario_and_map(args):
 
 
 def _cmd_solve(args):
-    scenario, pm = _read_scenario_and_map(args)
     config = _config(exact.SolverConfig, args)
+    scenario, pm = _read_scenario_and_map(args)
     assignment, report = exact.solve_exact(scenario, pm, config)
     exact.write_result_csv(assignment, report, args.output)
     print(f"objective {report.objective_value!r}")
 
 
 def _cmd_heuristic(args):
-    scenario = _read_scenario(args.scenario)
-    power_maps = [_read_power_map(p, scenario) for p in args.power_map]
     config = _config(heur.HeuristicConfig, args)
+    scenario = _read_scenario(args.scenario)
+    power_maps = [_read_power_map(p, scenario) for p in args.power_maps]
     report = heur.run_heuristic(scenario, power_maps, config)
     heur.write_heuristic_csv(report, args.output)
     print(f"wrote heuristic report for {len(power_maps)} file(s) to {args.output}")
 
 
 def _cmd_export_lp(args):
-    scenario, pm = _read_scenario_and_map(args)
     config = _config(exact.SolverConfig, args, pf_log_mode="piecewise")
+    scenario, pm = _read_scenario_and_map(args)
     rows = lp_export.milp_rows(scenario, pm, config)  # checks the inputs before any file exists
     with atomic_open(args.output) as fh:
         fh.writelines(rows)
@@ -313,8 +313,8 @@ def _cmd_export_lp(args):
 
 
 def _cmd_validate_solution(args):
-    scenario, pm = _read_scenario_and_map(args)
     config = _config(exact.SolverConfig, args, pf_log_mode="piecewise")  # export-lp's model
+    scenario, pm = _read_scenario_and_map(args)
     parity = lp_export.validate_external_solution(
         read_text(args.solution), scenario, pm, config
     )
@@ -346,22 +346,63 @@ def _cmd_scalability(args):
         print(f"{bw:g} MHz: {prbs} PRBs, {users} users, {seconds:.4f} s")
 
 
-def _add_instance_args(p):
-    """The options that _read_scenario_and_map and the SolverConfig read."""
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--power-map", required=True)
-    p.add_argument("--objective", choices=exact.OBJECTIVES)
-    p.add_argument("--prioritize", action="store_true", dest="prioritization")
-    p.add_argument("--alpha", type=float)
+# stored name -> flag and argparse keywords; a config field's name where the option sets one
+OPTIONS = {
+    "input": ("--input", dict(required=True)),
+    "output": ("--output", dict(required=True)),
+    "window": ("--window", dict(type=int, default=medrecords.DEFAULT_OBSERVATION_DAYS)),
+    "records": ("--records", dict(required=True)),
+    "scenario": ("--scenario", dict(required=True)),
+    "smoothing": ("--smoothing", dict(choices=risk.SMOOTHING_MODES, default="off")),
+    "realizations": ("--realizations", dict(type=int)),
+    "seed": ("--seed", dict(type=int)),
+    "num_bs": ("--bs", dict(type=int, metavar="BS")),
+    "prbs_per_bs": ("--prbs", dict(type=int, metavar="PRBS")),
+    "num_users": ("--users", dict(type=int, metavar="USERS")),
+    "num_normal": ("--normal", dict(type=int, metavar="NORMAL")),
+    "reference_ps": ("--reference-ps", dict(action="store_true", default=False,
+                                            help="inject the reference OP posteriors")),
+    "power_map": ("--power-map", dict(required=True)),
+    "power_maps": ("--power-map", dict(required=True, nargs="+", metavar="POWER_MAP")),
+    "objective": ("--objective", dict(choices=exact.OBJECTIVES)),
+    "prioritization": ("--prioritize", dict(action="store_true")),
+    "alpha": ("--alpha", dict(type=float)),
+    "iterations": ("--iterations", dict(type=int)),
+    "solution": ("--solution", dict(required=True)),
+    "output_dir": ("--output", dict(required=True)),
+    "scenario_path": ("--scenario", dict()),
+    "alphas": ("--alphas", dict(type=float, nargs="+")),
+    "runs": ("--runs", dict(type=int)),
+}
 
-
-def _add_experiment_args(p):
-    """The options before-after and sweep-alpha share."""
-    p.add_argument("--output", dest="output_dir", required=True)
-    p.add_argument("--scenario", dest="scenario_path")
-    p.add_argument("--objective", choices=exact.OBJECTIVES)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--seed", type=int)
+# command -> summary, its options' stored names in help order, and its parser's set_defaults
+COMMANDS = {
+    "ingest": ("discretize raw medical records", "input output window", dict(func=_cmd_ingest)),
+    "risk": ("score outpatients from discretized records into a scenario",
+             "records scenario smoothing output", dict(func=_cmd_risk)),
+    "generate": ("write a scenario and power-map realizations",
+                 "output realizations seed num_bs prbs_per_bs num_users num_normal reference_ps",
+                 dict(func=_cmd_generate, realizations=1)),
+    "solve": ("exact solve of one instance",
+              "scenario power_map objective prioritization alpha output", dict(func=_cmd_solve)),
+    "heuristic": ("semi-greedy allocation with averaging",
+                  "scenario power_maps iterations prioritization alpha seed output",
+                  dict(func=_cmd_heuristic)),
+    "export-lp": ("emit the MILP in LP format",
+                  "scenario power_map objective prioritization alpha output",
+                  dict(func=_cmd_export_lp)),
+    "validate-solution": ("check an external solver solution",
+                          "scenario power_map objective prioritization alpha solution",
+                          dict(func=_cmd_validate_solution)),
+    "before-after": ("paired prioritization experiment",
+                     "output_dir scenario_path objective realizations seed alpha iterations",
+                     dict(func=_cmd_before_after)),
+    "sweep-alpha": ("fairness and SINR across alpha values",
+                    "output_dir scenario_path objective realizations seed alphas",
+                    dict(func=_cmd_sweep_alpha)),
+    "scalability": ("heuristic timing across PRB counts", "output_dir runs seed",
+                    dict(func=_cmd_scalability)),
+}
 
 
 def build_parser():
@@ -369,78 +410,13 @@ def build_parser():
         prog="prballoc", description="Patient-priority OFDMA uplink PRB allocation"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def config_parser(name, summary):
-        """A parser whose options not given are left out, so each config field keeps its default."""
-        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-
-    p = sub.add_parser("ingest", help="discretize raw medical records")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--window", type=int, default=medrecords.DEFAULT_OBSERVATION_DAYS)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("risk", help="score outpatients from discretized records into a scenario")
-    p.add_argument("--records", required=True)
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--smoothing", choices=risk.SMOOTHING_MODES, default="off")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_risk)
-
-    p = config_parser("generate", "write a scenario and power-map realizations")
-    p.add_argument("--output", required=True)
-    p.add_argument("--realizations", type=int, default=1)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bs", type=int, dest="num_bs", metavar="BS")
-    p.add_argument("--prbs", type=int, dest="prbs_per_bs", metavar="PRBS")
-    p.add_argument("--users", type=int, dest="num_users", metavar="USERS")
-    p.add_argument("--normal", type=int, dest="num_normal", metavar="NORMAL")
-    p.add_argument("--reference-ps", action="store_true", default=False,
-                   help="inject the reference OP posteriors")
-    p.set_defaults(func=_cmd_generate)
-
-    p = config_parser("solve", "exact solve of one instance")
-    _add_instance_args(p)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_solve)
-
-    p = config_parser("heuristic", "semi-greedy allocation with averaging")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--power-map", required=True, nargs="+")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--prioritize", action="store_true", dest="prioritization")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_heuristic)
-
-    p = config_parser("export-lp", "emit the MILP in LP format")
-    _add_instance_args(p)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_export_lp)
-
-    p = config_parser("validate-solution", "check an external solver solution")
-    _add_instance_args(p)
-    p.add_argument("--solution", required=True)
-    p.set_defaults(func=_cmd_validate_solution)
-
-    p = config_parser("before-after", "paired prioritization experiment")
-    _add_experiment_args(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--iterations", type=int)
-    p.set_defaults(func=_cmd_before_after)
-
-    p = config_parser("sweep-alpha", "fairness and SINR across alpha values")
-    _add_experiment_args(p)
-    p.add_argument("--alphas", type=float, nargs="+")
-    p.set_defaults(func=_cmd_sweep_alpha)
-
-    p = config_parser("scalability", "heuristic timing across PRB counts")
-    p.add_argument("--output", dest="output_dir", required=True)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_scalability)
-
+    for command, (summary, names, defaults) in COMMANDS.items():
+        # an option not given is left out, so each config field keeps its default
+        p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        for name in names.split():
+            flag, kwargs = OPTIONS[name]
+            p.add_argument(flag, dest=name, **kwargs)
+        p.set_defaults(**defaults)
     return parser
 
 

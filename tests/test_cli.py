@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -658,6 +659,122 @@ class TestConfigFromOptions:
         assert all(getattr(built, k) != getattr(self._expected(command), k) for k in fields)
 
 
+NOT_STORED = "not stored"  # an option left out of the namespace when not given
+OBJECTIVE = ("--objective", "objective", False, None, None, ("wsrmax", "pf"), NOT_STORED)
+PRIORITIZE = ("--prioritize", "prioritization", False, 0, None, None, NOT_STORED)
+ALPHA = ("--alpha", "alpha", False, None, float, None, NOT_STORED)
+SEED = ("--seed", "seed", False, None, int, None, NOT_STORED)
+
+# command -> its options in help order: flag, stored name, required, nargs, type, choices and
+# what the namespace holds when the option is not given (None for a required option); written
+# out here, not read from the CLI's own table
+OPTION_SURFACE = {
+    "ingest": [
+        ("--input", "input", True, None, None, None, None),
+        ("--output", "output", True, None, None, None, None),
+        ("--window", "window", False, None, int, None, 30),
+    ],
+    "risk": [
+        ("--records", "records", True, None, None, None, None),
+        ("--scenario", "scenario", True, None, None, None, None),
+        ("--smoothing", "smoothing", False, None, None, ("off", "laplace"), "off"),
+        ("--output", "output", True, None, None, None, None),
+    ],
+    "generate": [
+        ("--output", "output", True, None, None, None, None),
+        ("--realizations", "realizations", False, None, int, None, 1),
+        SEED,
+        ("--bs", "num_bs", False, None, int, None, NOT_STORED),
+        ("--prbs", "prbs_per_bs", False, None, int, None, NOT_STORED),
+        ("--users", "num_users", False, None, int, None, NOT_STORED),
+        ("--normal", "num_normal", False, None, int, None, NOT_STORED),
+        ("--reference-ps", "reference_ps", False, 0, None, None, False),
+    ],
+    "solve": [
+        ("--scenario", "scenario", True, None, None, None, None),
+        ("--power-map", "power_map", True, None, None, None, None),
+        OBJECTIVE, PRIORITIZE, ALPHA,
+        ("--output", "output", True, None, None, None, None),
+    ],
+    "heuristic": [
+        ("--scenario", "scenario", True, None, None, None, None),
+        ("--power-map", "power_maps", True, "+", None, None, None),
+        ("--iterations", "iterations", False, None, int, None, NOT_STORED),
+        PRIORITIZE, ALPHA, SEED,
+        ("--output", "output", True, None, None, None, None),
+    ],
+    "export-lp": [
+        ("--scenario", "scenario", True, None, None, None, None),
+        ("--power-map", "power_map", True, None, None, None, None),
+        OBJECTIVE, PRIORITIZE, ALPHA,
+        ("--output", "output", True, None, None, None, None),
+    ],
+    "validate-solution": [
+        ("--scenario", "scenario", True, None, None, None, None),
+        ("--power-map", "power_map", True, None, None, None, None),
+        OBJECTIVE, PRIORITIZE, ALPHA,
+        ("--solution", "solution", True, None, None, None, None),
+    ],
+    "before-after": [
+        ("--output", "output_dir", True, None, None, None, None),
+        ("--scenario", "scenario_path", False, None, None, None, NOT_STORED),
+        OBJECTIVE,
+        ("--realizations", "realizations", False, None, int, None, NOT_STORED),
+        SEED, ALPHA,
+        ("--iterations", "iterations", False, None, int, None, NOT_STORED),
+    ],
+    "sweep-alpha": [
+        ("--output", "output_dir", True, None, None, None, None),
+        ("--scenario", "scenario_path", False, None, None, None, NOT_STORED),
+        OBJECTIVE,
+        ("--realizations", "realizations", False, None, int, None, NOT_STORED),
+        SEED,
+        ("--alphas", "alphas", False, "+", float, None, NOT_STORED),
+    ],
+    "scalability": [
+        ("--output", "output_dir", True, None, None, None, None),
+        ("--runs", "runs", False, None, int, None, NOT_STORED),
+        SEED,
+    ],
+}
+
+
+class TestOptionSurface:
+    """Each command offers exactly the options listed, declared and stored as listed."""
+
+    @pytest.mark.parametrize("command", list(OPTION_SURFACE))
+    def test_each_option_is_declared_as_listed(self, command):
+        (commands,) = [a.choices for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands) == list(OPTION_SURFACE)
+        declared = [(*a.option_strings, a.dest, a.required, a.nargs, a.type, a.choices)
+                    for a in commands[command]._actions if a.dest != "help"]
+        assert declared == [row[:6] for row in OPTION_SURFACE[command]]
+
+    @pytest.mark.parametrize("command", list(OPTION_SURFACE))
+    def test_options_not_given_store_as_listed(self, command):
+        rows = OPTION_SURFACE[command]
+        argv = [command]
+        for flag, _, required, *_ in rows:
+            argv += [flag, "x"] if required else []
+        stored = vars(cli.build_parser().parse_args(argv))
+        assert stored.pop("command") == command and callable(stored.pop("func"))
+        assert stored == {
+            name: (["x"] if nargs == "+" else "x") if required else default
+            for _, name, required, nargs, _, _, default in rows
+            if required or default != NOT_STORED
+        }
+
+    @pytest.mark.parametrize("command", [None, *OPTION_SURFACE])
+    def test_help_renders_every_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        names = [row[0] for row in OPTION_SURFACE[command]] if command else OPTION_SURFACE
+        assert all(name in out for name in names)
+
+
 class TestRunnerRefusals:
     """A bad spec or bad given maps are refused before any output exists."""
 
@@ -1133,6 +1250,19 @@ MALFORMED = [
     ("export-lp-lambda-zero", _zero_powers, EXPORT, 4, "lambda"),
     ("solution-pf-zero-sinr", _zero_sinr_solution, VALIDATE + ["--objective", "pf"], 4,
      "zero SINR"),
+    # a bad option and a missing input: the options are checked before any input is read
+    ("solve-negative-alpha-missing-map", None,
+     [a.replace("power_map_000", "missing") for a in SOLVE] + ["--alpha", "-1"], 2,
+     "alpha must be finite and > 0, got -1.0"),
+    ("heuristic-zero-iterations-missing-map", None,
+     [a.replace("power_map_000", "missing") for a in HEURISTIC] + ["--iterations", "0"], 2,
+     "iterations must be >= 1"),
+    ("export-lp-nan-alpha-missing-scenario", None,
+     [a.replace("scenario.json", "missing.json") for a in EXPORT] + ["--alpha", "nan"], 2,
+     "alpha must be a finite float, got nan"),
+    ("validate-solution-zero-alpha-missing-map", None,
+     [a.replace("power_map_000", "missing") for a in VALIDATE] + ["--alpha", "0"], 2,
+     "alpha must be finite and > 0, got 0.0"),
 ]
 
 

@@ -13,17 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import check_map_shape
-from .errors import InfeasibleError, UsageError, check_field_types
+from .errors import DataError, InfeasibleError, UsageError, check_field_types
 from .fileio import write_csv
 from .metrics import left_sum
 from .risk import check_alpha, priority
 
 DEFAULT_ALPHA = 500.0
 OBJECTIVES = ("wsrmax", "pf")  # SolverConfig's names, the CLI's --objective choices
-
-
-class PfUndefinedError(ValueError):
-    """PF objective requested a log of a zero SINR."""
 
 
 @dataclass(frozen=True)
@@ -156,11 +152,11 @@ class Objective:
         return out
 
     def value(self, sinrs):
-        """The objective of {user id: SINR}, summed in its order; PfUndefinedError at a NaN term."""
+        """The objective of {user id: SINR}, summed in its order; DataError at a NaN term."""
         users = np.array(list(sinrs), dtype=int) - 1
         terms = self.terms(users, np.array(list(sinrs.values()))).tolist()
         if any(math.isnan(t) for t in terms):
-            raise PfUndefinedError("PF undefined at zero SINR")
+            raise DataError("a PF log user has zero SINR, where ln is undefined")
         return left_sum(terms)
 
 

@@ -363,7 +363,8 @@ OPTIONS = {
     "reference_ps": ("--reference-ps", dict(action="store_true", default=False,
                                             help="inject the reference OP posteriors")),
     "power_map": ("--power-map", dict(required=True)),
-    "power_maps": ("--power-map", dict(required=True, nargs="+", metavar="POWER_MAP")),
+    "power_maps": ("--power-map", dict(required=True, nargs="+", action="extend",
+                                       metavar="POWER_MAP")),
     "objective": ("--objective", dict(choices=exact.OBJECTIVES)),
     "prioritization": ("--prioritize", dict(action="store_true")),
     "alpha": ("--alpha", dict(type=float)),
@@ -371,7 +372,7 @@ OPTIONS = {
     "solution": ("--solution", dict(required=True)),
     "output_dir": ("--output", dict(required=True)),
     "scenario_path": ("--scenario", dict()),
-    "alphas": ("--alphas", dict(type=float, nargs="+")),
+    "alphas": ("--alphas", dict(type=float, nargs="+", action="extend")),
     "runs": ("--runs", dict(type=int)),
 }
 

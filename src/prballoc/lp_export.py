@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .allocator_exact import (
     Assignment,
     Objective,
-    PfUndefinedError,
     evaluate_assignment,
     solve_exact,
 )
@@ -54,19 +53,6 @@ def balance_row(power_map, k, n, b):
     return phis, heard[k - 1]
 
 
-def _phi_indices(K, N, B):
-    for k in range(1, K + 1):
-        for m in range(1, K + 1):
-            if m == k:
-                continue
-            for n in range(1, N + 1):
-                for b in range(1, B + 1):
-                    for w in range(1, B + 1):
-                        if w == b:
-                            continue
-                        yield m, n, k, w, b
-
-
 def milp_rows(scenario, power_map, config):
     """The LP-format model as an iterator of text pieces, byte-identical across runs.
 
@@ -84,7 +70,8 @@ def milp_rows(scenario, power_map, config):
 
 def _rows(scenario, power_map, config, lam, objective):
     cfg = scenario.config
-    K, N, B = cfg.num_users, cfg.prbs_per_bs, cfg.num_bs
+    prbs, bss = range(1, cfg.prbs_per_bs + 1), range(1, cfg.num_bs + 1)
+    slots = [(n, b) for n in prbs for b in bss]  # the model's one (prb, bs) order, PRB-major
     pf = config.objective == "pf"
     log_users = [k for k in cfg.user_ids if objective.log[k - 1]]
     linear = [(k, _num(objective.w[k - 1])) for k in cfg.user_ids if not objective.log[k - 1]]
@@ -92,14 +79,14 @@ def _rows(scenario, power_map, config, lam, objective):
 
     yield "\\ prballoc MILP export\nMaximize\n"
     if not pf:
-        terms = [f"+ {w} T_{k}_{n}_{b}"
-                 for k, w in linear for n in range(1, N + 1) for b in range(1, B + 1)]
+        terms = [f"+ {w} T_{k}_{n}_{b}" for k, w in linear for n, b in slots]
     else:
         terms = [f"+ L_{k}" for k in log_users] + [f"+ {w} S_{k}" for k, w in linear]
     yield " obj: " + " ".join(terms) + "\n"
 
     yield "Subject To\n"
-    for m, n, k, w, b in _phi_indices(K, N, B):
+    for k, m, n, b, w in ((k, m, n, b, w) for k in cfg.user_ids for m in cfg.user_ids if m != k
+                          for n, b in slots for w in bss if w != b):
         idx = f"{m}_{n}_{k}_{w}_{b}"
         yield (
             f" c13_{idx}: PHI_{idx} - {lam_s} X_{m}_{n}_{w} <= 0\n"
@@ -108,37 +95,34 @@ def _rows(scenario, power_map, config, lam, objective):
             f" >= {neg_lam_s}\n"
         )
     for k in cfg.user_ids:
-        for n in range(1, N + 1):
-            for b in range(1, B + 1):
-                phis, x_coef = balance_row(power_map, k, n, b)
-                yield (
-                    f" c16_{k}_{n}_{b}:"
-                    + "".join(f" + {_num(q)} PHI_{m}_{n}_{k}_{w}_{b}" for m, w, q in phis)
-                    + f" + 1.0 T_{k}_{n}_{b} - {_num(x_coef)} X_{k}_{n}_{b} = 0\n"
-                )
+        for n, b in slots:
+            phis, x_coef = balance_row(power_map, k, n, b)
+            yield (
+                f" c16_{k}_{n}_{b}:"
+                + "".join(f" + {_num(q)} PHI_{m}_{n}_{k}_{w}_{b}" for m, w, q in phis)
+                + f" + 1.0 T_{k}_{n}_{b} - {_num(x_coef)} X_{k}_{n}_{b} = 0\n"
+            )
     p_w = dbm_to_mw(cfg.tx_power_per_prb_dbm) / 1000.0
     pm_w = dbm_to_mw(cfg.max_power_per_connection_dbm) / 1000.0
     for k in cfg.user_ids:
-        for b in range(1, B + 1):
-            terms = [f"+ {_num(p_w)} X_{k}_{n}_{b}" for n in range(1, N + 1)]
+        for b in bss:
+            terms = [f"+ {_num(p_w)} X_{k}_{n}_{b}" for n in prbs]
             yield f" c17_{k}_{b}: " + " ".join(terms) + f" <= {_num(pm_w)}\n"
-    for n in range(1, N + 1):
-        for b in range(1, B + 1):
-            terms = [f"+ X_{k}_{n}_{b}" for k in cfg.user_ids]
-            yield f" c18_{n}_{b}: " + " ".join(terms) + " <= 1\n"
+    for n, b in slots:
+        terms = [f"+ X_{k}_{n}_{b}" for k in cfg.user_ids]
+        yield f" c18_{n}_{b}: " + " ".join(terms) + " <= 1\n"
     for k in cfg.user_ids:
-        terms = [f"+ X_{k}_{n}_{b}" for b in range(1, B + 1) for n in range(1, N + 1)]
+        terms = [f"+ X_{k}_{n}_{b}" for b in bss for n in prbs]  # BS-major: part of the bytes
         yield f" c19_{k}: " + " ".join(terms) + " = 1\n"
     if pf:
         for k in cfg.user_ids:
-            terms = [f"- T_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)]
+            terms = [f"- T_{k}_{n}_{b}" for n, b in slots]
             yield f" c21_{k}: S_{k} " + " ".join(terms) + " = 0\n"
         for k in log_users:
             for y, (m_y, h_y) in enumerate(objective.segments.tolist(), start=1):
                 yield f" c24_{k}_{y}: L_{k} - {_num(m_y)} S_{k} <= {_num(h_y)}\n"
             # ln 0 is undefined, so, as in the DP, a log user takes no slot of zero own power
-            dead = [f"+ X_{k}_{n}_{b}" for n in range(1, N + 1) for b in range(1, B + 1)
-                    if power_map.q[k - 1, n - 1, b - 1] == 0]
+            dead = [f"+ X_{k}_{n}_{b}" for n, b in slots if power_map.q[k - 1, n - 1, b - 1] == 0]
             if dead:
                 yield f" zero_{k}: " + " ".join(dead) + " = 0\n"
 
@@ -147,9 +131,8 @@ def _rows(scenario, power_map, config, lam, objective):
         yield f" L_{k} free\n"
     yield "Binary\n"
     for k in cfg.user_ids:
-        for n in range(1, N + 1):
-            for b in range(1, B + 1):
-                yield f" X_{k}_{n}_{b}\n"
+        for n, b in slots:
+            yield f" X_{k}_{n}_{b}\n"
     yield "End\n"
 
 
@@ -232,10 +215,7 @@ def validate_external_solution(text, scenario, power_map, config):
     if missing:
         raise DataError(f"users without a slot: {missing}")
     assignment = Assignment(slots=slots)
-    try:
-        report = evaluate_assignment(assignment, power_map, scenario, config)
-    except PfUndefinedError:
-        raise DataError("the solution gives a PF log user zero SINR, where ln is undefined") from None
+    report = evaluate_assignment(assignment, power_map, scenario, config)
     _, optimal = solve_exact(scenario, power_map, config)
     scale = max(1.0, abs(report.objective_value))
     objective_match = (

@@ -775,6 +775,34 @@ class TestOptionSurface:
         assert all(name in out for name in names)
 
 
+class TestRepeatedListOption:
+    """A list option given twice adds to its list, as if its values came in one flag."""
+
+    def test_heuristic_power_maps(self, scenario_dir, tmp_path, capsys):
+        pm0, pm1 = (str(scenario_dir / f"power_map_00{i}.csv") for i in (0, 1))
+        base = ["heuristic", "--scenario", str(scenario_dir / "scenario.json"),
+                "--iterations", "2"]
+        capsys.readouterr()
+        assert run([*base, "--power-map", pm0, pm1, "--power-map", pm0,
+                    "--output", str(tmp_path / "repeated.csv")]) == 0
+        assert capsys.readouterr().out.startswith("wrote heuristic report for 3 file(s)")
+        assert run([*base, "--power-map", pm0, pm1, pm0,
+                    "--output", str(tmp_path / "once.csv")]) == 0
+        assert (tmp_path / "repeated.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+
+    def test_sweep_alpha_alphas(self, tmp_path):
+        scn = tmp_path / "scn"
+        assert run(["generate", "--output", str(scn), "--users", "4", "--normal", "2",
+                    "--prbs", "2", "--seed", "3"]) == 0
+        base = ["sweep-alpha", "--scenario", str(scn / "scenario.json"), "--realizations", "1"]
+        assert run([*base, "--alphas", "50", "--alphas", "100",
+                    "--output", str(tmp_path / "repeated")]) == 0
+        assert run([*base, "--alphas", "50", "100", "--output", str(tmp_path / "once")]) == 0
+        table = (tmp_path / "repeated" / "alpha_sweep.csv").read_text()
+        assert [line.split(",")[0] for line in table.splitlines()[1:]] == ["50.0", "100.0"]
+        assert table == (tmp_path / "once" / "alpha_sweep.csv").read_text()
+
+
 class TestRunnerRefusals:
     """A bad spec or bad given maps are refused before any output exists."""
 

@@ -7,7 +7,7 @@ import pytest
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
 from prballoc import channel, lp_export
-from prballoc.errors import UsageError
+from prballoc.errors import DataError, UsageError
 
 from helpers import LambdaTooSmallError, verify_linearization
 
@@ -174,7 +174,7 @@ class TestObjectives:
     def test_pf_zero_sinr_undefined(self):
         cfg = ex.SolverConfig(objective="pf")
         assert math.isnan(objective_of({1: 0.0}, {1: 1.0}, cfg))
-        with pytest.raises(ex.PfUndefinedError):
+        with pytest.raises(DataError, match="zero SINR"):
             two_users(cfg, {}).value({1: 0.0})
 
 

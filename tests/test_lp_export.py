@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -90,6 +91,21 @@ class TestExport:
         text = lp_export.export_milp(sc, pm, cfg)
         with open(os.path.join(DATA_DIR, "hand_instance_pf.lp"), encoding="utf-8") as fh:
             assert text == fh.read()
+
+    @pytest.mark.parametrize("config, digest", [
+        (ex.SolverConfig(), "9c5967ebafbcb0ae89dd5cdb2356179f4d769d143bd3c69b446f5430256497a9"),
+        (ex.SolverConfig(objective="pf", prioritization=True, pf_log_mode="piecewise"),
+         "859b5bc68e9f956bc4287df4f3c7fd242ebcb108b0a1c338114d50ad5f1806fd"),
+    ], ids=["wsrmax", "pf-prioritized"])
+    def test_three_bs_bytes(self, config, digest):
+        # pins every row's (prb, bs) order at 3 BSs, where the goldens above have 2
+        three_bs = os.path.join(DATA_DIR, "three_bs")
+        with open(os.path.join(three_bs, "scenario.json"), encoding="utf-8") as fh:
+            sc = channel.scenario_from_json(fh.read())
+        pm = channel.read_power_map_csv(os.path.join(three_bs, "power_map_000.csv"),
+                                        sc.config.noise_w)
+        text = lp_export.export_milp(sc, pm, config)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_pf_rows(self):
         sc, pm = baseline()

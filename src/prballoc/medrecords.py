@@ -6,6 +6,7 @@ inconsistent rows are dropped) and generalization (numeric readings are mapped
 to three severity levels each).
 """
 
+import bisect
 import functools
 import itertools
 import logging
@@ -25,17 +26,17 @@ RECORD_COLUMNS = ["patient_id", "day", "f1", "f2", "f3", "f4", "stroke"]
 # f1 = systolic BP, f2 = diastolic BP, f3 = total cholesterol, f4 = cigs/day
 FEATURES = ("f1", "f2", "f3", "f4")
 
-# Severity tables: (exclusive upper bound, level name); the last entry is
-# open-ended.  Printed ranges are closed on both printed endpoints, "<x" is
-# strictly less and "x+" means >= x.  0 cigarettes/day falls into Light.
+# Severity tables: (bounds, names); a reading takes names[i] for the i bounds <= it.
+# Printed ranges are closed on both printed endpoints, "<x" is strictly less and "x+"
+# means >= x.  0 cigarettes/day falls into Light.
 LEVEL_TABLES = {
-    "f1": ((120.0, "Normal"), (140.0, "Pre-hypertension"), (None, "High-Hypertension")),
-    "f2": ((80.0, "Normal"), (90.0, "Pre-hypertension"), (None, "High-Hypertension")),
-    "f3": ((200.0, "Optimal"), (240.0, "Normal"), (None, "High")),
-    "f4": ((11.0, "Light"), (20.0, "Moderate"), (None, "Heavy")),
+    "f1": ((120.0, 140.0), ("Normal", "Pre-hypertension", "High-Hypertension")),
+    "f2": ((80.0, 90.0), ("Normal", "Pre-hypertension", "High-Hypertension")),
+    "f3": ((200.0, 240.0), ("Optimal", "Normal", "High")),
+    "f4": ((11.0, 20.0), ("Light", "Moderate", "Heavy")),
 }
 
-LEVEL_NAMES = {f: tuple(name for _, name in tbl) for f, tbl in LEVEL_TABLES.items()}
+LEVEL_NAMES = {f: names for f, (_, names) in LEVEL_TABLES.items()}
 
 # One read-only {feature: level} mapping per combination of the four levels
 # (3**4 of them), keyed by the (f1, f2, f3, f4) tokens.  Every DayEntry shares
@@ -51,12 +52,12 @@ DEFAULT_OBSERVATION_DAYS = 30
 @dataclass(slots=True)
 class RawRecordRow:
     patient_id: str
-    day: int | None
+    day: float | None
     sysbp: float | None
     diabp: float | None
     totchol: float | None
     cigpday: float | None
-    stroke: int | None
+    stroke: float | None
 
 
 @dataclass(slots=True)
@@ -78,10 +79,8 @@ def level_of(feature, value):
         raise ValueError(f"unknown feature {feature!r}")
     if value < 0:
         raise ValueError(f"negative reading {value} for {feature}")
-    for bound, name in LEVEL_TABLES[feature]:
-        if bound is None or value < bound:
-            return name
-    raise AssertionError("level table not total")
+    bounds, names = LEVEL_TABLES[feature]
+    return names[bisect.bisect_right(bounds, value)]
 
 
 def shared_levels(tokens):
@@ -104,64 +103,53 @@ def _parse_cell(text, column, cast):
         raise ValueError(f"non-numeric value {text!r} in column {column!r}") from None
 
 
-def _whole(text):
-    """An int for an integral cell; a non-integral one stays a float, which cleanse drops."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return int(value) if value.is_integer() else value
-
-
 def load_raw_records(path):
-    """Read the raw CSV (one row per patient-day); empty cells stay missing.
+    """Read the raw CSV (one row per patient-day) into floats; empty cells stay missing.
 
-    Rows share one float per distinct reading text, through a cache built per file.  That
-    pays where readings repeat, as clinical ones do (the benchmark's file: 2,433 texts for
-    33,879 readings, half the rows' memory); where none repeats, the load's peak triples.
+    Only cleanse judges the values.  Rows share one float per distinct cell text, through a
+    per-file cache: that pays where readings repeat, as clinical ones do (the benchmark's
+    file: 2,433 texts for 33,879 readings, half the rows' memory); else the peak triples.
     """
-    def start(header):  # the header names CSV_COLUMNS, in any order, among other columns
+    def start(header):  # the header names CSV_COLUMNS once each, in any order, among others
         if header is None:
             raise ValueError("empty file")
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"missing column(s) {', '.join(missing)}")
+        for c in CSV_COLUMNS:
+            if header.count(c) != 1:
+                raise ValueError(f"repeated column {c!r}")
         idx = {c: header.index(c) for c in CSV_COLUMNS}
-        reading = functools.cache(float)  # a ValueError is not cached
+        number = functools.cache(float)  # a ValueError is not cached
 
         def row(cells):
             return RawRecordRow(
                 patient_id=sys.intern(cells[idx["patient_id"]]),
-                day=_parse_cell(cells[idx["day"]], "day", _whole),
-                sysbp=_parse_cell(cells[idx["sysbp"]], "sysbp", reading),
-                diabp=_parse_cell(cells[idx["diabp"]], "diabp", reading),
-                totchol=_parse_cell(cells[idx["totchol"]], "totchol", reading),
-                cigpday=_parse_cell(cells[idx["cigpday"]], "cigpday", reading),
-                stroke=_parse_cell(cells[idx["stroke"]], "stroke", _whole),
+                day=_parse_cell(cells[idx["day"]], "day", number),
+                sysbp=_parse_cell(cells[idx["sysbp"]], "sysbp", number),
+                diabp=_parse_cell(cells[idx["diabp"]], "diabp", number),
+                totchol=_parse_cell(cells[idx["totchol"]], "totchol", number),
+                cigpday=_parse_cell(cells[idx["cigpday"]], "cigpday", number),
+                stroke=_parse_cell(cells[idx["stroke"]], "stroke", number),
             )
         return row
 
     return list(read_csv(path, start))
 
 
-def _is_complete(row):
-    clinical = (row.sysbp, row.diabp, row.totchol, row.cigpday, row.stroke)
+def _is_complete(row):  # nan and inf fail `row.day % 1`, and -inf fails `row.day < 1`
     if not row.patient_id or row.day is None or row.day < 1 or row.day % 1:
         return False
-    if any(v is None for v in clinical):
-        return False
     readings = (row.sysbp, row.diabp, row.totchol, row.cigpday)
-    if any(not math.isfinite(v) or v < 0 for v in readings):
-        return False
-    return row.stroke in (0, 1)
+    return row.stroke in (0, 1) and all(v is not None and math.isfinite(v) and v >= 0 for v in readings)
 
 
 def cleanse(rows):
     """Drop incomplete, erroneous and inconsistent rows; order is preserved.
 
     A row survives only if its patient id is not empty, its day is a whole number
-    >= 1, all five clinical fields are present, the four readings are finite and
-    non-negative, the stroke flag is 0/1, and its (patient, day) pair has not been
-    seen before.
+    >= 1, its stroke flag is 0 or 1, its four readings are present, finite and
+    non-negative, and its (patient, day) pair has not been seen before.
     """
     kept = []
     seen = set()
@@ -187,7 +175,7 @@ def generalize(row):
         level_of("f3", row.totchol),
         level_of("f4", row.cigpday),
     ))
-    return DayEntry(day=row.day, levels=levels, stroke=bool(row.stroke))
+    return DayEntry(day=int(row.day), levels=levels, stroke=bool(row.stroke))
 
 
 def segment(rows, window=DEFAULT_OBSERVATION_DAYS, all_patient_ids=None):

@@ -1163,6 +1163,11 @@ MALFORMED = [
      _write("raw.csv", ",".join(medrecords.CSV_COLUMNS) + ',note\np1,1,120,80,200,0,0,"two\n'
             'lines"\np1,2,abc,80,200,0,0,x\n'),
      ["ingest", "--input", "{scn}/raw.csv", "--output", "{tmp}/r.csv"], 4, "line 4:"),
+    # a header naming sysbp twice, whose second column the reader ignored
+    ("ingest-repeated-column",
+     _write("raw.csv", ",".join(medrecords.CSV_COLUMNS) + ",sysbp\np1,1,120,80,200,0,0,999\n"),
+     ["ingest", "--input", "{scn}/raw.csv", "--output", "{tmp}/r.csv"], 4,
+     "repeated column 'sysbp'"),
     ("solution-bad-objective", _solution("X_10_5_2 1", "# objective abc"), VALIDATE, 4, "'abc'"),
     ("solution-bad-name", _solution("X_10_a_2 1"), VALIDATE, 4, "X_10_a_2"),
     ("solution-user-outside", _solution("X_10_5_2 1", "X_99_5_2 1"), VALIDATE, 4, "X_99_5_2"),

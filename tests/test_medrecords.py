@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prballoc import cli
 from prballoc import medrecords as med
 from prballoc.risk import CurrentState
 from prballoc.errors import DataError
@@ -11,6 +12,23 @@ from helpers import synthesize_raw_records
 
 def _row(pid="p1", day=1, sysbp=120.0, diabp=80.0, totchol=200.0, cigpday=5.0, stroke=0):
     return med.RawRecordRow(pid, day, sysbp, diabp, totchol, cigpday, stroke)
+
+
+# The paper's printed severity ranges, low to high, as (level, lowest reading of the range):
+# f1 <120, 120-139, 140+; f2 <80, 80-89, 90+; f3 <200, 200-239, 240+; f4 0-10, 11-19, 20+.
+PRINTED_RANGES = {
+    "f1": (("Normal", 0.0), ("Pre-hypertension", 120.0), ("High-Hypertension", 140.0)),
+    "f2": (("Normal", 0.0), ("Pre-hypertension", 80.0), ("High-Hypertension", 90.0)),
+    "f3": (("Optimal", 0.0), ("Normal", 200.0), ("High", 240.0)),
+    "f4": (("Light", 0.0), ("Moderate", 11.0), ("Heavy", 20.0)),
+}
+
+
+def _scan_level(feature, value):
+    """The highest range whose lowest reading `value` is not below; NaN takes the top one."""
+    for level, lowest in reversed(PRINTED_RANGES[feature]):
+        if not value < lowest:
+            return level
 
 
 class TestLevelOf:
@@ -45,6 +63,16 @@ class TestLevelOf:
         for feat in med.FEATURES:
             for v in range(0, 401):
                 assert med.level_of(feat, float(v)) in med.LEVEL_NAMES[feat]
+
+    @pytest.mark.parametrize("feature", sorted(PRINTED_RANGES))
+    def test_matches_a_scan_of_the_printed_ranges(self, feature):
+        bounds = [lowest for _, lowest in PRINTED_RANGES[feature][1:]]
+        values = [0.0, -0.0, math.inf, math.nan]
+        values += [v for b in bounds for v in (math.nextafter(b, -math.inf), b,
+                                               math.nextafter(b, math.inf))]
+        for value in values:
+            assert med.level_of(feature, value) == _scan_level(feature, value), value
+        assert med.level_of(feature, math.nan) == PRINTED_RANGES[feature][-1][0]
 
     def test_negative_reading_rejected(self):
         with pytest.raises(ValueError):
@@ -94,13 +122,14 @@ class TestCleanse:
         kept = med.cleanse(med.load_raw_records(path))
         assert [r.day for r in kept] == [3]
 
-    def test_infinite_day_is_data_error(self, tmp_path):
+    def test_non_finite_day_or_stroke_dropped(self, tmp_path):
         path = tmp_path / "raw.csv"
-        path.write_text(
-            "patient_id,day,sysbp,diabp,totchol,cigpday,stroke\np1,inf,130,85,210,3,0\n"
-        )
-        with pytest.raises(DataError, match="line 2"):
-            med.load_raw_records(path)
+        bad = [f"p1,{v},130,85,210,3,0\np2,1,130,85,210,3,{v}\n"
+               for v in ("inf", "-inf", "nan", "1e400")]
+        path.write_text("patient_id,day,sysbp,diabp,totchol,cigpday,stroke\n" + "".join(bad)
+                        + "p1,1,130,85,210,3,1\np2,1,130,85,210,3,0\n")
+        kept = med.cleanse(med.load_raw_records(path))
+        assert [(r.patient_id, r.day, r.stroke) for r in kept] == [("p1", 1, 1), ("p2", 1, 0)]
 
     def test_fractional_day_or_stroke_dropped(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -172,6 +201,32 @@ class TestCsvRoundTrip:
         assert len(rows) == 2
         assert rows[1].totchol is None
         assert rows[1].stroke == 1
+
+    def test_ingest_bytes(self, tmp_path, capsys):
+        """Every droppable row kind, a repeated (patient, day), a 1.0 and a -0.0 stroke."""
+        raw, out = tmp_path / "raw.csv", tmp_path / "records.csv"
+        raw.write_text("\n".join([
+            "patient_id,day,sysbp,diabp,totchol,cigpday,stroke",
+            "p1,1,130,85,210,3,0", "p1,1.0,150,95,250,25,1", "p1,2,119.5,79.9,199.9,10.9,-0.0",
+            "p1,2.7,130,85,210,3,1", "p1,0,130,85,210,3,0", "p1,-1,130,85,210,3,0",
+            "p1,,130,85,210,3,0", "p1,3,130,85,210,3,0.5", "p1,4,130,85,210,3,2",
+            "p1,5,140,90,240,20,1.0", "p1,6,nan,85,210,3,0", "p1,7,130,inf,210,3,0",
+            "p1,8,130,85,-3,3,0", "p1,9,130,85,210,,0", "p1,10,130,85,210,3,",
+            "p2,3,120,80,200,11,0", "p2,3,120,80,200,11,0", ",11,130,85,210,3,0",
+            "p2,1,-0.0,0,0,0,1", "p2,2,130,-inf,210,3,0", "p2,4,1e400,85,210,3,0",
+            "p2,5,139.9,89.9,239.9,19.9,1", "p3,1,130,85,210,3,0.5",
+        ]) + "\n")
+        assert cli.main(["ingest", "--input", str(raw), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 records to {out}\n"
+        assert out.read_bytes() == b"".join(line + b"\r\n" for line in [
+            b"patient_id,day,f1,f2,f3,f4,stroke",
+            b"p1,1,Pre-hypertension,Pre-hypertension,Normal,Light,0",
+            b"p1,2,Normal,Normal,Optimal,Light,0",
+            b"p1,5,High-Hypertension,High-Hypertension,High,Heavy,1",
+            b"p2,1,Normal,Normal,Optimal,Light,1",
+            b"p2,3,Pre-hypertension,Pre-hypertension,Normal,Moderate,0",
+            b"p2,5,Pre-hypertension,Pre-hypertension,Normal,Moderate,1",
+        ])
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "raw.csv"

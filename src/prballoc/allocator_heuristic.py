@@ -59,13 +59,13 @@ class IterationTrace:
 
 
 def best_sinr_pool(occ, candidates, power_map, rng):
-    """Draw one entry of the admitted user's pool: ((bs, prb), interferer), 1-based.
+    """Draw one entry of the admitted user's pool: ((bs, prb), interferer), 0-based.
 
     The pool holds one entry per empty slot of the (N, B) occupants `occ`
     (num_users for nobody), in (bs, prb) order; the draw is uniform, so only
-    the drawn entry is built.  `candidates` holds the ids, ascending, of the
-    users that may interfere.  Where the slot's PRB has another free slot, the
-    candidate of minimum interfering power at the slot (ties by user id), which
+    the drawn entry is built.  `candidates` holds the occupant indices, ascending,
+    of the users that may interfere.  Where the slot's PRB has another free slot,
+    the candidate of minimum interfering power at the slot (ties by index), which
     leaves the admitted user its best SINR, is the interferer, else None.
     """
     free = occ == len(power_map.q)
@@ -75,8 +75,8 @@ def best_sinr_pool(occ, candidates, power_map, rng):
     i = rng.integers(len(bs))
     b, n = int(bs[i]), int(prb[i])
     if not len(candidates) or np.count_nonzero(free[n]) < 2:
-        return (b + 1, n + 1), None
-    return (b + 1, n + 1), int(candidates[power_map.q[candidates - 1, n, b].argmin()])
+        return (b, n), None
+    return (b, n), int(candidates[power_map.q[candidates, n, b].argmin()])
 
 
 class SwapSearch:
@@ -228,7 +228,6 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
     cfg = scenario.config
     order = improver.serve_order(rng)
     nobody = cfg.num_users
-    ids = np.arange(1, nobody + 1)
     occ = np.full((cfg.prbs_per_bs, cfg.num_bs), nobody)  # occupant index of each (prb, bs)
     unserved = np.ones(nobody, dtype=bool)
     seats, pool_sizes, prbs, columns = [], [], [], []  # seats: (user, admission, bs index)
@@ -237,16 +236,16 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
             continue  # already placed as someone's interferer
         unserved[user - 1] = False
         pool_sizes.append(occ.size - len(seats))
-        (b, n), m = best_sinr_pool(occ, ids[unserved], power_map, rng)
-        row = occ[n - 1]
-        row[b - 1] = user - 1
-        seats.append((user, len(columns), b - 1))
+        (b, n), m = best_sinr_pool(occ, np.flatnonzero(unserved), power_map, rng)
+        row = occ[n]
+        row[b] = user - 1
+        seats.append((user, len(columns), b))
         if m is not None:
             co = row.tolist().index(nobody)  # the lowest free co-channel BS
-            row[co] = m - 1
-            unserved[m - 1] = False
-            seats.append((m, len(columns), co))
-        prbs.append(n - 1)
+            row[co] = m
+            unserved[m] = False
+            seats.append((m + 1, len(columns), co))
+        prbs.append(n)
         columns.append(row.copy())
     sinr = column_sinrs(power_map.q, power_map.noise_w, np.array(columns), np.array(prbs)).tolist()
     at_sinr = {k: sinr[a][b] for k, a, b in seats}
@@ -276,33 +275,22 @@ def run_file(scenario, power_map, config, file_index=0):
 
 @dataclass
 class HeuristicReport:
-    summaries: dict  # user_id -> StatSummary over per-file means
-    per_file_means: list  # one dict per power map
+    per_file_means: list  # one dict per power map: user_id -> mean final SINR
     per_file_objectives: list  # list of per-iteration objective lists
 
 
 def run_heuristic(scenario, power_maps, config):
-    """Average the heuristic over files; 95% CIs are across files."""
+    """Run the heuristic's iterations on each power map, one file per map."""
     if not power_maps:
         raise UsageError("need at least one power map")
-    per_file_means = []
-    per_file_objectives = []
-    for i, pm in enumerate(power_maps):
-        means, objectives = run_file(scenario, pm, config, file_index=i)
-        per_file_means.append(means)
-        per_file_objectives.append(objectives)
-    summaries = {
-        k: summarize([m[k] for m in per_file_means]) for k in scenario.config.user_ids
-    }
-    return HeuristicReport(
-        summaries=summaries,
-        per_file_means=per_file_means,
-        per_file_objectives=per_file_objectives,
-    )
+    files = [run_file(scenario, pm, config, file_index=i) for i, pm in enumerate(power_maps)]
+    return HeuristicReport([means for means, _ in files], [objectives for _, objectives in files])
 
 
 def write_heuristic_csv(report, path):
+    """One row per user: the mean, SD and 95% CI across files of its per-file means."""
+    means = report.per_file_means
+    summaries = {k: summarize([m[k] for m in means]) for k in sorted(means[0])}
     write_csv(path, ["user", "mean_sinr", "sd", "ci_low", "ci_high"], (
-        [k, s.mean, s.sd, s.ci_low, s.ci_high]
-        for k, s in sorted(report.summaries.items())
+        [k, s.mean, s.sd, s.ci_low, s.ci_high] for k, s in summaries.items()
     ))

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import math
+import statistics
 import warnings
 
 import numpy as np
@@ -55,17 +58,17 @@ class TestServeOrder:
 
 
 def occupancy(free, pm):
-    """The (N, B) occupants of pm's slots: nobody on the (bs, prb) slots `free`, the last
-    user on every other slot."""
+    """The (N, B) occupants of pm's slots: nobody on the 0-based (bs, prb) slots `free`,
+    the last user on every other slot."""
     num_users, num_prbs, num_bs = pm.q.shape
     occ = np.full((num_prbs, num_bs), num_users - 1)
     for bs, prb in free:
-        occ[prb - 1, bs - 1] = num_users
+        occ[prb, bs] = num_users
     return occ
 
 
 def draw(free, candidates, pm, seed=0):
-    """best_sinr_pool with a fresh Generator; candidates as a list of ids."""
+    """best_sinr_pool with a fresh Generator; candidates as a list of occupant indices."""
     return heur.best_sinr_pool(
         occupancy(free, pm), np.array(candidates, dtype=int), pm, np.random.default_rng(seed)
     )
@@ -78,27 +81,27 @@ class TestPool:
 
     def test_one_entry_per_free_slot(self):
         sc, pm = baseline()
-        free = {(1, 1), (2, 1), (2, 3), (1, 5)}
-        drawn = {draw(free, range(2, 11), pm, seed)[0] for seed in range(100)}
+        free = {(0, 0), (1, 0), (1, 2), (0, 4)}
+        drawn = {draw(free, range(1, 10), pm, seed)[0] for seed in range(100)}
         assert drawn == free
 
     def test_argmin_interferer(self):
         sc, pm = baseline()
-        free = {(1, 1), (2, 1)}
+        free = {(0, 0), (1, 0)}
         for seed in range(10):
-            (b, n), interferer = draw(free, [2, 3], pm, seed)
-            cands = {m: float(pm.q[m - 1, n - 1, b - 1]) for m in (2, 3)}
+            (b, n), interferer = draw(free, [1, 2], pm, seed)
+            cands = {m: float(pm.q[m, n, b]) for m in (1, 2)}
             assert interferer == min(cands, key=cands.get)
 
     def test_ties_go_to_the_lowest_id(self):
         pm = channel.PowerMap(q=np.ones((4, 1, 2)), noise_w=1.0)
         for seed in range(10):
-            _, interferer = draw({(1, 1), (2, 1)}, [1, 2, 3], pm, seed)
-            assert interferer == 1
+            _, interferer = draw({(0, 0), (1, 0)}, [0, 1, 2], pm, seed)
+            assert interferer == 0
 
     def test_no_candidates_is_interference_free(self):
         sc, pm = baseline()
-        free = {(1, 1), (2, 1)}
+        free = {(0, 0), (1, 0)}
         for seed in range(10):
             _, interferer = draw(free, [], pm, seed)
             assert interferer is None
@@ -106,11 +109,11 @@ class TestPool:
     def test_no_free_slot_errors(self):
         sc, pm = baseline()
         with pytest.raises(InfeasibleError):
-            draw(set(), [2], pm)
+            draw(set(), [1], pm)
 
     def test_no_co_channel_free_slot_counts_its_holder(self):
         sc, pm = baseline()
-        _, interferer = draw({(1, 1), (2, 2)}, [2, 3], pm, 4)
+        _, interferer = draw({(0, 0), (1, 1)}, [1, 2], pm, 4)
         assert interferer is None
 
 
@@ -119,20 +122,20 @@ class TestSemiGreedyPick:
 
     def test_singleton_and_determinism(self):
         sc, pm = baseline()
-        assert {draw({(2, 3)}, [2], pm, seed)[0] for seed in range(10)} == {(2, 3)}
-        free = {(b, n) for b in (1, 2) for n in range(1, 6)}
-        assert draw(free, [2, 3], pm, 5) == draw(free, [2, 3], pm, 5)
+        assert {draw({(1, 2)}, [1], pm, seed)[0] for seed in range(10)} == {(1, 2)}
+        free = {(b, n) for b in (0, 1) for n in range(5)}
+        assert draw(free, [1, 2], pm, 5) == draw(free, [1, 2], pm, 5)
 
     def test_uniformity(self):
         sc, pm = baseline()
-        occ = occupancy({(1, n) for n in range(1, 5)}, pm)
+        occ = occupancy({(0, n) for n in range(4)}, pm)
         none = np.array([], dtype=int)
         rng = np.random.default_rng(42)
         counts = [0, 0, 0, 0]
         n = 100_000
         for _ in range(n):
             (_, prb), _ = heur.best_sinr_pool(occ, none, pm, rng)
-            counts[prb - 1] += 1
+            counts[prb] += 1
         for c in counts:
             assert abs(c / n - 0.25) < 0.01
 
@@ -140,7 +143,7 @@ class TestSemiGreedyPick:
     @pytest.mark.parametrize("with_candidates", [True, False], ids=["candidates", "alone"])
     def test_draw_is_the_reference_pool_entry(self, num_bs, with_candidates):
         """The entry drawn is the scalar reference pool's slot and interferer at the
-        same draw, and both Generators end in the same state."""
+        same draw, as 0-based indices, and both Generators end in the same state."""
         cfg = channel.ScenarioConfig(
             num_bs=num_bs, prbs_per_bs=4, num_users=4 * num_bs, num_normal=4 * num_bs - 2, seed=1
         )
@@ -154,11 +157,12 @@ class TestSemiGreedyPick:
             others = [m for m in cfg.user_ids if m != user] if with_candidates else []
             candidates = sorted(m for m in others if setup.random() < 0.5)
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = heur.best_sinr_pool(occ, np.array(candidates, dtype=int), pm, rng)
+            got = heur.best_sinr_pool(occ, np.array(candidates, dtype=int) - 1, pm, rng)
             held = {k + 1: (b + 1, n + 1)
                     for (n, b), k in np.ndenumerate(occ) if k < cfg.num_users}
             pool = reference_pool(user, held, candidates, pm, sc)
-            assert got == pool[int(twin.integers(len(pool)))][:2]
+            (b, n), m = pool[int(twin.integers(len(pool)))][:2]  # 1-based ids
+            assert got == ((b - 1, n - 1), None if m is None else m - 1)
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -249,21 +253,34 @@ class TestRunIteration:
             assert s == pytest.approx(recomputed[k], rel=1e-12)
 
 
+def csv_rows(report, tmp_path):
+    """write_heuristic_csv's rows in file order: user -> [mean_sinr, sd, ci_low, ci_high],
+    an empty cell as None."""
+    path = tmp_path / "heur.csv"
+    heur.write_heuristic_csv(report, path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["user", "mean_sinr", "sd", "ci_low", "ci_high"]
+    return {int(row[0]): [float(c) if c else None for c in row[1:]] for row in rows}
+
+
 class TestRunHeuristic:
     def test_no_power_map_is_a_usage_error(self):
         sc, _ = baseline()
         with pytest.raises(UsageError, match="at least one power map"):
             heur.run_heuristic(sc, [], heur.HeuristicConfig(iterations=1))
 
-    def test_single_file_single_iteration_is_that_trace(self):
+    def test_single_file_single_iteration_is_that_trace(self, tmp_path):
         sc, pm = baseline()
         config = heur.HeuristicConfig(iterations=1, seed=7)
         report = heur.run_heuristic(sc, [pm], config)
         rng = np.random.default_rng(channel.derive_seed(7, 0, 0))
         trace = heur.run_iteration(sc, pm, config, rng)
-        for k, summary in report.summaries.items():
-            assert summary.mean == pytest.approx(trace.final_sinr[k], rel=1e-15)
-            assert summary.sd is None
+        rows = csv_rows(report, tmp_path)
+        assert rows.keys() == trace.final_sinr.keys()
+        for k, (mean, sd, _, _) in rows.items():
+            assert mean == pytest.approx(trace.final_sinr[k], rel=1e-15)
+            assert sd is None
 
     def test_deterministic_given_seed(self):
         sc, pm = baseline()
@@ -272,14 +289,13 @@ class TestRunHeuristic:
         b = heur.run_heuristic(sc, [pm, pm], config)
         assert a.per_file_means == b.per_file_means
 
-    def test_ci_width_formula(self):
+    def test_ci_width_formula(self, tmp_path):
         sc, _ = baseline()
         pms = [channel.generate_power_map(sc, i) for i in range(5)]
         config = heur.HeuristicConfig(iterations=10, seed=1)
         report = heur.run_heuristic(sc, pms, config)
-        for summary in report.summaries.values():
-            width = summary.ci_high - summary.ci_low
-            assert width == pytest.approx(2 * 1.96 * summary.sd / np.sqrt(5), rel=1e-12)
+        for _, sd, ci_low, ci_high in csv_rows(report, tmp_path).values():
+            assert ci_high - ci_low == pytest.approx(2 * 1.96 * sd / np.sqrt(5), rel=1e-12)
 
     def test_dominance_against_exact(self):
         sc, _ = baseline()
@@ -292,13 +308,18 @@ class TestRunHeuristic:
             assert max(objectives) <= best.objective_value + 1e-9
 
     def test_csv_output(self, tmp_path):
-        sc, pm = baseline()
-        report = heur.run_heuristic(sc, [pm], heur.HeuristicConfig(iterations=2))
-        path = tmp_path / "heur.csv"
-        heur.write_heuristic_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "user,mean_sinr,sd,ci_low,ci_high"
-        assert len(lines) == 11
+        """Each user's row, in id order, is the mean, sample SD and 95% CI of its
+        per-file means, computed here with `statistics`."""
+        sc, _ = baseline()
+        pms = [channel.generate_power_map(sc, i) for i in range(3)]
+        report = heur.run_heuristic(sc, pms, heur.HeuristicConfig(iterations=2))
+        rows = csv_rows(report, tmp_path)
+        assert list(rows) == list(sc.config.user_ids)
+        for k, row in rows.items():
+            values = [means[k] for means in report.per_file_means]
+            mean, sd = statistics.fmean(values), statistics.stdev(values)
+            half = 1.96 * sd / math.sqrt(len(values))
+            assert row == pytest.approx([mean, sd, mean - half, mean + half], rel=1e-12)
 
 
 class _Unchanged(heur.SwapSearch):

@@ -11,8 +11,9 @@ import functools
 import itertools
 import logging
 import math
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 from .errors import DataError, UsageError
@@ -20,37 +21,9 @@ from .fileio import parse_id, read_csv, write_csv
 
 log = logging.getLogger(__name__)
 
-CSV_COLUMNS = ["patient_id", "day", "sysbp", "diabp", "totchol", "cigpday", "stroke"]
-RECORD_COLUMNS = ["patient_id", "day", "f1", "f2", "f3", "f4", "stroke"]
-
-# f1 = systolic BP, f2 = diastolic BP, f3 = total cholesterol, f4 = cigs/day
-FEATURES = ("f1", "f2", "f3", "f4")
-
-# Severity tables: (bounds, names); a reading takes names[i] for the i bounds <= it.
-# Printed ranges are closed on both printed endpoints, "<x" is strictly less and "x+"
-# means >= x.  0 cigarettes/day falls into Light.
-LEVEL_TABLES = {
-    "f1": ((120.0, 140.0), ("Normal", "Pre-hypertension", "High-Hypertension")),
-    "f2": ((80.0, 90.0), ("Normal", "Pre-hypertension", "High-Hypertension")),
-    "f3": ((200.0, 240.0), ("Optimal", "Normal", "High")),
-    "f4": ((11.0, 20.0), ("Light", "Moderate", "Heavy")),
-}
-
-LEVEL_NAMES = {f: names for f, (_, names) in LEVEL_TABLES.items()}
-
-# One read-only {feature: level} mapping per combination of the four levels
-# (3**4 of them), keyed by the (f1, f2, f3, f4) tokens.  Every DayEntry shares
-# one of these instead of holding its own dict.
-_LEVEL_MAPPINGS = {
-    tokens: MappingProxyType(dict(zip(FEATURES, tokens)))
-    for tokens in itertools.product(*(LEVEL_NAMES[f] for f in FEATURES))
-}
-
-DEFAULT_OBSERVATION_DAYS = 30
-
 
 @dataclass(slots=True)
-class RawRecordRow:
+class RawRecordRow:  # its fields are the raw CSV's columns: patient_id, then the numeric ones
     patient_id: str
     day: float | None
     sysbp: float | None
@@ -58,6 +31,36 @@ class RawRecordRow:
     totchol: float | None
     cigpday: float | None
     stroke: float | None
+
+
+CSV_COLUMNS = [f.name for f in fields(RawRecordRow)]
+
+# Severity tables: feature -> (raw reading column, bounds, names); a reading takes
+# names[i] for the i bounds <= it.  Printed ranges are closed on both printed endpoints,
+# "<x" is strictly less and "x+" means >= x.  0 cigarettes/day falls into Light.
+LEVEL_TABLES = {
+    "f1": ("sysbp", (120.0, 140.0), ("Normal", "Pre-hypertension", "High-Hypertension")),
+    "f2": ("diabp", (80.0, 90.0), ("Normal", "Pre-hypertension", "High-Hypertension")),
+    "f3": ("totchol", (200.0, 240.0), ("Optimal", "Normal", "High")),
+    "f4": ("cigpday", (11.0, 20.0), ("Light", "Moderate", "Heavy")),
+}
+
+FEATURES = tuple(LEVEL_TABLES)
+RECORD_COLUMNS = ["patient_id", "day", *FEATURES, "stroke"]
+LEVEL_NAMES = {f: names for f, (_, _, names) in LEVEL_TABLES.items()}
+
+# A raw row's readings, in FEATURES order.
+_readings = operator.attrgetter(*(column for column, _, _ in LEVEL_TABLES.values()))
+
+# One read-only {feature: level} mapping per combination of the four levels
+# (3**4 of them), keyed by the tokens in FEATURES order.  Every DayEntry shares
+# one of these instead of holding its own dict.
+_LEVEL_MAPPINGS = {
+    tokens: MappingProxyType(dict(zip(FEATURES, tokens)))
+    for tokens in itertools.product(*(LEVEL_NAMES[f] for f in FEATURES))
+}
+
+DEFAULT_OBSERVATION_DAYS = 30
 
 
 @dataclass(slots=True)
@@ -79,12 +82,12 @@ def level_of(feature, value):
         raise ValueError(f"unknown feature {feature!r}")
     if value < 0:
         raise ValueError(f"negative reading {value} for {feature}")
-    bounds, names = LEVEL_TABLES[feature]
+    _, bounds, names = LEVEL_TABLES[feature]
     return names[bisect.bisect_right(bounds, value)]
 
 
 def shared_levels(tokens):
-    """The shared read-only mapping of the (f1, f2, f3, f4) tokens; ValueError if one is unknown."""
+    """The shared read-only mapping of tokens in FEATURES order; ValueError if one is unknown."""
     try:
         return _LEVEL_MAPPINGS[tokens]
     except (KeyError, TypeError):
@@ -119,29 +122,21 @@ def load_raw_records(path):
         for c in CSV_COLUMNS:
             if header.count(c) != 1:
                 raise ValueError(f"repeated column {c!r}")
-        idx = {c: header.index(c) for c in CSV_COLUMNS}
+        (pid_at, _), *numeric = [(header.index(c), c) for c in CSV_COLUMNS]
         number = functools.cache(float)  # a ValueError is not cached
 
         def row(cells):
-            return RawRecordRow(
-                patient_id=sys.intern(cells[idx["patient_id"]]),
-                day=_parse_cell(cells[idx["day"]], "day", number),
-                sysbp=_parse_cell(cells[idx["sysbp"]], "sysbp", number),
-                diabp=_parse_cell(cells[idx["diabp"]], "diabp", number),
-                totchol=_parse_cell(cells[idx["totchol"]], "totchol", number),
-                cigpday=_parse_cell(cells[idx["cigpday"]], "cigpday", number),
-                stroke=_parse_cell(cells[idx["stroke"]], "stroke", number),
-            )
+            return RawRecordRow(sys.intern(cells[pid_at]),
+                                *[_parse_cell(cells[i], c, number) for i, c in numeric])
         return row
 
     return list(read_csv(path, start))
 
 
 def _is_complete(row):  # nan and inf fail `row.day % 1`, and -inf fails `row.day < 1`
-    if not row.patient_id or row.day is None or row.day < 1 or row.day % 1:
+    if not row.patient_id or row.day is None or row.day < 1 or row.day % 1 or row.stroke not in (0, 1):
         return False
-    readings = (row.sysbp, row.diabp, row.totchol, row.cigpday)
-    return row.stroke in (0, 1) and all(v is not None and math.isfinite(v) and v >= 0 for v in readings)
+    return all(v is not None and math.isfinite(v) and v >= 0 for v in _readings(row))
 
 
 def cleanse(rows):
@@ -169,13 +164,18 @@ def cleanse(rows):
 
 def generalize(row):
     """Discretize one cleansed row into a DayEntry of severity levels."""
-    levels = shared_levels((
-        level_of("f1", row.sysbp),
-        level_of("f2", row.diabp),
-        level_of("f3", row.totchol),
-        level_of("f4", row.cigpday),
-    ))
+    levels = shared_levels(tuple(map(level_of, FEATURES, _readings(row))))
     return DayEntry(day=int(row.day), levels=levels, stroke=bool(row.stroke))
+
+
+def _by_patient(pairs):
+    """{patient id: items ascending by day} of (patient id, item) pairs, in first-seen order."""
+    groups = {}
+    for pid, item in pairs:
+        groups.setdefault(pid, []).append(item)
+    for items in groups.values():
+        items.sort(key=operator.attrgetter("day"))
+    return groups
 
 
 def segment(rows, window=DEFAULT_OBSERVATION_DAYS, all_patient_ids=None):
@@ -187,19 +187,13 @@ def segment(rows, window=DEFAULT_OBSERVATION_DAYS, all_patient_ids=None):
     """
     if window < 1:
         raise UsageError("window must be >= 1")
-    by_patient = {}
-    for row in rows:
-        by_patient.setdefault(row.patient_id, []).append(row)
+    by_patient = _by_patient((row.patient_id, row) for row in rows)
     if all_patient_ids is not None:
         for pid in all_patient_ids:
             if pid not in by_patient:
                 log.warning("patient %s has no valid days and was excluded", pid)
-    records = []
-    for pid, patient_rows in by_patient.items():
-        patient_rows.sort(key=lambda r: r.day)
-        days = [generalize(r) for r in patient_rows[:window]]
-        records.append(MedicalRecord(patient_id=pid, days=days))
-    return records
+    return [MedicalRecord(patient_id=pid, days=[generalize(r) for r in patient_rows[:window]])
+            for pid, patient_rows in by_patient.items()]
 
 
 def write_records_csv(records, path):
@@ -221,23 +215,18 @@ def read_records_csv(path):
         return row
 
     def row(cells):
-        pid, day, f1, f2, f3, f4, stroke = cells
+        pid, day, *levels, stroke = cells
         if not pid:
             raise ValueError("empty patient_id")
-        entry = DayEntry(day=parse_id(day), levels=shared_levels((f1, f2, f3, f4)),
+        entry = DayEntry(day=parse_id(day), levels=shared_levels(tuple(levels)),
                          stroke=stroke == "1")
         if entry.day < 1 or stroke not in ("0", "1"):
             raise ValueError(f"want a day >= 1 and a stroke of 0 or 1, got {day!r} and {stroke!r}")
         return sys.intern(pid), entry
 
-    by_patient = {}
-    for pid, entry in read_csv(path, start):
-        by_patient.setdefault(pid, []).append(entry)
-    records = []
+    by_patient = _by_patient(read_csv(path, start))
     for pid, entries in by_patient.items():
-        entries.sort(key=lambda e: e.day)
         for a, b in itertools.pairwise(entries):
             if a.day == b.day:
                 raise DataError(f"{path}: patient {pid!r} repeats day {a.day}")
-        records.append(MedicalRecord(patient_id=pid, days=entries))
-    return records
+    return [MedicalRecord(patient_id=pid, days=entries) for pid, entries in by_patient.items()]

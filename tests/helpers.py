@@ -1,6 +1,8 @@
 """Helpers the tests share that the program itself never calls: synthetic raw
-records in the ingestion schema, solution files in the validator's format, and
-the check of the MILP's linearization at an assignment."""
+records in the ingestion schema, solution files in the validator's format, the
+check of the MILP's linearization at an assignment, and a bootstrap interval."""
+
+import numpy as np
 
 from prballoc import lp_export
 from prballoc.allocator_exact import sinr_of
@@ -56,3 +58,20 @@ def verify_linearization(assignment, power_map, lam=None):
         value = sum(q * sinr[k] for m, w, q in phis if assignment.slots.get(m) == (w, n))
         worst = max(worst, abs(value + sinr[k] - x_coef) / x_coef)
     return worst
+
+
+def paired_bootstrap(statistic, *samples, resamples=5000, level=0.95, seed=0):
+    """Percentile bootstrap interval of `statistic` (Efron & Tibshirani, 1993, ch. 13).
+
+    Each sample holds one value per realization along its first axis, the same
+    realizations in each.  A resample draws n realizations with replacement and takes
+    them from every sample alike, so paired readings keep their pairing.  `statistic`
+    gets the resampled arrays, each with a leading resample axis, and returns one value
+    per resample.  One Generator, seeded by `seed`, draws every resample.
+    """
+    arrays = [np.asarray(sample, dtype=float) for sample in samples]
+    n = len(arrays[0])
+    picks = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+    tail = 50 * (1 - level)
+    low, high = np.percentile(statistic(*(a[picks] for a in arrays)), [tail, 100 - tail])
+    return float(low), float(high)

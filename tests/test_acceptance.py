@@ -19,7 +19,7 @@ from prballoc import allocator_heuristic as heur
 from prballoc import channel, cli, lp_export, metrics, risk
 from prballoc.medrecords import FEATURES, LEVEL_NAMES, DayEntry, MedicalRecord
 
-from helpers import LambdaTooSmallError, verify_linearization, write_solution_file
+from helpers import LambdaTooSmallError, paired_bootstrap, verify_linearization, write_solution_file
 from test_exact import hand_instance, oracle_best
 
 ACCEPTANCE_SEED = 3
@@ -202,8 +202,27 @@ def _op_improvement(dataset, objective):
     return metrics.improvement_pct(b, a)
 
 
+def _op_means(dataset, objective, prio):
+    """Each realization's mean outpatient SINR."""
+    op_ids = dataset["scenario"].config.op_ids
+    runs = dataset["exact"][(objective, prio)]
+    return np.array([[r[k] for k in op_ids] for r in runs]).mean(axis=1)
+
+
+def _resampled_improvement(before, after):
+    """improvement_pct of the mean over realizations, per resample."""
+    return 100.0 * (after.mean(axis=1) - before.mean(axis=1)) / before.mean(axis=1)
+
+
+def _improvement_interval(dataset, objective):
+    """Paired bootstrap 95% interval of an objective's OP improvement."""
+    return paired_bootstrap(_resampled_improvement, _op_means(dataset, objective, False),
+                            _op_means(dataset, objective, True))
+
+
 def test_criterion_5a_wsrmax_improvement(capsys, dataset):
     impr = _op_improvement(dataset, "wsrmax")
+    low, high = _improvement_interval(dataset, "wsrmax")
     before = dataset["exact"][("wsrmax", False)]
     after = dataset["exact"][("wsrmax", True)]
     sys_b = _mean(_mean(r.values()) for r in before)
@@ -211,33 +230,48 @@ def test_criterion_5a_wsrmax_improvement(capsys, dataset):
     sys_change = metrics.improvement_pct(sys_b, sys_a)
     ok = 10.0 <= impr <= 60.0 and sys_change >= -10.0
     report(capsys, "criterion 5a (WSRMax OP improvement)",
-           ok, f"OP improvement {impr:.1f}% (band 10-60), system change {sys_change:.2f}%")
+           ok, f"OP improvement {impr:.1f}% (band 10-60, 95% CI {low:.1f}-{high:.1f}%), "
+           f"system change {sys_change:.2f}%")
     assert ok
 
 
 def test_criterion_5b_pf_exceeds_wsrmax(capsys, dataset):
     pf = _op_improvement(dataset, "pf")
     wsr = _op_improvement(dataset, "wsrmax")
+    pf_low, pf_high = _improvement_interval(dataset, "pf")
+    gap_low, gap_high = paired_bootstrap(
+        lambda pb, pa, wb, wa: _resampled_improvement(pb, pa) - _resampled_improvement(wb, wa),
+        _op_means(dataset, "pf", False), _op_means(dataset, "pf", True),
+        _op_means(dataset, "wsrmax", False), _op_means(dataset, "wsrmax", True))
     ok = pf > wsr
     report(capsys, "criterion 5b (PF improvement exceeds WSRMax)",
-           ok, f"PF {pf:.1f}% vs WSRMax {wsr:.1f}%")
+           ok, f"PF {pf:.1f}% (95% CI {pf_low:.1f}-{pf_high:.1f}%) vs WSRMax {wsr:.1f}%, "
+           f"PF - WSRMax {pf - wsr:.1f} points (95% CI {gap_low:.0f}-{gap_high:.0f})")
     assert ok
 
 
 def test_criterion_5c_fairness_bands(capsys, dataset):
     sc = dataset["scenario"]
     healthy = [k for k in sc.config.user_ids if k <= sc.config.num_normal]
-    sds = {}
+    sds, ci, per_sd, jain = {}, {}, {}, {}
     for objective in ("wsrmax", "pf"):
         after = dataset["exact"][(objective, True)]
         user_means = [_mean(r[k] for r in after) for k in healthy]
         sds[objective] = metrics.fairness_sd(user_means)
+        sinrs = np.array([[r[k] for k in healthy] for r in after])  # realization x user
+        ci[objective] = paired_bootstrap(lambda x: x.mean(axis=1).std(axis=1, ddof=1), sinrs)
+        # the same users' spread within each realization, which does not shrink with more of them
+        per_sd[objective] = sinrs.std(axis=1, ddof=1).mean()
+        jain[objective] = np.mean(sinrs.sum(axis=1) ** 2 / (sinrs ** 2).sum(axis=1)) / len(healthy)
     ordered = sds["pf"] < sds["wsrmax"]
     in_bands = 0.1 <= sds["pf"] <= 0.6 and 0.2 <= sds["wsrmax"] <= 1.0
     ok = ordered and in_bands
     report(capsys, "criterion 5c (healthy-user SD bands)", ok,
            f"PF SD {sds['pf']:.3f} (band 0.1-0.6), WSRMax SD {sds['wsrmax']:.3f} "
-           f"(band 0.2-1.0), PF<WSRMax {ordered}")
+           f"(band 0.2-1.0), PF<WSRMax {ordered}; 95% CI PF {ci['pf'][0]:.2f}-{ci['pf'][1]:.2f}, "
+           f"WSRMax {ci['wsrmax'][0]:.2f}-{ci['wsrmax'][1]:.2f}; per realization (mean of "
+           f"{REALIZATIONS}): SD PF {per_sd['pf']:.1f} vs WSRMax {per_sd['wsrmax']:.1f}, "
+           f"Jain's index PF {jain['pf']:.3f} vs WSRMax {jain['wsrmax']:.3f}")
     assert ok
 
 

@@ -228,6 +228,22 @@ class TestCsvRoundTrip:
             b"p2,5,Pre-hypertension,Pre-hypertension,Normal,Moderate,1",
         ])
 
+    def test_ingest_bytes_with_columns_in_any_order(self, tmp_path, capsys):
+        """test_ingest_bytes's raw file, its columns permuted among two extra ones: same bytes."""
+        self.test_ingest_bytes(tmp_path, capsys)
+        raw, out = tmp_path / "raw.csv", tmp_path / "records.csv"
+        expected = out.read_bytes()
+        order = ["note", "stroke", "diabp", "patient_id", "cigpday", "site", "day", "totchol",
+                 "sysbp"]
+        header, *lines = (line.split(",") for line in raw.read_text().splitlines())
+        rows = [[dict(zip(header, cells), note=f"n{i}", site="")[name] for name in order]
+                for i, cells in enumerate(lines)]
+        raw.write_text("".join(",".join(row) + "\n" for row in [order, *rows]))
+        out.unlink()
+        assert cli.main(["ingest", "--input", str(raw), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 records to {out}\n"
+        assert out.read_bytes() == expected
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("patient_id,day,sysbp,diabp,totchol,cigpday\np1,1,1,1,1,1\n")

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import channel, metrics
+
+from helpers import paired_bootstrap
 
 
 class TestSummarize:
@@ -53,6 +56,29 @@ class TestSummarize:
         assert metrics.mean(values) == 0.0
         sc = channel.Scenario(config=channel.ScenarioConfig())
         assert ex.Objective(sc, ex.SolverConfig()).value(dict(zip((1, 2, 3), values))) == 0.0
+
+
+def test_paired_bootstrap_interval_of_a_mean_covers_it_at_its_level():
+    """On 400 normal data sets of n = 100, the 95% interval of the mean covers the true mean
+    in 93-97% of them, and its half-width is within 10% of summarize's 1.96 SD / sqrt(n).
+
+    The percentile interval's coverage here is about 94.4% (12,000 data sets), and 400 of
+    them read it to about 1.2 points, so the band holds at most, not all, seeds."""
+    rng = np.random.default_rng(3)
+    covered = 0
+    for data in rng.normal(3.0, 2.0, size=(400, 100)):
+        low, high = paired_bootstrap(lambda x: x.mean(axis=1), data, resamples=2000)
+        covered += low <= 3.0 <= high
+        s = metrics.summarize(data.tolist())
+        assert (high - low) / 2 == pytest.approx((s.ci_high - s.ci_low) / 2, rel=0.1)
+    assert 0.93 <= covered / 400 <= 0.97
+
+
+def test_paired_bootstrap_resamples_samples_jointly():
+    """A difference of two paired samples that differ by a constant has a zero-width interval."""
+    a = np.random.default_rng(5).normal(size=50)
+    interval = paired_bootstrap(lambda x, y: (x - y).mean(axis=1), a + 2.0, a)
+    assert interval == pytest.approx((2.0, 2.0))
 
 
 class TestImprovementPct:

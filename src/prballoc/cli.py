@@ -236,7 +236,8 @@ def run_scalability(spec):
 
 def _cmd_ingest(args):
     rows = medrecords.load_raw_records(args.input)
-    raw_ids = {r.patient_id for r in rows if r.patient_id}  # an empty id names no one
+    # in first-seen order, so that the warnings come in file order; an empty id names no one
+    raw_ids = dict.fromkeys(r.patient_id for r in rows if r.patient_id)
     records = medrecords.segment(
         medrecords.cleanse(rows), window=args.window, all_patient_ids=raw_ids
     )

@@ -7,7 +7,6 @@ realizations, exact solves for both objectives with prioritization off/on, and
 the 1000-iteration heuristic on the same realizations.
 """
 
-import itertools
 import math
 import time
 
@@ -19,12 +18,11 @@ from prballoc import allocator_heuristic as heur
 from prballoc import channel, cli, lp_export, metrics, risk
 from prballoc.medrecords import FEATURES, LEVEL_NAMES, DayEntry, MedicalRecord
 
-from helpers import LambdaTooSmallError, paired_bootstrap, verify_linearization, write_solution_file
-from test_exact import hand_instance, oracle_best
+from helpers import (LambdaTooSmallError, baseline, hand_instance, oracle_optimum, oracle_posterior,
+                     oracle_sinrs, paired_bootstrap, random_instance, verify_linearization,
+                     write_solution_file)
 
 ACCEPTANCE_SEED = 3
-REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
-ALPHAS = (50.0, 100.0, 150.0, 250.0, 500.0)
 REALIZATIONS = 100
 ITERATIONS = 1000
 
@@ -42,9 +40,7 @@ def _mean(values):
 @pytest.fixture(scope="module")
 def dataset():
     """Exact and heuristic results on 100 shared channel realizations."""
-    sc, _ = channel.generate_scenario(
-        channel.ScenarioConfig(seed=ACCEPTANCE_SEED), op_ps=REF_PS
-    )
+    sc, _ = baseline(ACCEPTANCE_SEED)
     pms = [channel.generate_power_map(sc, i) for i in range(REALIZATIONS)]
     exact = {}
     optima = {}
@@ -81,7 +77,7 @@ def test_criterion_1_priority_intervals(capsys):
     worst = 0.0
     for alpha, (lo, hi) in expected.items():
         config = risk.RiskConfig(alpha=alpha)
-        ups = [risk.priority(ps, config, True) for ps in REF_PS.values()]
+        ups = [risk.priority(ps, config, True) for ps in cli.REFERENCE_OP_PS.values()]
         worst = max(worst, abs(min(ups) - lo), abs(max(ups) - hi))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -91,15 +87,6 @@ def test_criterion_1_priority_intervals(capsys):
 
 
 def test_criterion_2_bayes_oracle(capsys):
-    def oracle(record, state):
-        total = len(record.days)
-        stroke_days = [e for e in record.days if e.stroke]
-        ps = len(stroke_days) / total
-        for feat in FEATURES:
-            match = sum(1 for e in stroke_days if e.levels[feat] == state.level(feat))
-            ps *= match / len(stroke_days)
-        return ps
-
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     start = time.perf_counter()
     worst = 0.0
@@ -118,7 +105,7 @@ def test_criterion_2_bayes_oracle(capsys):
         record = MedicalRecord(patient_id="p", days=days)
         state = risk.CurrentState(**{f: LEVEL_NAMES[f][rng.integers(3)] for f in FEATURES})
         got = risk.posterior_stroke(record, state)
-        want = oracle(record, state)
+        want = oracle_posterior(record, state)
         if want == 0.0:
             worst = max(worst, abs(got))
         else:
@@ -135,20 +122,12 @@ def test_criterion_3_exact_oracle(capsys):
     start = time.perf_counter()
     worst = 0.0
     for _ in range(50):
-        N = int(rng.integers(1, 4))
-        K = int(rng.integers(2, min(6, 2 * N) + 1))
-        cfg = channel.ScenarioConfig(
-            num_bs=2, prbs_per_bs=N, num_users=K, num_normal=K - 1, seed=0
-        )
-        sc = channel.Scenario(config=cfg, op_ps={K: float(rng.uniform(0.001, 0.01))})
-        pm = channel.PowerMap(
-            q=rng.uniform(0.05, 5.0, size=(K, N, 2)), noise_w=float(rng.uniform(0.5, 2.0))
-        )
+        sc, pm = random_instance(rng)
         for objective in ("wsrmax", "pf"):
             for prio in (False, True):
                 config = ex.SolverConfig(objective=objective, prioritization=prio)
                 _, rep = ex.solve_exact(sc, pm, config)
-                want = oracle_best(sc, pm, config)
+                want = oracle_optimum(sc, pm, config)[0]
                 worst = max(worst, abs(rep.objective_value - want) / abs(want))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 60.0
@@ -158,9 +137,7 @@ def test_criterion_3_exact_oracle(capsys):
 
 
 def test_criterion_4_linearization(capsys):
-    sc, _ = channel.generate_scenario(
-        channel.ScenarioConfig(seed=ACCEPTANCE_SEED), op_ps=REF_PS
-    )
+    sc, _ = baseline(ACCEPTANCE_SEED)
     rng = np.random.default_rng(ACCEPTANCE_SEED + 1)
     slots = [(b, n) for b in (1, 2) for n in range(1, 6)]
     start = time.perf_counter()
@@ -172,13 +149,7 @@ def test_criterion_4_linearization(capsys):
         assignment = ex.Assignment(slots=dict(zip(sc.config.user_ids, perm)))
         direct = ex.sinr_of(assignment, pm)
         # independent resolution of the balance-equation system given fixed X
-        for k, (b, n) in assignment.slots.items():
-            interference = sum(
-                float(pm.q[m - 1, n - 1, b - 1])
-                for m, (w, n2) in assignment.slots.items()
-                if m != k and n2 == n and w != b
-            )
-            t_linearized = float(pm.q[k - 1, n - 1, b - 1]) / (interference + pm.noise_w)
+        for k, t_linearized in oracle_sinrs(assignment.slots, pm).items():
             worst = max(worst, abs(t_linearized - direct[k]) / direct[k])
         worst = max(worst, verify_linearization(assignment, pm))
         max_t = max(direct.values())
@@ -277,39 +248,49 @@ def test_criterion_5c_fairness_bands(capsys, dataset):
 
 def test_criterion_5d_op_ordering(capsys, dataset):
     after = dataset["exact"][("wsrmax", True)]
-    means = {k: _mean(r[k] for r in after) for k in REF_PS}
-    highest = max(REF_PS, key=REF_PS.get)  # user 9
-    lowest = min(REF_PS, key=REF_PS.get)  # user 10
-    ok = all(means[highest] >= means[k] for k in REF_PS) and all(
-        means[lowest] <= means[k] for k in REF_PS
+    ps = cli.REFERENCE_OP_PS
+    means = {k: _mean(r[k] for r in after) for k in ps}
+    highest = max(ps, key=ps.get)  # user 9
+    lowest = min(ps, key=ps.get)  # user 10
+    ok = all(means[highest] >= means[k] for k in ps) and all(
+        means[lowest] <= means[k] for k in ps
     )
     report(capsys, "criterion 5d (OP ordering at alpha=500)", ok,
-           "mean SINR " + ", ".join(f"u{k}={means[k]:.2f}" for k in sorted(REF_PS)))
+           "mean SINR " + ", ".join(f"u{k}={means[k]:.2f}" for k in sorted(ps)))
     assert ok
 
 
 def test_criterion_5e_wsrmax_total_exceeds_pf(capsys, dataset):
     """The abstract: WSRMax reaches the higher total SINR (prioritized, alpha=500)."""
-    totals = {objective: _mean(sum(r.values()) for r in dataset["exact"][(objective, True)])
-              for objective in ("wsrmax", "pf")}
+    sums = {objective: [sum(r.values()) for r in dataset["exact"][(objective, True)]]
+            for objective in ("wsrmax", "pf")}
+    totals = {objective: _mean(values) for objective, values in sums.items()}
+    low, high = paired_bootstrap(lambda wsr, pf: wsr.mean(axis=1) - pf.mean(axis=1),
+                                 sums["wsrmax"], sums["pf"])
     ok = totals["wsrmax"] > totals["pf"]
     report(capsys, "criterion 5e (WSRMax total SINR exceeds PF)", ok,
-           f"mean total SINR WSRMax {totals['wsrmax']:.1f} vs PF {totals['pf']:.1f}")
+           f"mean total SINR WSRMax {totals['wsrmax']:.1f} vs PF {totals['pf']:.1f}, "
+           f"WSRMax - PF 95% CI {low:.1f}-{high:.1f}")
     assert ok
 
 
 def test_criterion_5f_pf_margin_of_error(capsys, dataset):
     """The abstract: PF's OP SINR has the lower margin of error, the 95% CI half-width
     (normal approximation, sample SD) of the per-realization OP mean (prioritized, alpha=500)."""
-    half = {}
+    half, ci = {}, {}
     for objective in ("wsrmax", "pf"):
-        op_means = [_mean(r[k] for k in REF_PS) for r in dataset["exact"][(objective, True)]]
+        runs = dataset["exact"][(objective, True)]
+        op_means = [_mean(r[k] for k in cli.REFERENCE_OP_PS) for r in runs]
         mean = _mean(op_means)
         var = sum((v - mean) ** 2 for v in op_means) / (len(op_means) - 1)
         half[objective] = 1.96 * math.sqrt(var / len(op_means))
+        ci[objective] = paired_bootstrap(
+            lambda x: 1.96 * x.std(axis=1, ddof=1) / math.sqrt(len(op_means)), op_means)
     ok = half["pf"] < half["wsrmax"]
     report(capsys, "criterion 5f (PF OP margin of error below WSRMax)", ok,
-           f"OP-mean 95% CI half-width PF {half['pf']:.2f} vs WSRMax {half['wsrmax']:.2f}")
+           f"OP-mean 95% CI half-width PF {half['pf']:.2f} (95% CI {ci['pf'][0]:.2f}-"
+           f"{ci['pf'][1]:.2f}) vs WSRMax {half['wsrmax']:.2f} (95% CI {ci['wsrmax'][0]:.2f}-"
+           f"{ci['wsrmax'][1]:.2f})")
     assert ok
 
 
@@ -318,7 +299,7 @@ def test_criterion_6_alpha_monotonicity(capsys, dataset):
     violations = 0
     for pm in dataset["pms"][:10]:
         weighted = []
-        for alpha in ALPHAS:
+        for alpha in cli.DEFAULT_ALPHAS:
             config = ex.SolverConfig(objective="wsrmax", prioritization=True, alpha=alpha)
             _, rep = ex.solve_exact(sc, pm, config)
             weighted.append(sum(sc.ps_of(k) * rep.sinr[k] for k in sc.config.op_ids))
@@ -334,7 +315,7 @@ def test_criterion_6_alpha_monotonicity(capsys, dataset):
 def test_criterion_7_heuristic_dominance_and_gap(capsys, dataset):
     sc = dataset["scenario"]
     dominance_ok = True
-    ratios = {}
+    ratios, ci = {}, {}
     for prio in (False, True):
         rep = dataset["heuristic"][prio]
         optima = dataset["optima"][("wsrmax", prio)]
@@ -344,11 +325,15 @@ def test_criterion_7_heuristic_dominance_and_gap(capsys, dataset):
                 dominance_ok = False
             heuristic_means.append(_mean(objectives))
         ratios[prio] = _mean(heuristic_means) / _mean(optima)
+        # each map's heuristic mean and optimum are resampled together
+        ci[prio] = paired_bootstrap(lambda h, o: h.mean(axis=1) / o.mean(axis=1),
+                                    heuristic_means, optima)
     gap_ok = all(r >= 0.85 for r in ratios.values())
     ok = dominance_ok and gap_ok
     report(capsys, "criterion 7 (heuristic dominance and 15% gap)", ok,
            f"dominance {dominance_ok}, objective ratio off={ratios[False]:.3f} "
-           f"on={ratios[True]:.3f} (need >= 0.85)")
+           f"(95% CI {ci[False][0]:.3f}-{ci[False][1]:.3f}) on={ratios[True]:.3f} "
+           f"(95% CI {ci[True][0]:.3f}-{ci[True][1]:.3f}) (need >= 0.85)")
     assert ok
 
 

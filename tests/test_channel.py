@@ -9,11 +9,10 @@ import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
-from prballoc import channel, lp_export
+from prballoc import channel, cli, lp_export
 from prballoc.errors import DataError, InfeasibleError, UsageError
 
-REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
-STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
+from helpers import STATE, baseline, op_ps_entry
 
 
 def recompute(cfg, realization):
@@ -159,9 +158,8 @@ class TestScenarioConfig:
         assert [type(getattr(cfg, f.name)) for f in fields(cfg)] == [int] * 4 + [float] * 6 + [int]
         # an integer in a float field stays whole, as 300 in a scenario file does
         assert type(channel.ScenarioConfig(distance_min_m=np.int64(300)).distance_min_m) is int
-        scenario, pm = channel.generate_scenario(cfg, op_ps=REF_PS)
-        assert channel.scenario_to_json(scenario) == channel.scenario_to_json(
-            channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)[0])
+        scenario, pm = channel.generate_scenario(cfg, op_ps=cli.REFERENCE_OP_PS)
+        assert channel.scenario_to_json(scenario) == channel.scenario_to_json(baseline()[0])
         assert pm.q.shape == (10, 5, 2)
 
     def test_frozen(self):
@@ -203,7 +201,7 @@ class TestScenario:
     def test_bad_user_data_rejected(self, fields, message):
         with pytest.raises(UsageError, match=message):
             channel.Scenario(config=channel.ScenarioConfig(), **fields)
-        valid = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(REF_PS),
+        valid = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(cli.REFERENCE_OP_PS),
                                  current_states={8: STATE})
         with pytest.raises(UsageError, match=message):
             replace(valid, **fields)
@@ -229,7 +227,7 @@ class TestScenario:
         assert peak < 1 << 20
 
     def test_read_only_maps_over_copies(self):
-        op_ps, state = dict(REF_PS), dict(STATE)
+        op_ps, state = dict(cli.REFERENCE_OP_PS), dict(STATE)
         sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=op_ps,
                               current_states={8: state})
         with pytest.raises(FrozenInstanceError):
@@ -241,14 +239,14 @@ class TestScenario:
         with pytest.raises(TypeError):
             sc.current_states[8]["f1"] = "Bogus"
         op_ps[8], state["f1"] = 5.0, "Bogus"  # the caller's dicts are not the scenario's
-        assert sc.op_ps == REF_PS and sc.current_states == {8: STATE}
+        assert sc.op_ps == cli.REFERENCE_OP_PS and sc.current_states == {8: STATE}
         changed = replace(sc, op_ps={**sc.op_ps, 8: 0.5})
-        assert changed.op_ps[8] == 0.5 and sc.op_ps[8] == REF_PS[8]
+        assert changed.op_ps[8] == 0.5 and sc.op_ps[8] == cli.REFERENCE_OP_PS[8]
 
 
 def test_every_allocator_refuses_a_mismatched_map():
     """A map built in code for 5 of the scenario's 10 users is a DataError everywhere."""
-    scenario, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
+    scenario, pm = baseline()
     small = channel.PowerMap(q=pm.q[:5], noise_w=pm.noise_w)
     assignment, _ = ex.solve_exact(scenario, pm, ex.SolverConfig())
     calls = {
@@ -270,9 +268,8 @@ def test_every_allocator_refuses_a_mismatched_map():
 
 class TestGeneration:
     def test_cardinality_positivity_and_determinism(self):
-        cfg = channel.ScenarioConfig(seed=42)
-        _, pm1 = channel.generate_scenario(cfg, op_ps=REF_PS)
-        _, pm2 = channel.generate_scenario(channel.ScenarioConfig(seed=42), op_ps=REF_PS)
+        _, pm1 = baseline(42)
+        _, pm2 = baseline(42)
         assert pm1.q.shape == (10, 5, 2)
         assert (pm1.q > 0).all()
         assert np.array_equal(pm1.q, pm2.q)
@@ -322,21 +319,22 @@ class TestGeneration:
 class TestSerialization:
     def test_scenario_json_round_trip(self):
         cfg = channel.ScenarioConfig(seed=11)
-        sc = channel.Scenario(config=cfg, op_ps=dict(REF_PS), current_states={8: STATE})
+        sc = channel.Scenario(config=cfg, op_ps=dict(cli.REFERENCE_OP_PS),
+                              current_states={8: STATE})
         back = channel.scenario_from_json(channel.scenario_to_json(sc))
         assert back.config == sc.config
         assert back.op_ps == sc.op_ps
         assert back.current_states == sc.current_states
 
     def test_scenario_json_without_distances(self):
-        sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=11), op_ps=REF_PS)
+        sc, _ = baseline(11)
         back = channel.scenario_from_json(channel.scenario_to_json(sc))
         assert np.array_equal(
             channel.generate_power_map(back, 3).q, channel.generate_power_map(sc, 3).q
         )
 
     def test_json_number_posteriors_read_as_floats(self):
-        sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(REF_PS))
+        sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(cli.REFERENCE_OP_PS))
         payload = json.loads(channel.scenario_to_json(sc))
         payload["op_ps"] = {"8": 0.5, "9": 1, "10": 0}
         back = channel.scenario_from_json(json.dumps(payload))
@@ -344,17 +342,17 @@ class TestSerialization:
         assert {type(ps) for ps in back.op_ps.values()} == {float}
 
     @pytest.mark.parametrize("old, new, message", [
-        pytest.param('"8": "0.0032"', '"8": true', "op_ps of user 8 is True", id="ps-bool"),
-        pytest.param('"8": "0.0032"', '"8": "0.1", "8": "0.7"', "key '8' given twice",
+        pytest.param(op_ps_entry(8), '"8": true', "op_ps of user 8 is True", id="ps-bool"),
+        pytest.param(op_ps_entry(8), '"8": "0.1", "8": "0.7"', "key '8' given twice",
                      id="ps-repeated-user"),
         pytest.param("{", '{"seed": 4, ', "key 'seed' given twice", id="repeated-field"),
         pytest.param('"f1": "Normal"', '"f1": "High", "f1": "Normal"', "key 'f1' given twice",
                      id="state-repeated-feature"),
-        pytest.param('"8": "0.0032"', '"08": "0.0032"', "op_ps names user '08'",
+        pytest.param(op_ps_entry(8), op_ps_entry(8, "08"), "op_ps names user '08'",
                      id="ps-zero-padded-id"),
-        pytest.param('"8": "0.0032"', '"8": "0.0032", "08": "0.7"', "op_ps names user '08'",
+        pytest.param(op_ps_entry(8), op_ps_entry(8) + ', "08": "0.7"', "op_ps names user '08'",
                      id="ps-id-in-two-spellings"),
-        pytest.param('"10": "0.00208"', '"1_0": "0.00208"', "op_ps names user '1_0'",
+        pytest.param(op_ps_entry(10), op_ps_entry(10, "1_0"), "op_ps names user '1_0'",
                      id="ps-underscored-id"),
         pytest.param('"8": {', '"+8": {', "current_states names user '+8'",
                      id="state-signed-id"),
@@ -362,7 +360,7 @@ class TestSerialization:
                      id="state-spaced-id"),
     ])
     def test_file_names_each_value_once_in_one_spelling(self, old, new, message):
-        sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(REF_PS),
+        sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=dict(cli.REFERENCE_OP_PS),
                               current_states={8: STATE})
         text = channel.scenario_to_json(sc)
         assert old in text

@@ -15,10 +15,12 @@ from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
 from prballoc import channel, cli, fileio, lp_export, medrecords, risk
 from prballoc.errors import DataError, UsageError
-from helpers import synthesize_raw_records, write_solution_file
+
+from helpers import STATE, baseline, op_ps_entry, synthesize_raw_records, write_solution_file
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "before_after_seed3.json")
 THREE_BS = os.path.join(os.path.dirname(__file__), "data", "three_bs")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv):
@@ -289,9 +291,6 @@ class TestSolveAndExport:
         assert code == 4
 
 
-STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
-
-
 def _ingest(tmp_path, num_patients):
     """Raw rows of `num_patients` synthetic patients (ids p1, p2, ...), ingested."""
     raw = tmp_path / "raw.csv"
@@ -432,6 +431,22 @@ class TestIngestAndRisk:
             assert run(["ingest", "--input", str(raw), "--output", str(tmp_path / "r.csv")]) == 0
         warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warned == ["patient p2 has no valid days and was excluded"]
+
+    def test_ingest_warns_in_file_order(self, tmp_path):
+        """Patients who lost every day are warned about in the order the raw file names
+        them, whatever the interpreter's string hash seed."""
+        lost = ["qa", "qb", "qc", "qd"]
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join([",".join(medrecords.CSV_COLUMNS), "p1,1,120,80,200,0,0",
+                                  *(f"{pid},0,120,80,200,0,0" for pid in lost)]) + "\n")
+        argv = [sys.executable, "-m", "prballoc.cli", "ingest", "--input", str(raw),
+                "--output", str(tmp_path / "records.csv")]
+        errs = {subprocess.run(argv, env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed},
+                               capture_output=True, text=True, check=True).stderr
+                for seed in ("1", "2", "3", "4")}
+        assert len(errs) == 1
+        warned = [line.split()[1] for line in errs.pop().splitlines() if line.startswith("WARNING")]
+        assert warned == lost
 
     def test_risk_without_states_is_data_error(self, tmp_path, scenario_dir, capsys):
         """One record per outpatient, so the refusal is of the missing current states."""
@@ -869,7 +884,7 @@ class TestScenarioDirectory:
     def test_given_scenario_and_maps_write_what_the_spec_alone_writes(self, tmp_path, runner):
         """The seed's baseline scenario and its first maps, given, give the spec's own files."""
         kind = "before_after" if runner == "run_before_after" else "alpha_sweep"
-        scenario = channel.Scenario(channel.ScenarioConfig(seed=3), op_ps=cli.REFERENCE_OP_PS)
+        scenario = baseline()[0]
         maps = [channel.generate_power_map(scenario, i) for i in range(2)]
         outs = [tmp_path / "alone", tmp_path / "given"]
         for out, given in zip(outs, [(), (scenario, maps)]):
@@ -1220,11 +1235,12 @@ MALFORMED = [
     ("scenario-repeated-field", _replace_in_scenario("{", '{"seed": 4, '), SOLVE, 4,
      "key 'seed' given twice"),
     ("scenario-op-ps-repeated-user",
-     _replace_in_scenario('"8": "0.0032"', '"8": "0.1", "8": "0.7"'), HEURISTIC, 4,
+     _replace_in_scenario(op_ps_entry(8), '"8": "0.1", "8": "0.7"'), HEURISTIC, 4,
      "key '8' given twice"),
-    ("scenario-op-ps-zero-padded-id", _replace_in_scenario('"8": "0.0032"', '"08": "0.0032"'),
+    ("scenario-op-ps-zero-padded-id", _replace_in_scenario(op_ps_entry(8), op_ps_entry(8, "08")),
      SOLVE, 4, "op_ps names user '08'"),
-    ("scenario-op-ps-underscored-id", _replace_in_scenario('"10": "0.00208"', '"1_0": "0.00208"'),
+    ("scenario-op-ps-underscored-id",
+     _replace_in_scenario(op_ps_entry(10), op_ps_entry(10, "1_0")),
      EXPORT, 4, "op_ps names user '1_0'"),
     ("risk-unknown-level", _risk_inputs({**STATE, "f1": "Bogus"}), RISK, 4, "outpatient 8"),
     ("risk-missing-feature", _risk_inputs({"f1": "Normal", "f2": "Normal", "f3": "High"}),
@@ -1315,8 +1331,7 @@ def test_import_adds_only_the_standard_library():
     10-15 ms and about 6 MB to every command's start."""
     code = ("import sys, numpy; before = set(sys.modules); import prballoc.cli; "
             "print(*sorted(set(sys.modules) - before))")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    added = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+    added = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                            capture_output=True, text=True, check=True).stdout.split()
     assert "prballoc.cli" in added
     allowed = sys.stdlib_module_names | {"prballoc"}

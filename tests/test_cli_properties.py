@@ -27,7 +27,6 @@ from prballoc import channel, cli, medrecords  # noqa: E402
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     phases=[Phase.explicit, Phase.generate])
 
-STATE = {"f1": "Normal", "f2": "Pre-hypertension", "f3": "High", "f4": "Heavy"}
 SCENARIO = ["--scenario", "{d}/scenario.json"]
 INSTANCE = SCENARIO + ["--power-map", "{d}/power_map.csv"]
 # each command's argv and the output it writes (None: only stdout)
@@ -65,8 +64,9 @@ READERS = {
 def _instance():
     """The files of a valid 4-user, 2 x 2-slot instance with two scored outpatients."""
     config = channel.ScenarioConfig(num_bs=2, prbs_per_bs=2, num_users=4, num_normal=2, seed=3)
+    state = {"f1": "Normal", "f2": "Pre-hypertension", "f3": "High", "f4": "Heavy"}
     scenario = channel.Scenario(config, op_ps={3: 0.4, 4: 0.01},
-                                current_states={3: STATE, 4: STATE})
+                                current_states={3: state, 4: state})
     pm = channel.generate_power_map(scenario)
     with tempfile.TemporaryDirectory() as d:
         channel.write_power_map_csv(pm, os.path.join(d, "power_map.csv"))

@@ -6,84 +6,11 @@ import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
-from prballoc import channel, lp_export
+from prballoc import channel, cli, lp_export
 from prballoc.errors import DataError, UsageError
 
-from helpers import LambdaTooSmallError, verify_linearization
-
-REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
-
-
-def hand_instance():
-    """Two users, two single-PRB base stations, noise 1 W.
-
-    Own-cell powers 4 W, cross-cell 0.5 W: serving each user at its own BS
-    yields 4/1.5 + 4/1.5 = 16/3; the swapped assignment only 2/3.
-    """
-    cfg = channel.ScenarioConfig(
-        num_bs=2, prbs_per_bs=1, num_users=2, num_normal=1, seed=0
-    )
-    sc = channel.Scenario(config=cfg, op_ps={2: 0.0064})
-    q = np.array([[[4.0, 0.5]], [[0.5, 4.0]]])
-    return sc, channel.PowerMap(q=q, noise_w=1.0)
-
-
-def random_instance(rng, num_bs=2):
-    """Random instance with one outpatient; N <= 3 PRBs at 2 BSs, N <= 2 at 3, 2 <= N <= 3 at 1."""
-    N = int(rng.integers(1, 4 if num_bs == 2 else 3)) + (num_bs == 1)
-    K = int(rng.integers(2, min(6 if num_bs == 2 else 5, num_bs * N) + 1))
-    cfg = channel.ScenarioConfig(
-        num_bs=num_bs, prbs_per_bs=N, num_users=K, num_normal=K - 1, seed=0
-    )
-    sc = channel.Scenario(config=cfg, op_ps={K: float(rng.uniform(0.001, 0.01))})
-    q = rng.uniform(0.05, 5.0, size=(K, N, num_bs))
-    return sc, channel.PowerMap(q=q, noise_w=float(rng.uniform(0.5, 2.0)))
-
-
-def oracle_best(scenario, pm, config):
-    """Optimal objective value by the exhaustive oracle (`oracle_optimum`)."""
-    return oracle_optimum(scenario, pm, config)[0]
-
-
-def oracle_optimum(scenario, pm, config, log=math.log):
-    """Independent exhaustive oracle: evaluate every injective user->slot map
-    with the SINR ratio and objective written out from scratch.
-
-    Returns the optimal value and its slots; equal values break to the
-    lexicographically smallest assignment (users in id order, slots ordered
-    by (bs, prb)), the tie-break solve_exact promises.  Under PF, a log user's
-    term is `log` of its SINR, and assignments that leave a log user at zero
-    SINR are skipped; None when none is left.
-    """
-    cfg = scenario.config
-    users = list(cfg.user_ids)
-    slots = [(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)]
-    weights = {}
-    for k in users:
-        if config.prioritization and k > cfg.num_normal:
-            weights[k] = 1.0 + config.alpha * scenario.ps_of(k)
-        else:
-            weights[k] = 1.0
-    logged = set()  # users whose PF term is ln(SINR)
-    if config.objective == "pf":
-        logged = {k for k in users if not (config.prioritization and k > cfg.num_normal)}
-    best = None
-    for perm in itertools.permutations(slots, len(users)):
-        placed = dict(zip(users, perm))
-        sinrs = {}
-        for k, (b, n) in placed.items():
-            interf = sum(
-                pm.q[m - 1, n - 1, b - 1]
-                for m, (w, n2) in placed.items()
-                if m != k and n2 == n and w != b
-            )
-            sinrs[k] = pm.q[k - 1, n - 1, b - 1] / (interf + pm.noise_w)
-        if any(sinrs[k] == 0 for k in logged):
-            continue
-        value = sum(log(sinrs[k]) if k in logged else weights[k] * sinrs[k] for k in users)
-        if best is None or value > best[0] or (value == best[0] and perm < best[1]):
-            best = (value, perm)
-    return None if best is None else (best[0], dict(zip(users, best[1])))
+from helpers import (LambdaTooSmallError, baseline, hand_instance, oracle_optimum,
+                     random_instance, verify_linearization)
 
 
 def two_users(config, weights):
@@ -143,7 +70,7 @@ def objective_of(sinrs, weights, config):
 @pytest.mark.parametrize("make", [ex.SolverConfig, heur.HeuristicConfig],
                          ids=["solver", "heuristic"])
 def test_objective_weights_are_the_configs(make, prio):
-    sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=REF_PS)
+    sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=cli.REFERENCE_OP_PS)
     config = make(prioritization=prio, alpha=100.0)
     objective = ex.Objective(sc, config)
     weights = ex.priorities_for(sc, config)
@@ -186,7 +113,7 @@ RULE_IDS = ["wsrmax", "pf-exact", "pf-piecewise"]
 @pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
 @pytest.mark.parametrize("objective, mode", RULES, ids=RULE_IDS)
 def test_terms_match_the_scalar_rule_bit_for_bit(objective, mode, prio):
-    sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=REF_PS)
+    sc = channel.Scenario(config=channel.ScenarioConfig(), op_ps=cli.REFERENCE_OP_PS)
     config = ex.SolverConfig(objective, prio, pf_log_mode=mode)
     weights = ex.priorities_for(sc, config)
     rng = np.random.default_rng(5)
@@ -282,7 +209,7 @@ class TestSolveExact:
                 for prio in (False, True):
                     config = ex.SolverConfig(objective=objective, prioritization=prio)
                     _, report = ex.solve_exact(sc, pm, config)
-                    want = oracle_best(sc, pm, config)
+                    want = oracle_optimum(sc, pm, config)[0]
                     assert report.objective_value == pytest.approx(want, rel=1e-12)
 
     def test_matches_oracle_on_three_cell_instances(self):
@@ -320,7 +247,7 @@ class TestSolveExact:
         assert assignment.slots == slots == {1: (1, 1), 2: (1, 2)}
 
     def test_report_recomputes(self):
-        sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=5), op_ps=REF_PS)
+        sc, _ = baseline(5)
         pm = channel.generate_power_map(sc, 0)
         config = ex.SolverConfig(objective="pf", prioritization=True)
         assignment, report = ex.solve_exact(sc, pm, config)
@@ -330,10 +257,10 @@ class TestSolveExact:
         assert len(used) == len(assignment.slots)  # no slot shared
 
     def test_alpha_monotonicity_on_fixed_map(self):
-        sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=8), op_ps=REF_PS)
+        sc, _ = baseline(8)
         pm = channel.generate_power_map(sc, 0)
         weighted = []
-        for alpha in (50.0, 100.0, 150.0, 250.0, 500.0):
+        for alpha in cli.DEFAULT_ALPHAS:
             config = ex.SolverConfig(objective="wsrmax", prioritization=True, alpha=alpha)
             _, report = ex.solve_exact(sc, pm, config)
             weighted.append(sum(sc.ps_of(k) * report.sinr[k] for k in sc.config.op_ids))
@@ -353,7 +280,7 @@ class TestSolveExact:
 
 class TestLinearization:
     def test_deviation_tiny_and_lambda_detection(self):
-        sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=6), op_ps=REF_PS)
+        sc, _ = baseline(6)
         pm = channel.generate_power_map(sc, 0)
         assignment, report = ex.solve_exact(sc, pm, ex.SolverConfig())
         assert verify_linearization(assignment, pm) < 1e-9
@@ -362,7 +289,7 @@ class TestLinearization:
             verify_linearization(assignment, pm, lam=max_t * 0.5)
 
     def test_evaluates_the_balance_rows(self, monkeypatch):
-        sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
+        sc, _ = baseline()
         pm = channel.generate_power_map(sc, 0)
         assignment, _ = ex.solve_exact(sc, pm, ex.SolverConfig())
         assert verify_linearization(assignment, pm) < 1e-9
@@ -382,6 +309,6 @@ class TestLinearization:
         assert verify_linearization(lone, pm) == 0.0
 
     def test_default_lambda_dominates(self):
-        sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=6), op_ps=REF_PS)
+        sc, _ = baseline(6)
         pm = channel.generate_power_map(sc, 0)
         assert lp_export.big_m(pm) > float(pm.q.max()) / pm.noise_w

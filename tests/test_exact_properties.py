@@ -21,7 +21,8 @@ from prballoc import allocator_exact as ex  # noqa: E402
 from prballoc import allocator_heuristic as heur  # noqa: E402
 from prballoc import channel  # noqa: E402
 from prballoc.errors import InfeasibleError  # noqa: E402
-from test_exact import oracle_optimum  # noqa: E402
+
+from helpers import oracle_optimum, oracle_sinrs  # noqa: E402
 
 # No shrinking: a failure reports the example that found it at once, rather than
 # re-running the oracle through minutes of shrink steps.
@@ -141,18 +142,6 @@ def test_heuristic_stays_at_or_below_optimum(num_bs, prio):
     check()
 
 
-def direct_sinrs(assignment, pm):
-    """SINR per user, written out: own power over the co-channel powers at other BSs."""
-    sinrs = {}
-    for k, (b, n) in assignment.slots.items():
-        interference = 0.0
-        for m, (w, n2) in assignment.slots.items():
-            if m != k and n2 == n and w != b:
-                interference += pm.q[m - 1, n - 1, b - 1]
-        sinrs[k] = pm.q[k - 1, n - 1, b - 1] / (interference + pm.noise_w)
-    return sinrs
-
-
 @settings(PROPERTY, max_examples=60)
 @given(num_bs=st.integers(2, 3), data=st.data())
 def test_sinr_of_bit_equal_to_direct_loop(num_bs, data):
@@ -165,7 +154,7 @@ def test_sinr_of_bit_equal_to_direct_loop(num_bs, data):
     picked = rng.permutation(len(slots))[: len(users)]
     assignment = ex.Assignment(slots={int(k): slots[i] for k, i in zip(users, picked)})
     got = ex.sinr_of(assignment, pm)
-    assert list(got.items()) == list(direct_sinrs(assignment, pm).items())
+    assert list(got.items()) == list(oracle_sinrs(assignment.slots, pm).items())
     assert all(type(s) is float for s in got.values())
 
 

@@ -9,16 +9,10 @@ import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
-from prballoc import channel
+from prballoc import channel, cli
 from prballoc.errors import InfeasibleError, UsageError
-from test_heuristic_reference import occupants, reference_pool, slots_of
 
-REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
-
-
-def baseline(seed=3):
-    sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=seed), op_ps=REF_PS)
-    return sc, pm
+from helpers import baseline, occupants, reference_pool, slots_of, three_cells
 
 
 def layout(num_bs):
@@ -26,10 +20,9 @@ def layout(num_bs):
     if num_bs == 2:
         return baseline()[0]
     if num_bs == 3:
-        cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
-        return channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})[0]
+        return three_cells()[0]
     cfg = channel.ScenarioConfig(num_bs=4, prbs_per_bs=3, num_users=10, num_normal=7, seed=2)
-    return channel.generate_scenario(cfg, op_ps=REF_PS)[0]
+    return channel.generate_scenario(cfg, op_ps=cli.REFERENCE_OP_PS)[0]
 
 
 class TestServeOrder:
@@ -390,8 +383,7 @@ class TestSwapImprovement:
             assert improving_swaps(trace.slots, pm, sc, weights) == []
 
     def test_no_improving_swap_left_three_cells(self):
-        cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
-        sc, pm = channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})
+        sc, pm = three_cells()
         for prio in (False, True):
             config = heur.HeuristicConfig(prioritization=prio)
             weights = ex.priorities_for(sc, config)
@@ -441,7 +433,7 @@ class TestSwapImprovement:
         """At -400 dBm/Hz a signal passes 2^53 times the noise, which an interference
         computed as a total less a term loses to rounding; the swap search warns of nothing."""
         cfg = channel.ScenarioConfig(seed=3, noise_density_dbm_hz=-400.0)
-        sc, _ = channel.generate_scenario(cfg, op_ps=REF_PS)
+        sc, _ = channel.generate_scenario(cfg, op_ps=cli.REFERENCE_OP_PS)
         for prio in (False, True):
             config = heur.HeuristicConfig(prioritization=prio)
             for r in range(2):

@@ -1,9 +1,10 @@
 """The heuristic's construction as plain sets and dicts: the scalar reference.
 
 `reference_iteration` admits users slot by slot, with a set of free slots and
-a list of unserved users per admission, and hands the swap phase a
-{user: (bs, prb)} dict.  `run_iteration` keeps the same state in arrays; the
-tests here hold it to the reference bit for bit, dict order included.
+a list of unserved users per admission, draws each one's slot from
+`helpers.reference_pool`, and hands the swap phase a {user: (bs, prb)} dict.
+`run_iteration` keeps the same state in arrays; the tests here hold it to the
+reference bit for bit, dict order included.
 """
 
 import numpy as np
@@ -11,59 +12,9 @@ import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
-from prballoc import channel
-from prballoc.errors import InfeasibleError
+from prballoc import channel, cli
 
-REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
-
-
-def occupants(slots, cfg):
-    """The (N, B) occupant array of slots (user_id -> (bs, prb)); num_users is nobody."""
-    occ = np.full((cfg.prbs_per_bs, cfg.num_bs), cfg.num_users)
-    for k, (b, n) in slots.items():
-        occ[n - 1, b - 1] = k - 1
-    return occ
-
-
-def slots_of(occ, users):
-    """occ as user_id -> (bs, prb), keyed in the order of `users`."""
-    num_bs = occ.shape[1]
-    flat = occ.reshape(-1).tolist()
-    slot_of = {k + 1: (s % num_bs + 1, s // num_bs + 1) for s, k in enumerate(flat)}
-    return {k: slot_of[k] for k in users}
-
-
-def reference_pool(user_id, slots, unserved, power_map, scenario):
-    """One (slot, interferer, sinr) entry per slot that no user of `slots`
-    (user_id -> (bs, prb)) holds, in (bs, prb) order; the SINR counts the
-    interferer and the users of `slots` on the PRB."""
-    cfg = scenario.config
-    all_slots = {(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)}
-    free_slots = all_slots - set(slots.values())
-    if not free_slots:
-        raise InfeasibleError("no free slot available")
-    candidates = sorted(m for m in unserved if m != user_id)
-    noise = power_map.noise_w
-    if candidates:
-        cand_q = power_map.q[np.array(candidates) - 1]  # (C, N, B)
-        min_q = cand_q.min(axis=0)
-        arg_q = cand_q.argmin(axis=0)
-    entries = []
-    num_bs = scenario.config.num_bs
-    for b, n in sorted(free_slots):
-        own = float(power_map.q[user_id - 1, n - 1, b - 1])
-        # at most two terms at 3 BSs, so the order of the sum cannot move a bit
-        earlier = sum(float(power_map.q[k - 1, n - 1, b - 1]) for k, (_, p) in slots.items() if p == n)
-        co_channel_free = any(
-            (w, n) in free_slots for w in range(1, num_bs + 1) if w != b
-        )
-        if candidates and co_channel_free:
-            interferer = candidates[int(arg_q[n - 1, b - 1])]
-            sinr = own / (earlier + float(min_q[n - 1, b - 1]) + noise)
-            entries.append(((b, n), interferer, sinr))
-        else:
-            entries.append(((b, n), None, own / (earlier + noise)))
-    return entries
+from helpers import baseline, occupants, reference_pool, slots_of, three_cells
 
 
 def reference_iteration(scenario, power_map, config, rng, improver):
@@ -130,15 +81,14 @@ def check_against_reference(sc, maps, seeds, prio):
 
 @pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
 def test_baseline_matches_reference(prio):
-    sc, _ = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
+    sc, _ = baseline()
     maps = [channel.generate_power_map(sc, r) for r in range(3)]
     check_against_reference(sc, maps, range(20), prio)
 
 
 @pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
 def test_three_cells_match_reference(prio):
-    cfg = channel.ScenarioConfig(num_bs=3, prbs_per_bs=3, num_users=8, num_normal=6, seed=1)
-    sc, _ = channel.generate_scenario(cfg, op_ps={7: 0.004, 8: 0.006})
+    sc, _ = three_cells()
     maps = [channel.generate_power_map(sc, r) for r in range(3)]
     check_against_reference(sc, maps, range(20), prio)
 
@@ -146,5 +96,5 @@ def test_three_cells_match_reference(prio):
 @pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
 def test_200_users_match_reference(prio):
     cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=100, num_users=200, num_normal=197)
-    sc, pm = channel.generate_scenario(cfg, op_ps={198: 0.0032, 199: 0.0064, 200: 0.00208})
+    sc, pm = channel.generate_scenario(cfg, dict(zip(cfg.op_ids, cli.REFERENCE_OP_PS.values())))
     check_against_reference(sc, [pm], range(2), prio)

@@ -21,6 +21,8 @@ from prballoc import channel  # noqa: E402
 from prballoc.errors import DataError, UsageError  # noqa: E402
 from prballoc.medrecords import FEATURES, LEVEL_NAMES  # noqa: E402
 
+from helpers import STATE  # noqa: E402
+
 # No shrinking: a failure reports the example that found it at once.
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     phases=[Phase.explicit, Phase.generate])
@@ -80,7 +82,6 @@ def test_scenario_json_round_trip(scenario):
 
 # a bool is refused as a posterior, as in every config field
 POSTERIOR = st.floats(-0.5, 1.5) | st.just(math.nan) | st.booleans()
-STATE = {"f1": "Normal", "f2": "Normal", "f3": "High", "f4": "Heavy"}
 # a full state, an unknown level, a missing feature, an extra key
 STATES = st.sampled_from([STATE, {**STATE, "f1": "Bogus"}, {"f1": "Normal"},
                           {**STATE, "f5": "High"}])

@@ -8,16 +8,9 @@ from prballoc import allocator_exact as ex
 from prballoc import channel, cli, lp_export
 from prballoc.errors import DataError, UsageError
 
-from helpers import write_solution_file
-from test_exact import hand_instance
+from helpers import baseline, hand_instance, write_solution_file
 
-REF_PS = {8: 0.0032, 9: 0.0064, 10: 0.00208}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-
-
-def baseline():
-    sc, pm = channel.generate_scenario(channel.ScenarioConfig(seed=3), op_ps=REF_PS)
-    return sc, pm
 
 
 def export_lp_before_output(tmp_path, monkeypatch, capsys, *argv, power_map=None):

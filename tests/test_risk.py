@@ -5,9 +5,11 @@ import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
-from prballoc import channel, risk
+from prballoc import channel, cli, risk
 from prballoc.errors import DataError, UsageError
 from prballoc.medrecords import FEATURES, LEVEL_NAMES, DayEntry, MedicalRecord
+
+from helpers import oracle_posterior
 
 
 def _record(day_specs):
@@ -23,22 +25,6 @@ def _levels(f1="Normal", f2="Normal", f3="Optimal", f4="Light"):
     return {"f1": f1, "f2": f2, "f3": f3, "f4": f4}
 
 
-def oracle_posterior(record, state, smoothing="off"):
-    """Brute-force counting oracle: same divisions, evaluated independently."""
-    total = len(record.days)
-    stroke_days = [e for e in record.days if e.stroke]
-    ps = len(stroke_days) / total
-    if not stroke_days and smoothing == "off":
-        return 0.0
-    for feat in FEATURES:
-        match = sum(1 for e in stroke_days if e.levels[feat] == state.level(feat))
-        if smoothing == "laplace":
-            ps *= (match + 1) / (len(stroke_days) + len(LEVEL_NAMES[feat]))
-        else:
-            ps *= match / len(stroke_days)
-    return ps
-
-
 def test_current_state_and_scenario_share_the_level_rule():
     bad = {**_levels(), "f2": "Bogus"}
     with pytest.raises(ValueError, match="unknown level 'Bogus' for f2"):
@@ -48,7 +34,7 @@ def test_current_state_and_scenario_share_the_level_rule():
         channel.Scenario(config=config, current_states={8: bad})
 
 
-STATE = risk.CurrentState(**_levels())
+BASE_STATE = risk.CurrentState(**_levels())
 
 
 class TestPrior:
@@ -56,18 +42,18 @@ class TestPrior:
 
     def test_counting(self):
         rec = _record([(_levels(), False)] * 29 + [(_levels(), True)])
-        assert risk.posterior_stroke(rec, STATE) == 1 / 30
+        assert risk.posterior_stroke(rec, BASE_STATE) == 1 / 30
 
     def test_zero_and_one(self):
         for smoothing in risk.SMOOTHING_MODES:
             rec = _record([(_levels(), False)] * 5)
-            assert risk.posterior_stroke(rec, STATE, smoothing) == 0.0
-        assert risk.posterior_stroke(_record([(_levels(), True)] * 4), STATE) == 1.0
+            assert risk.posterior_stroke(rec, BASE_STATE, smoothing) == 0.0
+        assert risk.posterior_stroke(_record([(_levels(), True)] * 4), BASE_STATE) == 1.0
 
     def test_empty_record(self):
         for smoothing in risk.SMOOTHING_MODES:
             with pytest.raises(DataError, match="empty record"):
-                risk.posterior_stroke(MedicalRecord(patient_id="p", days=[]), STATE, smoothing)
+                risk.posterior_stroke(MedicalRecord(patient_id="p", days=[]), BASE_STATE, smoothing)
 
 
 class TestConditional:
@@ -83,7 +69,7 @@ class TestConditional:
 
     def test_laplace_formula(self):
         rec = _record([(_levels(f1="Normal"), True), (_levels(f1="High-Hypertension"), True)])
-        got = risk.posterior_stroke(rec, STATE, smoothing="laplace")
+        got = risk.posterior_stroke(rec, BASE_STATE, smoothing="laplace")
         f1 = (1 + 1) / (2 + 3)  # one of the two stroke days at Normal, out of f1's 3 levels
         rest = (2 + 1) / (2 + 3)  # both stroke days at the state's level
         assert got == (2 / 2) * f1 * rest * rest * rest
@@ -150,15 +136,15 @@ class TestPriority:
         assert risk.priority(0.0, cfg, True) == 1.0
 
     def test_ordering_preserved_and_monotone_in_alpha(self):
-        ps_values = [0.0032, 0.0064, 0.00208]
-        for alpha in (50.0, 100.0, 150.0, 250.0, 500.0):
+        ps_values = list(cli.REFERENCE_OP_PS.values())
+        for alpha in cli.DEFAULT_ALPHAS:
             cfg = risk.RiskConfig(alpha=alpha)
             ups = [risk.priority(p, cfg, True) for p in ps_values]
             assert sorted(range(3), key=lambda i: ups[i]) == sorted(
                 range(3), key=lambda i: ps_values[i]
             )
-        up_by_alpha = [risk.priority(0.0032, risk.RiskConfig(alpha=a), True)
-                       for a in (50, 100, 150, 250, 500)]
+        up_by_alpha = [risk.priority(ps_values[0], risk.RiskConfig(alpha=a), True)
+                       for a in cli.DEFAULT_ALPHAS]
         assert up_by_alpha == sorted(up_by_alpha) and len(set(up_by_alpha)) == 5
 
     def test_config_validation(self):

@@ -12,7 +12,7 @@ admission orders and over power-map realizations.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,25 +54,25 @@ class IterationTrace:
     slots: dict  # user_id -> (bs, prb)
     at_assignment_sinr: dict
     final_sinr: dict
-    pool_sizes: list = field(default_factory=list)
-    swaps: int = 0  # improving swaps applied after the construction
+    pool_sizes: list
+    swaps: int  # improving swaps applied after the construction
 
 
-def best_sinr_pool(occ, candidates, power_map, rng):
-    """Draw one entry of the admitted user's pool: ((bs, prb), interferer), 0-based.
+def best_sinr_pool(occ, candidates, power_map, u):
+    """The admitted user's pool entry at the uniform `u`: ((bs, prb), interferer), 0-based.
 
-    The pool holds one entry per empty slot of the (N, B) occupants `occ`
-    (num_users for nobody), in (bs, prb) order; the draw is uniform, so only
-    the drawn entry is built.  `candidates` holds the occupant indices, ascending,
-    of the users that may interfere.  Where the slot's PRB has another free slot,
-    the candidate of minimum interfering power at the slot (ties by index), which
-    leaves the admitted user its best SINR, is the interferer, else None.
+    The pool holds one entry per empty slot of the (N, B) occupants `occ` (num_users for
+    nobody), in (bs, prb) order; `u` in [0, 1) picks entry int(u * size), biased by under
+    size/2^53, so only that entry is built.  `candidates` holds the occupant indices,
+    ascending, of the users that may interfere.  Where the slot's PRB has another free slot,
+    the candidate of minimum interfering power at the slot (ties by index), which leaves the
+    admitted user its best SINR, is the interferer, else None.
     """
     free = occ == len(power_map.q)
     bs, prb = np.nonzero(free.T)
     if not len(bs):
         raise InfeasibleError("no free slot available")
-    i = rng.integers(len(bs))
+    i = int(u * len(bs))
     b, n = int(bs[i]), int(prb[i])
     if not len(candidates) or np.count_nonzero(free[n]) < 2:
         return (b, n), None
@@ -128,9 +128,9 @@ class SwapSearch:
         size = self.num_prbs * self.num_bs
         self.within_at = np.stack([first * size + second, second * size + first])
 
-    def serve_order(self, rng):
-        """Prioritized outpatients by descending priority (ties by id), then the rest shuffled."""
-        return self.head + [self.rest[i] for i in rng.permutation(len(self.rest))]
+    def serve_order(self, keys):
+        """Prioritized outpatients by descending priority (ties by id), then the rest by `keys`."""
+        return self.head + [self.rest[i] for i in np.argsort(keys, kind="stable")]
 
     def _column_gains(self, occ_cols, prbs):
         """Swap gains of the PRB columns `prbs`, whose occupants are `occ_cols` (C, B).
@@ -214,11 +214,12 @@ class SwapSearch:
 def run_iteration(scenario, power_map, config, rng, improver=None):
     """Serve every user once, then improve by swaps; returns the IterationTrace.
 
-    The construction only places users, each admission keeping a copy of the
-    PRB column it filled; one `column_sinrs` call over those columns then gives
-    every at-assignment SINR.  `improver` is a SwapSearch built for this
-    scenario, power map and config, else a UsageError; passing one to every
-    iteration on a map lets it reuse column gains, and None builds a fresh one.
+    Its one draw, `rng.random(2 * K)`, is split in halves: the first sorts the serve order's
+    rest (a tie has a chance near K^2/2^54), entry j of the second picks admission j's slot.
+    The construction only places users, each admission keeping a copy of the PRB column it
+    filled; one `column_sinrs` call over those columns then gives every at-assignment SINR.
+    `improver` is a SwapSearch built for this scenario, power map and config, else a UsageError;
+    passing one to every iteration on a map lets it reuse column gains, None builds a fresh one.
     """
     if improver is None:
         improver = SwapSearch(scenario, power_map, config)
@@ -226,7 +227,8 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
           or improver.config != config):
         raise UsageError("the improver was built for another scenario, power map or config")
     cfg = scenario.config
-    order = improver.serve_order(rng)
+    keys, picks = np.split(rng.random(2 * cfg.num_users), 2)
+    order = improver.serve_order(keys[: len(improver.rest)])
     nobody = cfg.num_users
     occ = np.full((cfg.prbs_per_bs, cfg.num_bs), nobody)  # occupant index of each (prb, bs)
     unserved = np.ones(nobody, dtype=bool)
@@ -236,7 +238,7 @@ def run_iteration(scenario, power_map, config, rng, improver=None):
             continue  # already placed as someone's interferer
         unserved[user - 1] = False
         pool_sizes.append(occ.size - len(seats))
-        (b, n), m = best_sinr_pool(occ, np.flatnonzero(unserved), power_map, rng)
+        (b, n), m = best_sinr_pool(occ, np.flatnonzero(unserved), power_map, picks[len(columns)])
         row = occ[n]
         row[b] = user - 1
         seats.append((user, len(columns), b))
@@ -263,8 +265,8 @@ def run_file(scenario, power_map, config, file_index=0):
     sums = {k: 0.0 for k in scenario.config.user_ids}
     objectives = []
     search = SwapSearch(scenario, power_map, config)
-    for it in range(config.iterations):
-        rng = np.random.default_rng(derive_seed(config.seed, file_index, it))
+    rng = np.random.default_rng(derive_seed(config.seed, 2, file_index))  # tag 2: heuristic files
+    for _ in range(config.iterations):
         trace = run_iteration(scenario, power_map, config, rng, search)
         objectives.append(search.objective.value(trace.final_sinr))
         for k, s in trace.final_sinr.items():

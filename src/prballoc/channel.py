@@ -23,10 +23,10 @@ POWER_MAP_COLUMNS = ["user", "prb", "bs", "power_watts"]
 
 
 def derive_seed(master_seed, *parts):
-    """Stable 64-bit child seed from a master seed and integer indices.
+    """Stable 64-bit child seed from a master seed and integer indices, the first a
+    stream's tag: 1 for power maps, 2 for heuristic files, 3 for scalability runs.
 
-    SHA-256 over the decimal rendering of (master, parts); documented so that
-    parallel and sequential runs agree.
+    SHA-256 over the decimal rendering of (master, parts), so parallel and sequential runs agree.
     """
     text = ":".join(str(int(x)) for x in (master_seed, *parts))
     digest = hashlib.sha256(b"prballoc:" + text.encode()).digest()

@@ -217,7 +217,7 @@ def run_scalability(spec):
         hconfig = _config(heur.HeuristicConfig, spec, iterations=1)
         times = []
         for r in range(spec.runs):
-            rng = np.random.default_rng(channel.derive_seed(spec.seed, prbs, r))
+            rng = np.random.default_rng(channel.derive_seed(spec.seed, 3, prbs, r))
             start = time.perf_counter()
             heur.run_iteration(scenario, pm, hconfig, rng)
             times.append(time.perf_counter() - start)

@@ -17,15 +17,11 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import Phase, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prballoc import allocator_exact as ex  # noqa: E402
 from prballoc import channel, cli, medrecords  # noqa: E402
-
-# No shrinking: a failure reports the example that found it at once.
-PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                    phases=[Phase.explicit, Phase.generate])
 
 SCENARIO = ["--scenario", "{d}/scenario.json"]
 INSTANCE = SCENARIO + ["--power-map", "{d}/power_map.csv"]
@@ -199,7 +195,7 @@ def _snapshot(path):
     return None
 
 
-@settings(PROPERTY, max_examples=160)
+@settings(max_examples=160)
 @given(mutated_inputs())
 def test_any_input_ends_in_a_documented_exit_code(case):
     files, command, output_exists = case

@@ -1,5 +1,7 @@
+import collections
 import csv
 import dataclasses
+import itertools
 import math
 import statistics
 import warnings
@@ -29,7 +31,7 @@ class TestServeOrder:
     def test_op_prefix_sorted_by_priority(self):
         sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=True, alpha=100.0)
-        order = heur.SwapSearch(sc, pm, config).serve_order(np.random.default_rng(0))
+        order = heur.SwapSearch(sc, pm, config).serve_order(np.random.default_rng(0).random(7))
         # UP at alpha=100: u9 1.64, u8 1.32, u10 1.208
         assert order[:3] == [9, 8, 10]
         assert sorted(order[3:]) == [1, 2, 3, 4, 5, 6, 7]
@@ -37,16 +39,18 @@ class TestServeOrder:
     def test_off_is_full_permutation(self):
         sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=False)
-        a = heur.SwapSearch(sc, pm, config).serve_order(np.random.default_rng(1))
-        b = heur.SwapSearch(sc, pm, config).serve_order(np.random.default_rng(1))
+        keys = np.random.default_rng(1).random(10)
+        a = heur.SwapSearch(sc, pm, config).serve_order(keys)
+        b = heur.SwapSearch(sc, pm, config).serve_order(keys)
         assert a == b
         assert sorted(a) == list(range(1, 11))
 
     def test_orders_vary_across_draws(self):
         sc, pm = baseline()
         config = heur.HeuristicConfig(prioritization=False)
-        rng = np.random.default_rng(2)
-        orders = {tuple(heur.SwapSearch(sc, pm, config).serve_order(rng)) for _ in range(20)}
+        search = heur.SwapSearch(sc, pm, config)
+        draws = np.random.default_rng(2).random((20, 10))
+        orders = {tuple(search.serve_order(keys)) for keys in draws}
         assert len(orders) > 1
 
 
@@ -60,11 +64,12 @@ def occupancy(free, pm):
     return occ
 
 
-def draw(free, candidates, pm, seed=0):
-    """best_sinr_pool with a fresh Generator; candidates as a list of occupant indices."""
-    return heur.best_sinr_pool(
-        occupancy(free, pm), np.array(candidates, dtype=int), pm, np.random.default_rng(seed)
-    )
+def draw(free, candidates, pm, u=0.0):
+    """best_sinr_pool at the uniform u; candidates as a list of occupant indices."""
+    return heur.best_sinr_pool(occupancy(free, pm), np.array(candidates, dtype=int), pm, u)
+
+
+UNIFORMS = np.arange(10) / 10  # ten evenly spaced uniforms in [0, 1)
 
 
 class TestPool:
@@ -75,28 +80,28 @@ class TestPool:
     def test_one_entry_per_free_slot(self):
         sc, pm = baseline()
         free = {(0, 0), (1, 0), (1, 2), (0, 4)}
-        drawn = {draw(free, range(1, 10), pm, seed)[0] for seed in range(100)}
+        drawn = {draw(free, range(1, 10), pm, u)[0] for u in UNIFORMS}
         assert drawn == free
 
     def test_argmin_interferer(self):
         sc, pm = baseline()
         free = {(0, 0), (1, 0)}
-        for seed in range(10):
-            (b, n), interferer = draw(free, [1, 2], pm, seed)
+        for u in UNIFORMS:
+            (b, n), interferer = draw(free, [1, 2], pm, u)
             cands = {m: float(pm.q[m, n, b]) for m in (1, 2)}
             assert interferer == min(cands, key=cands.get)
 
     def test_ties_go_to_the_lowest_id(self):
         pm = channel.PowerMap(q=np.ones((4, 1, 2)), noise_w=1.0)
-        for seed in range(10):
-            _, interferer = draw({(0, 0), (1, 0)}, [0, 1, 2], pm, seed)
+        for u in UNIFORMS:
+            _, interferer = draw({(0, 0), (1, 0)}, [0, 1, 2], pm, u)
             assert interferer == 0
 
     def test_no_candidates_is_interference_free(self):
         sc, pm = baseline()
         free = {(0, 0), (1, 0)}
-        for seed in range(10):
-            _, interferer = draw(free, [], pm, seed)
+        for u in UNIFORMS:
+            _, interferer = draw(free, [], pm, u)
             assert interferer is None
 
     def test_no_free_slot_errors(self):
@@ -106,28 +111,28 @@ class TestPool:
 
     def test_no_co_channel_free_slot_counts_its_holder(self):
         sc, pm = baseline()
-        _, interferer = draw({(0, 0), (1, 1)}, [1, 2], pm, 4)
-        assert interferer is None
+        for u in UNIFORMS:
+            _, interferer = draw({(0, 0), (1, 1)}, [1, 2], pm, u)
+            assert interferer is None
 
 
 class TestSemiGreedyPick:
-    """The pool pick: one uniform draw over the free slots."""
+    """The pool pick: one uniform over the free slots."""
 
     def test_singleton_and_determinism(self):
         sc, pm = baseline()
-        assert {draw({(1, 2)}, [1], pm, seed)[0] for seed in range(10)} == {(1, 2)}
+        assert {draw({(1, 2)}, [1], pm, u)[0] for u in UNIFORMS} == {(1, 2)}
         free = {(b, n) for b in (0, 1) for n in range(5)}
-        assert draw(free, [1, 2], pm, 5) == draw(free, [1, 2], pm, 5)
+        assert draw(free, [1, 2], pm, 0.5) == draw(free, [1, 2], pm, 0.5)
 
     def test_uniformity(self):
         sc, pm = baseline()
         occ = occupancy({(0, n) for n in range(4)}, pm)
         none = np.array([], dtype=int)
-        rng = np.random.default_rng(42)
         counts = [0, 0, 0, 0]
         n = 100_000
-        for _ in range(n):
-            (_, prb), _ = heur.best_sinr_pool(occ, none, pm, rng)
+        for u in np.random.default_rng(42).random(n):
+            (_, prb), _ = heur.best_sinr_pool(occ, none, pm, u)
             counts[prb] += 1
         for c in counts:
             assert abs(c / n - 0.25) < 0.01
@@ -135,28 +140,27 @@ class TestSemiGreedyPick:
     @pytest.mark.parametrize("num_bs", [2, 3])
     @pytest.mark.parametrize("with_candidates", [True, False], ids=["candidates", "alone"])
     def test_draw_is_the_reference_pool_entry(self, num_bs, with_candidates):
-        """The entry drawn is the scalar reference pool's slot and interferer at the
-        same draw, as 0-based indices, and both Generators end in the same state."""
+        """The entry picked is the scalar reference pool's slot and interferer at the
+        same uniform, as 0-based indices."""
         cfg = channel.ScenarioConfig(
             num_bs=num_bs, prbs_per_bs=4, num_users=4 * num_bs, num_normal=4 * num_bs - 2, seed=1
         )
         sc, pm = channel.generate_scenario(cfg)
         setup = np.random.default_rng(num_bs)
-        for seed in range(200):
+        for _ in range(200):
             free = setup.random((cfg.prbs_per_bs, num_bs)) < setup.uniform(0.1, 0.9)
             free.flat[setup.integers(free.size)] = True
             occ = np.where(free, cfg.num_users, setup.permutation(cfg.num_users).reshape(free.shape))
             user = int(setup.integers(1, cfg.num_users + 1))
             others = [m for m in cfg.user_ids if m != user] if with_candidates else []
             candidates = sorted(m for m in others if setup.random() < 0.5)
-            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = heur.best_sinr_pool(occ, np.array(candidates, dtype=int) - 1, pm, rng)
+            u = setup.random()
+            got = heur.best_sinr_pool(occ, np.array(candidates, dtype=int) - 1, pm, u)
             held = {k + 1: (b + 1, n + 1)
                     for (n, b), k in np.ndenumerate(occ) if k < cfg.num_users}
             pool = reference_pool(user, held, candidates, pm, sc)
-            (b, n), m = pool[int(twin.integers(len(pool)))][:2]  # 1-based ids
+            (b, n), m = pool[int(u * len(pool))][:2]  # 1-based ids
             assert got == ((b - 1, n - 1), None if m is None else m - 1)
-            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestObjective:
@@ -267,7 +271,7 @@ class TestRunHeuristic:
         sc, pm = baseline()
         config = heur.HeuristicConfig(iterations=1, seed=7)
         report = heur.run_heuristic(sc, [pm], config)
-        rng = np.random.default_rng(channel.derive_seed(7, 0, 0))
+        rng = np.random.default_rng(channel.derive_seed(7, 2, 0))
         trace = heur.run_iteration(sc, pm, config, rng)
         rows = csv_rows(report, tmp_path)
         assert rows.keys() == trace.final_sinr.keys()
@@ -313,6 +317,83 @@ class TestRunHeuristic:
             mean, sd = statistics.fmean(values), statistics.stdev(values)
             half = 1.96 * sd / math.sqrt(len(values))
             assert row == pytest.approx([mean, sd, mean - half, mean + half], rel=1e-12)
+
+
+class _Rows:
+    """A Generator's stand-in that hands out the rows of `rows`, one per `random` call."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, size):
+        row = next(self.rows)
+        assert row.shape == (size,)
+        return row
+
+
+class TestDrawContract:
+    """A heuristic file reads its own stream, one row of 2K uniforms per iteration."""
+
+    def test_map_and_heuristic_seeds_are_disjoint(self, monkeypatch):
+        """Over the acceptance fixture's ranges (seed 3, 100 maps, 100 files of 1000
+        iterations), no power map's Generator shares its seed with a heuristic one."""
+        sc, _ = baseline()
+        seeds, make = [], np.random.default_rng
+
+        def recording(seed=None):
+            seeds.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        maps = [channel.generate_power_map(sc, r) for r in range(100)]
+        map_seeds = set(seeds)
+        seeds.clear()
+        # the seeds do not depend on what an iteration computes, so none is computed
+        monkeypatch.setattr(heur, "run_iteration", lambda scenario, *_: heur.IterationTrace(
+            [], {}, {}, dict.fromkeys(scenario.config.user_ids, 1.0), [], 0))
+        heur.run_heuristic(sc, maps, heur.HeuristicConfig(iterations=1000, seed=3))
+        assert len(map_seeds) == 100 and seeds
+        assert map_seeds.isdisjoint(seeds)
+
+    def test_an_iteration_draws_one_row(self):
+        """run_iteration leaves its Generator where one `random(2K)` call leaves a twin."""
+        for sc, pm in (baseline(), three_cells()):
+            for prio in (False, True):
+                rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+                heur.run_iteration(sc, pm, heur.HeuristicConfig(prioritization=prio), rng)
+                twin.random(2 * sc.config.num_users)
+                assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("prio", [False, True], ids=["off", "on"])
+    def test_a_file_reads_its_stream_row_by_row(self, prio):
+        """run_file's iteration `it` is run_iteration on row `it` of one (I, 2K) draw
+        from the file's stream, `derive_seed(seed, 2, file_index)`."""
+        sc, _ = baseline()
+        pm = channel.generate_power_map(sc, 1)
+        config = heur.HeuristicConfig(iterations=6, prioritization=prio, seed=3)
+        _, objectives = heur.run_file(sc, pm, config, file_index=1)
+        stream = np.random.default_rng(channel.derive_seed(3, 2, 1))
+        rows = _Rows(stream.random((config.iterations, 2 * sc.config.num_users)))
+        search = heur.SwapSearch(sc, pm, config)
+        traces = [heur.run_iteration(sc, pm, config, rows, search)
+                  for _ in range(config.iterations)]
+        assert objectives == [search.objective.value(t.final_sinr) for t in traces]
+
+    def test_serve_orders_are_uniform(self):
+        """At K=4 with prioritization off, every user is in the shuffled rest, and 2400
+        iterations' serve orders spread over the 24 permutations: chi-square below 49.73,
+        its 0.999 quantile at 23 degrees of freedom."""
+        cfg = channel.ScenarioConfig(num_bs=2, prbs_per_bs=2, num_users=4, num_normal=3, seed=1)
+        sc, pm = channel.generate_scenario(cfg)
+        config = heur.HeuristicConfig()
+        search = heur.SwapSearch(sc, pm, config)
+        rows = _Rows(np.random.default_rng(0).random((2400, 8)))
+        counts = collections.Counter(
+            tuple(heur.run_iteration(sc, pm, config, rows, search).serve_order)
+            for _ in range(2400))
+        want = 2400 / 24
+        chi2 = sum((counts[p] - want) ** 2 / want for p in itertools.permutations(cfg.user_ids))
+        assert chi2 < 49.73
 
 
 class _Unchanged(heur.SwapSearch):

@@ -19,7 +19,8 @@ from helpers import baseline, occupants, reference_pool, slots_of, three_cells
 
 def reference_iteration(scenario, power_map, config, rng, improver):
     cfg = scenario.config
-    order = improver.serve_order(rng)
+    row = rng.random(2 * cfg.num_users)  # sort keys, then one uniform per admission
+    order = improver.serve_order(row[: len(improver.rest)])
     free = {(b, n) for b in range(1, cfg.num_bs + 1) for n in range(1, cfg.prbs_per_bs + 1)}
     slots = {}
     at_sinr = {}
@@ -28,9 +29,10 @@ def reference_iteration(scenario, power_map, config, rng, improver):
         if user in slots:
             continue  # already placed as someone's interferer
         unserved = [m for m in order if m not in slots and m != user]
+        u = row[cfg.num_users + len(pool_sizes)]
         pool = reference_pool(user, slots, unserved, power_map, scenario)
         pool_sizes.append(len(pool))
-        slot, interferer, sinr = pool[int(rng.integers(len(pool)))]
+        slot, interferer, sinr = pool[int(u * len(pool))]
         b, n = slot
         slots[user] = slot
         free.discard(slot)

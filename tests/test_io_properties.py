@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import Phase, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prballoc import channel  # noqa: E402
@@ -22,10 +22,6 @@ from prballoc.errors import DataError, UsageError  # noqa: E402
 from prballoc.medrecords import FEATURES, LEVEL_NAMES  # noqa: E402
 
 from helpers import STATE  # noqa: E402
-
-# No shrinking: a failure reports the example that found it at once.
-PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                    phases=[Phase.explicit, Phase.generate])
 
 # A path loss from -1113 to 1144 dB: a per-PRB power in TX_DBM then gives a mean
 # received power within 1e-300 to 1e300 mW at every drawn distance.
@@ -71,7 +67,7 @@ def scenarios(draw):
     )
 
 
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(scenarios())
 def test_scenario_json_round_trip(scenario):
     back = channel.scenario_from_json(channel.scenario_to_json(scenario))
@@ -111,7 +107,7 @@ def user_data(draw):
     return config_kw, draw(st.dictionaries(users, POSTERIOR)), draw(states)
 
 
-@settings(PROPERTY, max_examples=300)
+@settings(max_examples=300)
 @given(user_data())
 def test_constructor_and_parser_keep_one_rule(data):
     config_kw, op_ps, states = data
@@ -133,7 +129,7 @@ def test_constructor_and_parser_keep_one_rule(data):
         assert channel.scenario_to_json(built) == channel.scenario_to_json(parsed)
 
 
-@settings(PROPERTY, max_examples=100)
+@settings(max_examples=100)
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)), st.data())
 def test_power_map_csv_round_trip_is_bit_equal(shape, data):
     cells = data.draw(st.lists(POWERS, min_size=math.prod(shape), max_size=math.prod(shape)))

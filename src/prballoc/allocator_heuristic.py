@@ -21,8 +21,7 @@ from .allocator_exact import (
 )
 from .channel import check_map_shape, derive_seed
 from .errors import InfeasibleError, UsageError, check_field_types
-from .fileio import write_csv
-from .metrics import summarize
+from .metrics import write_summary_csv
 from .risk import check_alpha
 
 SWAP_RTOL = 1e-12  # a swap must gain more than this share of the objective
@@ -290,9 +289,5 @@ def run_heuristic(scenario, power_maps, config):
 
 
 def write_heuristic_csv(report, path):
-    """One row per user: the mean, SD and 95% CI across files of its per-file means."""
-    means = report.per_file_means
-    summaries = {k: summarize([m[k] for m in means]) for k in sorted(means[0])}
-    write_csv(path, ["user", "mean_sinr", "sd", "ci_low", "ci_high"], (
-        [k, s.mean, s.sd, s.ci_low, s.ci_high] for k, s in summaries.items()
-    ))
+    """`write_summary_csv` of the per-file means: each user's mean, SD and 95% CI across files."""
+    write_summary_csv(report.per_file_means, path)

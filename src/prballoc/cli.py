@@ -152,11 +152,7 @@ def run_before_after(spec, scenario=None, power_maps=None):
     ):
         solver = _config(exact.SolverConfig, spec, prioritization=prioritization)
         exact_runs.extend(exact.solve_exact(scenario, pm, solver)[1].sinr for pm in power_maps)
-        rows = [
-            (f"user_{k}", "exact", metrics.summarize([r[k] for r in exact_runs]))
-            for k in cfg.user_ids
-        ]
-        metrics.write_summary_csv(rows, os.path.join(spec.output_dir, f"exact_{tag}.csv"))
+        metrics.write_summary_csv(exact_runs, os.path.join(spec.output_dir, f"exact_{tag}.csv"))
         heuristic = _config(heur.HeuristicConfig, spec, prioritization=prioritization)
         report = heur.run_heuristic(scenario, power_maps, heuristic)
         heuristic_means.extend(report.per_file_means)

@@ -58,9 +58,10 @@ def fairness_sd(values):
     return summarize(values).sd
 
 
-def write_summary_csv(rows, path):
-    """Rows of (metric, subset, StatSummary)."""
-    write_csv(path, ["metric", "subset", "n", "mean", "sd", "ci_low", "ci_high"], (
-        [metric, subset, s.n, s.mean, s.sd, s.ci_low, s.ci_high]
-        for metric, subset, s in rows
+def write_summary_csv(runs, path):
+    """One row per user id, ascending: `summarize` of the user's values in `runs`, the
+    per-user dicts of one realization or file each."""
+    summaries = ((k, summarize([r[k] for r in runs])) for k in sorted(runs[0]))
+    write_csv(path, ["user", "n", "mean", "sd", "ci_low", "ci_high"], (
+        [k, s.n, s.mean, s.sd, s.ci_low, s.ci_high] for k, s in summaries
     ))

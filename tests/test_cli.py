@@ -13,7 +13,7 @@ import pytest
 
 from prballoc import allocator_exact as ex
 from prballoc import allocator_heuristic as heur
-from prballoc import channel, cli, fileio, lp_export, medrecords, risk
+from prballoc import channel, cli, fileio, lp_export, medrecords, metrics, risk
 from prballoc.errors import DataError, UsageError
 
 from helpers import STATE, baseline, op_ps_entry, synthesize_raw_records, write_solution_file
@@ -925,6 +925,24 @@ class TestBeforeAfterGolden:
                 assert {str(k) for k in got_run} == set(want_run)
                 for k, value in got_run.items():
                     assert value == pytest.approx(want_run[str(k)], rel=1e-9), (name, k)
+
+    def test_per_user_files_summarize_the_runs(self, tmp_path):
+        """The four per-user files share one schema: a row per user, ascending, that is
+        `summarize` of the user's values over the matching run list, each cell read back
+        exactly."""
+        spec = cli.ExperimentSpec(kind="before_after", output_dir=str(tmp_path),
+                                  realizations=3, iterations=20, seed=3)
+        result = cli.run_before_after(spec)
+        for name in ("exact_before", "exact_after", "heuristic_before", "heuristic_after"):
+            runs = getattr(result, name)
+            header, *lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            assert header == "user,n,mean,sd,ci_low,ci_high", name
+            rows = [line.split(",") for line in lines]
+            want = []
+            for k in range(1, 11):  # the baseline's ten users
+                s = metrics.summarize([r[k] for r in runs])
+                want.append([k, 3, s.mean, s.sd, s.ci_low, s.ci_high])
+            assert [[int(k), int(n), *map(float, rest)] for k, n, *rest in rows] == want, name
 
     def test_summary_is_recomputed_from_the_runs(self, tmp_path, capsys):
         """Each summary.csv cell, and the printed OP line, equals the gain recomputed with

@@ -251,14 +251,15 @@ class TestRunIteration:
 
 
 def csv_rows(report, tmp_path):
-    """write_heuristic_csv's rows in file order: user -> [mean_sinr, sd, ci_low, ci_high],
+    """write_heuristic_csv's rows in file order: user -> [n, mean, sd, ci_low, ci_high],
     an empty cell as None."""
     path = tmp_path / "heur.csv"
     heur.write_heuristic_csv(report, path)
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
-    assert header == ["user", "mean_sinr", "sd", "ci_low", "ci_high"]
-    return {int(row[0]): [float(c) if c else None for c in row[1:]] for row in rows}
+    assert header == ["user", "n", "mean", "sd", "ci_low", "ci_high"]
+    return {int(row[0]): [int(row[1])] + [float(c) if c else None for c in row[2:]]
+            for row in rows}
 
 
 class TestRunHeuristic:
@@ -275,7 +276,8 @@ class TestRunHeuristic:
         trace = heur.run_iteration(sc, pm, config, rng)
         rows = csv_rows(report, tmp_path)
         assert rows.keys() == trace.final_sinr.keys()
-        for k, (mean, sd, _, _) in rows.items():
+        for k, (n, mean, sd, _, _) in rows.items():
+            assert n == 1
             assert mean == pytest.approx(trace.final_sinr[k], rel=1e-15)
             assert sd is None
 
@@ -291,7 +293,8 @@ class TestRunHeuristic:
         pms = [channel.generate_power_map(sc, i) for i in range(5)]
         config = heur.HeuristicConfig(iterations=10, seed=1)
         report = heur.run_heuristic(sc, pms, config)
-        for _, sd, ci_low, ci_high in csv_rows(report, tmp_path).values():
+        for n, _, sd, ci_low, ci_high in csv_rows(report, tmp_path).values():
+            assert n == 5
             assert ci_high - ci_low == pytest.approx(2 * 1.96 * sd / np.sqrt(5), rel=1e-12)
 
     def test_dominance_against_exact(self):
@@ -305,8 +308,8 @@ class TestRunHeuristic:
             assert max(objectives) <= best.objective_value + 1e-9
 
     def test_csv_output(self, tmp_path):
-        """Each user's row, in id order, is the mean, sample SD and 95% CI of its
-        per-file means, computed here with `statistics`."""
+        """Each user's row, in id order, is the file count and the mean, sample SD and 95% CI
+        of its per-file means, computed here with `statistics`."""
         sc, _ = baseline()
         pms = [channel.generate_power_map(sc, i) for i in range(3)]
         report = heur.run_heuristic(sc, pms, heur.HeuristicConfig(iterations=2))
@@ -316,7 +319,7 @@ class TestRunHeuristic:
             values = [means[k] for means in report.per_file_means]
             mean, sd = statistics.fmean(values), statistics.stdev(values)
             half = 1.96 * sd / math.sqrt(len(values))
-            assert row == pytest.approx([mean, sd, mean - half, mean + half], rel=1e-12)
+            assert row == pytest.approx([3, mean, sd, mean - half, mean + half], rel=1e-12)
 
 
 class _Rows:

@@ -116,12 +116,14 @@ class TestFairnessSd:
 
 class TestSummaryCsv:
     def test_layout(self, tmp_path):
-        rows = [
-            ("mean_sinr", "healthy", metrics.summarize([4, 6])),
-            ("mean_sinr", "ops", metrics.summarize([7])),
-        ]
+        """One row per user id, ascending in whatever order the runs hold them: the run
+        count and `summarize`'s cells, with the SD cell blank for a single run."""
         path = tmp_path / "summary.csv"
-        metrics.write_summary_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "metric,subset,n,mean,sd,ci_low,ci_high"
-        assert lines[2].split(",")[4] == ""  # sd blank for n == 1
+        metrics.write_summary_csv([{2: 7.0, 1: 4.0}, {2: 7.0, 1: 6.0}], path)
+        assert path.read_text().splitlines() == [
+            "user,n,mean,sd,ci_low,ci_high",
+            "1,2,5.0,1.4142135623730951,3.04,6.96",
+            "2,2,7.0,0.0,7.0,7.0",
+        ]
+        metrics.write_summary_csv([{1: 7.0}], path)
+        assert path.read_text().splitlines()[1] == "1,1,7.0,,7.0,7.0"  # sd blank for n == 1
